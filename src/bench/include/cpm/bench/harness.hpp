@@ -1,13 +1,11 @@
 // Unified benchmark harness (cpm::bench).
 //
-// The repo's perf story used to be a loose google-benchmark binary
-// (bench_p1_micro) whose human-oriented console output nothing could
-// diff. This harness is the machine-facing complement: it runs named
-// benchmark cases with warmup + repeats, aggregates each metric to
-// median / IQR (robust to scheduler noise on shared CI runners, unlike
-// mean / stddev), and serialises the whole suite to a schema-versioned
-// JSON document (`cpm-bench/v1`) that tools/bench_compare.py diffs
-// against a checked-in baseline to gate regressions in CI.
+// The repo's one performance harness: it runs named benchmark cases with
+// warmup + repeats, aggregates each metric to median / IQR (robust to
+// scheduler noise on shared CI runners, unlike mean / stddev), and
+// serialises the whole suite to a schema-versioned JSON document
+// (`cpm-bench/v1`) that tools/bench_compare.py diffs against a
+// checked-in baseline to gate regressions in CI.
 //
 // A case is a callable that performs one complete unit of work; the
 // harness times it (wall + process CPU) and the case reports work

@@ -12,9 +12,9 @@ namespace cpm::bench {
 namespace {
 
 /// p1 — library micro/meso benchmarks: the simulator hot path, the event
-/// queue, the analytic evaluator, the replication pool and one optimizer.
-/// Counterpart of bench_p1_micro (google-benchmark), but emitting the
-/// machine-diffable cpm-bench/v1 document the CI gate consumes.
+/// queue, the analytic evaluator, the replication pool and one optimizer,
+/// emitted as the machine-diffable cpm-bench/v1 document the CI gate
+/// consumes.
 std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // Everything runs the shared enterprise scenario so numbers line up
   // with the E/A experiment binaries. Quick cases are sized to >= ~20 ms

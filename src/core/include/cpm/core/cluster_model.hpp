@@ -160,14 +160,14 @@ class ClusterModel {
 
   /// Variant for ONLINE-managed runs: service distributions stay at their
   /// base (f_base) demands and each station instead carries a runtime
-  /// speed multiplier speedup(f_i), so a control hook can retune
+  /// speed multiplier speedup(f_i), so the management hook can retune
   /// frequencies mid-simulation via sim::TierSetting.
   [[nodiscard]] sim::SimConfig to_controlled_sim_config(
       const std::vector<double>& initial_frequencies, double warmup_time,
       double end_time, std::uint64_t seed) const;
 
   /// Translates a frequency vector into the simulator's runtime tier
-  /// settings (speed + dynamic watts), for control hooks.
+  /// settings (speed + dynamic watts), for the management hook.
   [[nodiscard]] std::vector<sim::TierSetting> tier_settings(
       const std::vector<double>& frequencies) const;
 

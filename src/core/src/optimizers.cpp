@@ -71,6 +71,21 @@ FrequencyOptResult finish(const ClusterModel& model, std::vector<double> f,
   return r;
 }
 
+// All SLA (mean + percentile) bounds of `model` hold at evaluation `ev`.
+bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
+  if (!ev.stable) return false;
+  for (std::size_t k = 0; k < model.num_classes(); ++k) {
+    const Sla& sla = model.classes()[k].sla;
+    if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
+      return false;
+    if (sla.percentile_bounded() &&
+        queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
+            sla.max_percentile_e2e_delay)
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 FrequencyOptResult minimize_delay_with_power_budget(
@@ -253,18 +268,7 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
     problem.cost[i] = model.tiers()[i].server_cost;
 
   problem.feasible = [&model, &freqs](const std::vector<int>& n) {
-    const Evaluation ev = model.with_servers(n).evaluate(freqs);
-    if (!ev.stable) return false;
-    for (std::size_t k = 0; k < model.num_classes(); ++k) {
-      const Sla& sla = model.classes()[k].sla;
-      if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
-        return false;
-      if (sla.percentile_bounded() &&
-          queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
-              sla.max_percentile_e2e_delay)
-        return false;
-    }
-    return true;
+    return slas_hold(model, model.with_servers(n).evaluate(freqs));
   };
 
   const opt::IntegerResult ir = options.greedy_only
@@ -351,25 +355,6 @@ FrequencyOptResult lattice_search(
 
 }  // namespace
 
-namespace {
-
-// All SLA (mean + percentile) bounds of `model` hold at evaluation `ev`.
-bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
-  if (!ev.stable) return false;
-  for (std::size_t k = 0; k < model.num_classes(); ++k) {
-    const Sla& sla = model.classes()[k].sla;
-    if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
-      return false;
-    if (sla.percentile_bounded() &&
-        queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
-            sla.max_percentile_e2e_delay)
-      return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
                                            const TcoOptions& options) {
   require(options.energy_price_per_kwh >= 0.0, "TCO: negative energy price");
@@ -410,47 +395,22 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
       const Evaluation at_max = sized.evaluate(sized.max_frequencies());
       if (slas_hold(sized, at_max)) {
         // Inner problem: cheapest power meeting the SLAs, over the grid.
-        const auto grids = frequency_grids(sized, options.levels);
-        // Reuse the generic lattice by inlining an SLA-admissible search.
-        std::vector<std::size_t> idx(n_tiers, 0);
-        std::vector<double> f(n_tiers);
-        const std::vector<double> floor_f = sized.min_stable_frequencies();
-        double best_power = at_max.energy.cluster_avg_power.value();
-        std::vector<double> best_f = sized.max_frequencies();
-        Evaluation best_ev = at_max;
-        for (;;) {
-          bool viable = true;
-          for (std::size_t i = 0; i < n_tiers; ++i) {
-            f[i] = grids[i][idx[i]];
-            if (f[i] < floor_f[i]) viable = false;
-          }
-          if (viable) {
-            const Evaluation ev = sized.evaluate(f);
-            if (slas_hold(sized, ev) &&
-                ev.energy.cluster_avg_power.value() < best_power) {
-              best_power = ev.energy.cluster_avg_power.value();
-              best_f = f;
-              best_ev = ev;
-            }
-          }
-          std::size_t d = 0;
-          while (d < n_tiers && ++idx[d] == grids[d].size()) {
-            idx[d] = 0;
-            ++d;
-          }
-          if (d == n_tiers) break;
-        }
-
+        // The grid's top level is f_max, so the search finds a point.
+        const FrequencyOptResult inner = lattice_search(
+            sized, frequency_grids(sized, options.levels),
+            [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
+            [&sized](const Evaluation& ev) { return slas_hold(sized, ev); });
+        const double best_power = inner.power.value();
         const double total = capex(n) + best_power * kwh_factor;
         if (total < best.total_cost) {
           best.servers = n;
-          best.frequencies = best_f;
+          best.frequencies = inner.frequencies;
           best.capex = capex(n);
           best.opex = best_power * kwh_factor;
           best.total_cost = total;
-          best.power = units::watts(best_power);
+          best.power = inner.power;
           best.feasible = true;
-          best.evaluation = best_ev;
+          best.evaluation = inner.evaluation;
         }
       }
     }

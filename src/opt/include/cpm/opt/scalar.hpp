@@ -1,34 +1,18 @@
-// One-dimensional minimisation and root finding.
+// One-dimensional threshold search.
 //
-// Used directly for Lagrange-multiplier searches (the P-E bisection on the
-// dual variable) and as building blocks of the line searches.
+// monotone_threshold bisects a monotone predicate for the largest x where
+// it still holds; the uniform-frequency baseline uses it to find the
+// fastest uniform scaling that stays within a power budget.
 #pragma once
 
 #include <functional>
 
-#include "cpm/opt/types.hpp"
-
 namespace cpm::opt {
 
-/// Golden-section search for a minimum of a unimodal `f` on [lo, hi].
-/// Converges to interval width `x_tol`; robust, derivative-free.
-ScalarResult golden_section(const std::function<double(double)>& f, double lo,
-                            double hi, double x_tol = 1e-10, int max_iter = 200);
-
-/// Brent's method (golden section + successive parabolic interpolation).
-/// Same contract as golden_section, typically ~3x fewer evaluations.
-ScalarResult brent_minimize(const std::function<double(double)>& f, double lo,
-                            double hi, double x_tol = 1e-10, int max_iter = 200);
-
-/// Bisection root find of a continuous `f` on [lo, hi] with
-/// f(lo) and f(hi) of opposite sign (throws cpm::Error otherwise).
-ScalarResult bisect(const std::function<double(double)>& f, double lo, double hi,
-                    double x_tol = 1e-12, int max_iter = 200);
-
 /// Finds the largest x in [lo, hi] with pred(x) true, where pred is
-/// monotone (true then false). Returns lo if pred(lo) is false is an
-/// error; returns hi when pred(hi) is true. Used for "tightest feasible
-/// constraint" searches.
+/// monotone (true then false). pred(lo) false is an error; returns hi
+/// when pred(hi) is true. Used for "tightest feasible constraint"
+/// searches.
 double monotone_threshold(const std::function<bool(double)>& pred, double lo,
                           double hi, double x_tol = 1e-10);
 

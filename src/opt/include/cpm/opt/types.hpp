@@ -28,14 +28,6 @@ struct Box {
   [[nodiscard]] std::vector<double> center() const;
 };
 
-/// Result of a scalar minimisation/root find.
-struct ScalarResult {
-  double x = 0.0;
-  double value = 0.0;
-  int iterations = 0;
-  bool converged = false;
-};
-
 /// Result of a vector minimisation.
 struct VectorResult {
   std::vector<double> x;

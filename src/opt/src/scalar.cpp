@@ -1,8 +1,7 @@
 #include "cpm/opt/scalar.hpp"
 
-#include <cmath>
-
 #include "cpm/common/error.hpp"
+#include "cpm/opt/types.hpp"
 
 namespace cpm::opt {
 
@@ -25,140 +24,6 @@ std::vector<double> Box::center() const {
   std::vector<double> c(lo.size());
   for (std::size_t i = 0; i < lo.size(); ++i) c[i] = 0.5 * (lo[i] + hi[i]);
   return c;
-}
-
-ScalarResult golden_section(const std::function<double(double)>& f, double lo,
-                            double hi, double x_tol, int max_iter) {
-  require(lo <= hi, "golden_section: lo > hi");
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  double a = lo, b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1), f2 = f(x2);
-  ScalarResult r;
-  for (r.iterations = 0; r.iterations < max_iter && (b - a) > x_tol; ++r.iterations) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  r.converged = (b - a) <= x_tol;
-  if (f1 <= f2) {
-    r.x = x1;
-    r.value = f1;
-  } else {
-    r.x = x2;
-    r.value = f2;
-  }
-  return r;
-}
-
-ScalarResult brent_minimize(const std::function<double(double)>& f, double lo,
-                            double hi, double x_tol, int max_iter) {
-  require(lo <= hi, "brent_minimize: lo > hi");
-  constexpr double kGold = 0.3819660112501051;  // 2 - phi
-  double a = lo, b = hi;
-  double x = a + kGold * (b - a);
-  double w = x, v = x;
-  double fx = f(x), fw = fx, fv = fx;
-  double d = 0.0, e = 0.0;
-  ScalarResult r;
-  for (r.iterations = 0; r.iterations < max_iter; ++r.iterations) {
-    const double m = 0.5 * (a + b);
-    const double tol1 = x_tol * std::abs(x) + 1e-15;
-    const double tol2 = 2.0 * tol1;
-    if (std::abs(x - m) <= tol2 - 0.5 * (b - a)) {
-      r.converged = true;
-      break;
-    }
-    bool use_golden = true;
-    if (std::abs(e) > tol1) {
-      // Fit a parabola through (v, fv), (w, fw), (x, fx).
-      const double rr = (x - w) * (fx - fv);
-      double q = (x - v) * (fx - fw);
-      double p = (x - v) * q - (x - w) * rr;
-      q = 2.0 * (q - rr);
-      if (q > 0.0) p = -p;
-      q = std::abs(q);
-      const double e_old = e;
-      e = d;
-      if (std::abs(p) < std::abs(0.5 * q * e_old) && p > q * (a - x) &&
-          p < q * (b - x)) {
-        d = p / q;
-        const double u = x + d;
-        if (u - a < tol2 || b - u < tol2) d = (m > x) ? tol1 : -tol1;
-        use_golden = false;
-      }
-    }
-    if (use_golden) {
-      e = (x < m) ? b - x : a - x;
-      d = kGold * e;
-    }
-    const double u = (std::abs(d) >= tol1) ? x + d : x + ((d > 0.0) ? tol1 : -tol1);
-    const double fu = f(u);
-    if (fu <= fx) {
-      if (u < x) b = x; else a = x;
-      v = w; fv = fw;
-      w = x; fw = fx;
-      x = u; fx = fu;
-    } else {
-      if (u < x) a = u; else b = u;
-      if (fu <= fw || w == x) {
-        v = w; fv = fw;
-        w = u; fw = fu;
-      } else if (fu <= fv || v == x || v == w) {
-        v = u; fv = fu;
-      }
-    }
-  }
-  r.x = x;
-  r.value = fx;
-  return r;
-}
-
-ScalarResult bisect(const std::function<double(double)>& f, double lo, double hi,
-                    double x_tol, int max_iter) {
-  require(lo <= hi, "bisect: lo > hi");
-  double fa = f(lo), fb = f(hi);
-  ScalarResult r;
-  if (fa == 0.0) {
-    r.x = lo; r.value = 0.0; r.converged = true;
-    return r;
-  }
-  if (fb == 0.0) {
-    r.x = hi; r.value = 0.0; r.converged = true;
-    return r;
-  }
-  require(std::signbit(fa) != std::signbit(fb),
-          "bisect: f(lo) and f(hi) must have opposite signs");
-  double a = lo, b = hi;
-  for (r.iterations = 0; r.iterations < max_iter && (b - a) > x_tol; ++r.iterations) {
-    const double m = 0.5 * (a + b);
-    const double fm = f(m);
-    if (fm == 0.0) {
-      a = b = m;
-      break;
-    }
-    if (std::signbit(fm) == std::signbit(fa)) {
-      a = m;
-      fa = fm;
-    } else {
-      b = m;
-    }
-  }
-  r.x = 0.5 * (a + b);
-  r.value = f(r.x);
-  r.converged = (b - a) <= x_tol;
-  return r;
 }
 
 double monotone_threshold(const std::function<bool(double)>& pred, double lo,

@@ -43,8 +43,8 @@ struct SimStation {
   units::Watts dynamic_watts = units::watts(0.0);
   /// Initial service-speed multiplier (1 = services run at the wall-clock
   /// duration sampled from their distributions). Changed at runtime by the
-  /// control hook to emulate DVFS retuning: a job's remaining work shrinks
-  /// or stretches proportionally, in-service completions included.
+  /// management hook to emulate DVFS retuning: a job's remaining work
+  /// shrinks or stretches proportionally, in-service completions included.
   double speed = 1.0;
   /// Admission control: maximum requests at the station (serving +
   /// waiting). -1 = unbounded. An arrival finding the station full is
@@ -73,10 +73,8 @@ struct SimClass {
   std::vector<double> arrival_times;
 };
 
-/// What a control-hook invocation observes. The trailing fields past
-/// `queue_length` are filled only for ManagementHook invocations (the
-/// closed-loop cpm::online controller); the legacy ControlHook path leaves
-/// them empty so existing DVFS-only policies are bit-for-bit unaffected.
+/// What a ManagementHook invocation observes: the measurement window
+/// just closed and the cluster's current state.
 struct ControlSnapshot {
   double time = 0.0;                  ///< invocation model time
   double window = 0.0;                ///< measurement window length
@@ -85,7 +83,6 @@ struct ControlSnapshot {
   std::vector<double> arrival_rate;   ///< per class, arrivals/window
   std::vector<double> utilization;    ///< per station, busy fraction in window
   std::vector<double> queue_length;   ///< per station, waiting jobs right now
-  // ---- management extensions (ManagementHook only) ----
   std::vector<int> servers;           ///< per station, CURRENT server count
                                       ///< (reflects faults and actuations)
   std::vector<std::uint64_t> window_completed;  ///< per class, this window
@@ -101,20 +98,16 @@ struct ControlSnapshot {
   std::vector<std::uint8_t> admitted;     ///< per class, current admission map
 };
 
-/// A new operating point for one station, returned by the control hook.
+/// A new operating point for one station, returned by the management hook.
 struct TierSetting {
   double speed = 1.0;
   units::Watts dynamic_watts = units::watts(0.0);
-  /// Active server count; 0 = keep the current count (the legacy DVFS-only
-  /// hooks never resize). Shrinking preempts the lowest-priority jobs in
+  /// Active server count; 0 = keep the current count (DVFS-only policies
+  /// never resize). Shrinking preempts the lowest-priority jobs in
   /// excess of the new count back onto their queues (PS stations just
   /// recompute the sharing rate); growing redispatches waiting jobs.
   int servers = 0;
 };
-
-/// Periodic online-management policy: observes the snapshot, returns one
-/// TierSetting per station (or an empty vector for "no change").
-using ControlHook = std::function<std::vector<TierSetting>(const ControlSnapshot&)>;
 
 /// What a ManagementHook may actuate each window: per-tier operating points
 /// (speed, power, server count) plus per-class admission control. Empty
@@ -124,9 +117,8 @@ struct ManagementDecision {
   std::vector<std::uint8_t> admit;    ///< one per class, or empty; 0 = shed
 };
 
-/// Closed-loop management policy (cpm::online): richer snapshot in, tier
-/// settings AND admission decisions out. Mutually exclusive with the legacy
-/// ControlHook on one SimConfig.
+/// Periodic online-management policy (cpm::online): snapshot in, tier
+/// settings AND admission decisions out.
 using ManagementHook = std::function<ManagementDecision(const ControlSnapshot&)>;
 
 /// Fault-injection event kinds (SimConfig::faults).
@@ -158,15 +150,12 @@ struct SimConfig {
   /// input of the MSER warm-up rule (cpm/sim/warmup.hpp). Off by default:
   /// it costs memory proportional to the number of completions.
   bool record_completions = false;
-  /// Online management: when control_period > 0 and `control` is set, the
+  /// Online management: when control_period > 0 and `manage` is set, the
   /// hook fires every period with a fresh ControlSnapshot and may retune
-  /// station speeds / dynamic power (DVFS). Energy accounting is exact
-  /// across retunings (segment-wise integration).
+  /// station speeds / dynamic power (DVFS), resize tiers and gate
+  /// per-class admission. Energy accounting is exact across retunings
+  /// (segment-wise integration).
   double control_period = 0.0;
-  ControlHook control;
-  /// Closed-loop management (cpm::online): fires on the same period as
-  /// `control` but sees the extended snapshot and may also resize tiers and
-  /// gate per-class admission. Mutually exclusive with `control`.
   ManagementHook manage;
   /// Per-class end-to-end delay thresholds behind the snapshot's
   /// window_within_sla counters. Empty = every completion counts as within

@@ -50,8 +50,6 @@ void validate_config(const SimConfig& config) {
           static_cast<std::size_t>(v.station) >= config.stations.size())
         throw Error("sim: class '" + c.name + "' visits unknown station");
   }
-  require(!(config.control && config.manage),
-          "sim: control and manage hooks are mutually exclusive");
   require(config.sla_thresholds.empty() ||
               config.sla_thresholds.size() == config.classes.size(),
           "sim: sla_thresholds needs one entry per class");
@@ -139,7 +137,7 @@ struct StationRuntime {
   int servers = 1;
   int capacity = -1;
 
-  // Runtime operating point (changed by the control hook).
+  // Runtime operating point (changed by the management hook).
   double speed = 1.0;
   double dynamic_watts = 0.0;
 
@@ -256,7 +254,7 @@ class Simulation {
     if (cfg_.warmup_time > 0.0)
       schedule(cfg_.warmup_time, Ev::kWarmupEnd, 0, 0);
 
-    if (cfg_.control_period > 0.0 && (cfg_.control || cfg_.manage))
+    if (cfg_.control_period > 0.0 && cfg_.manage)
       schedule(cfg_.control_period, Ev::kControlTick, 0, 0);
 
     for (std::size_t i = 0; i < cfg_.faults.size(); ++i)
@@ -690,7 +688,7 @@ class Simulation {
     window_energy_base_ = 0.0;  // the energy integrals just restarted
   }
 
-  // ---- online management (DVFS control hook) ------------------------------
+  // ---- online management (management hook) -------------------------------
 
   void control_tick() {
     const double now = now_;
@@ -717,37 +715,28 @@ class Simulation {
       snap.queue_length[s] = static_cast<double>(st.waiting);
     }
 
-    if (manage_) {
-      fill_management_snapshot(snap);
-      const ManagementDecision decision = cfg_.manage(snap);
-      if (!decision.tiers.empty()) {
-        require(decision.tiers.size() == stations_.size(),
-                "sim: manage hook must return one TierSetting per station");
-        for (std::size_t s = 0; s < stations_.size(); ++s)
-          apply_tier_setting(s, decision.tiers[s]);
-      }
-      if (!decision.admit.empty()) {
-        require(decision.admit.size() == cfg_.classes.size(),
-                "sim: manage hook must return one admit flag per class");
-        admitted_ = decision.admit;
-      }
-    } else {
-      const std::vector<TierSetting> settings = cfg_.control(snap);
-      if (!settings.empty()) {
-        require(settings.size() == stations_.size(),
-                "sim: control hook must return one TierSetting per station");
-        for (std::size_t s = 0; s < stations_.size(); ++s)
-          apply_tier_setting(s, settings[s]);
-      }
+    fill_management_snapshot(snap);
+    const ManagementDecision decision = cfg_.manage(snap);
+    if (!decision.tiers.empty()) {
+      require(decision.tiers.size() == stations_.size(),
+              "sim: manage hook must return one TierSetting per station");
+      for (std::size_t s = 0; s < stations_.size(); ++s)
+        apply_tier_setting(s, decision.tiers[s]);
+    }
+    if (!decision.admit.empty()) {
+      require(decision.admit.size() == cfg_.classes.size(),
+              "sim: manage hook must return one admit flag per class");
+      admitted_ = decision.admit;
     }
 
     const double next = now + cfg_.control_period;
     if (next <= cfg_.end_time) schedule(next, Ev::kControlTick, 0, 0);
   }
 
-  /// The extended snapshot fields only the ManagementHook sees. Window
-  /// counters reset here; the energy figure is the exact (segment-wise)
-  /// idle + dynamic integral accumulated since the previous tick.
+  /// The snapshot's server counts, window counters and admission map.
+  /// Window counters reset here; the energy figure is the exact
+  /// (segment-wise) idle + dynamic integral accumulated since the previous
+  /// tick.
   void fill_management_snapshot(ControlSnapshot& snap) {
     const std::size_t n_classes = cfg_.classes.size();
     snap.servers.resize(stations_.size());
@@ -963,7 +952,7 @@ class Simulation {
       sr.utilization = busy_avg / servers;
       sr.mean_queue_len = st.queue_len.time_average();
       // Dynamic power integrated segment-exactly (watts may vary over time
-      // under the control hook). Idle power is constant for a fixed fleet;
+      // under the management hook). Idle power is constant for a fixed fleet;
       // once faults or the management hook resized any tier, it too comes
       // from the segment-wise integral (same result for fixed fleets, but
       // the legacy closed form is kept for bit-stability of old runs).

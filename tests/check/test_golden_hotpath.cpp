@@ -57,16 +57,17 @@ sim::SimConfig mixed_config() {
   cfg.seed = 424242;
   cfg.audit = true;
 
-  // DVFS control hook: alternate the edge/db operating points every period
-  // so the mid-service rescale + energy segmentation paths run.
+  // DVFS through the management hook: alternate the edge/db operating
+  // points every period so the mid-service rescale + energy segmentation
+  // paths run.
   cfg.control_period = 25.0;
-  cfg.control = [](const sim::ControlSnapshot& snap) {
+  cfg.manage = [](const sim::ControlSnapshot& snap) {
     std::vector<sim::TierSetting> out(3);
     const bool high = (static_cast<int>(snap.time / 25.0) % 2) == 1;
     out[0] = sim::TierSetting{high ? 1.25 : 0.9, units::watts(high ? 130.0 : 90.0)};
     out[1] = sim::TierSetting{high ? 1.1 : 1.0, units::watts(120.0)};
     out[2] = sim::TierSetting{1.0, units::watts(high ? 150.0 : 140.0)};
-    return out;
+    return sim::ManagementDecision{out, {}};
   };
   return cfg;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -93,6 +94,11 @@ struct FamilyCase {
   std::string label;
   Distribution dist;
 };
+
+// gtest lists each case with its printed parameter, and ctest takes that
+// text into the test name. Without this it prints the raw bytes, which hold
+// the label's heap address and so change from one run to the next.
+void PrintTo(const FamilyCase& fc, std::ostream* os) { *os << fc.label; }
 
 class SamplingMatchesMoments : public ::testing::TestWithParam<FamilyCase> {};
 

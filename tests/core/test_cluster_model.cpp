@@ -141,5 +141,25 @@ TEST(ClusterModel, EnterpriseLoadValidation) {
   EXPECT_THROW(make_enterprise_model(1.0), Error);
 }
 
+TEST(ClusterModelRates, WithRatesReplacesExactly) {
+  const auto model = make_enterprise_model(0.6);
+  const auto changed =
+      model.with_rates({units::per_second(1.0), units::per_second(2.0),
+                        units::per_second(3.0)});
+  EXPECT_DOUBLE_EQ(changed.classes()[0].rate.value(), 1.0);
+  EXPECT_DOUBLE_EQ(changed.classes()[2].rate.value(), 3.0);
+  EXPECT_THROW(model.with_rates({units::per_second(1.0)}), Error);
+}
+
+TEST(ClusterModelRates, TierSettingsMapFrequencies) {
+  const auto model = make_enterprise_model(0.6);
+  const auto s = model.tier_settings({0.8, 1.0, 0.6});
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_NEAR(s[0].speed, 0.8, 1e-12);
+  EXPECT_NEAR(s[1].speed, 1.0, 1e-12);
+  EXPECT_NEAR(s[2].dynamic_watts.value(),
+              model.tiers()[2].power.dynamic_power(units::hertz(0.6)).value(), 1e-12);
+}
+
 }  // namespace
 }  // namespace cpm::core

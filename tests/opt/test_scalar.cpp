@@ -2,77 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "cpm/common/error.hpp"
 
 namespace cpm::opt {
 namespace {
-
-TEST(GoldenSection, FindsQuadraticMinimum) {
-  const auto r = golden_section([](double x) { return (x - 2.5) * (x - 2.5); },
-                                0.0, 10.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 2.5, 1e-7);
-  EXPECT_NEAR(r.value, 0.0, 1e-12);
-}
-
-TEST(GoldenSection, MinimumAtBoundary) {
-  const auto r = golden_section([](double x) { return x; }, 1.0, 5.0);
-  EXPECT_NEAR(r.x, 1.0, 1e-6);
-}
-
-TEST(GoldenSection, NonSmoothUnimodal) {
-  const auto r =
-      golden_section([](double x) { return std::abs(x - 1.3); }, -5.0, 5.0);
-  EXPECT_NEAR(r.x, 1.3, 1e-7);
-}
-
-TEST(BrentMinimize, FindsQuadraticMinimum) {
-  const auto r = brent_minimize([](double x) { return (x + 1.0) * (x + 1.0) + 3.0; },
-                                -10.0, 10.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, -1.0, 1e-7);
-  EXPECT_NEAR(r.value, 3.0, 1e-12);
-}
-
-TEST(BrentMinimize, MatchesGoldenOnTranscendental) {
-  auto f = [](double x) { return std::cos(x) + 0.1 * x; };
-  const auto brent = brent_minimize(f, 0.0, 6.0);
-  const auto golden = golden_section(f, 0.0, 6.0);
-  EXPECT_NEAR(brent.x, golden.x, 1e-5);
-  // Analytic minimum of cos(x) + 0.1x on (0, 2pi): sin(x) = 0.1 with
-  // cos(x) < 0, i.e. x = pi - asin(0.1).
-  EXPECT_NEAR(brent.x, 3.14159265 - 0.10016742, 2e-4);
-}
-
-TEST(BrentMinimize, FewerIterationsThanGolden) {
-  auto f = [](double x) { return (x - 3.3) * (x - 3.3); };
-  const auto brent = brent_minimize(f, 0.0, 100.0, 1e-9);
-  const auto golden = golden_section(f, 0.0, 100.0, 1e-9);
-  EXPECT_LT(brent.iterations, golden.iterations);
-}
-
-TEST(Bisect, FindsRoot) {
-  const auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisect, ExactEndpointRoot) {
-  const auto r = bisect([](double x) { return x - 1.0; }, 1.0, 5.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.x, 1.0);
-}
-
-TEST(Bisect, RequiresSignChange) {
-  EXPECT_THROW(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0), Error);
-}
-
-TEST(Bisect, DecreasingFunction) {
-  const auto r = bisect([](double x) { return 5.0 - x; }, 0.0, 10.0);
-  EXPECT_NEAR(r.x, 5.0, 1e-9);
-}
 
 TEST(MonotoneThreshold, FindsBoundary) {
   const double t = monotone_threshold([](double x) { return x <= 3.7; }, 0.0, 10.0);
@@ -85,12 +18,6 @@ TEST(MonotoneThreshold, AllTrueReturnsHi) {
 
 TEST(MonotoneThreshold, RequiresPredAtLo) {
   EXPECT_THROW(monotone_threshold([](double) { return false; }, 0.0, 1.0), Error);
-}
-
-TEST(ScalarValidation, BadIntervals) {
-  EXPECT_THROW(golden_section([](double x) { return x; }, 2.0, 1.0), Error);
-  EXPECT_THROW(brent_minimize([](double x) { return x; }, 2.0, 1.0), Error);
-  EXPECT_THROW(bisect([](double x) { return x; }, 2.0, 1.0), Error);
 }
 
 }  // namespace

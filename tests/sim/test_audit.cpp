@@ -59,14 +59,14 @@ TEST(SimAudit, SurvivesDvfsRetuningMidRun) {
   // Alternate every station between full speed and 80% with matching
   // dynamic power: exercises the energy-attribution audit across segments.
   bool flip = false;
-  cfg.control = [&flip, n = cfg.stations.size()](const sim::ControlSnapshot&) {
+  cfg.manage = [&flip, n = cfg.stations.size()](const sim::ControlSnapshot&) {
     flip = !flip;
     std::vector<sim::TierSetting> out(n);
     for (auto& t : out) {
       t.speed = flip ? 0.8 : 1.0;
       t.dynamic_watts = units::watts(flip ? 120.0 : 160.0);
     }
-    return out;
+    return sim::ManagementDecision{out, {}};
   };
   EXPECT_NO_THROW(sim::simulate(cfg));
 }

@@ -307,7 +307,9 @@ int cmd_optimize_power(const std::string& path, const Args& args) {
       throw Error("--per-class needs one bound per class");
     std::vector<units::Seconds> bounds;
     for (double b : raw_bounds) bounds.push_back(units::seconds(b));
-    r = core::minimize_power_with_class_delay_bounds(model, bounds);
+    r = levels > 0
+            ? core::minimize_power_with_class_delay_bounds_discrete(model, bounds, levels)
+            : core::minimize_power_with_class_delay_bounds(model, bounds);
   } else {
     const auto bound = args.value("--bound");
     if (!bound) usage("optimize-power requires --bound SECONDS (or --per-class)");

@@ -98,8 +98,9 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
 /// the storm case (every-window re-optimisation: P-C sizing + discrete
 /// P-E), bracketing the controller's per-window cost.
 std::vector<BenchCase> p2_suite(const BenchOptions& options) {
+  // Quick cases are sized to >= ~20 ms each, as in p1: CI gates them too.
   const double horizon = options.quick ? 2000.0 : 10000.0;
-  const int estimator_samples = options.quick ? 1000000 : 10000000;
+  const int estimator_samples = options.quick ? 5000000 : 10000000;
   const std::uint64_t seed = validation_settings().seed;
 
   auto scenario_for = [horizon, seed](double hysteresis) {

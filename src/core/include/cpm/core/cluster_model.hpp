@@ -87,6 +87,18 @@ struct Evaluation {
   }
 };
 
+/// Buffers the in-place ClusterModel::evaluate reuses from call to call:
+/// the queueing network at the probed frequencies, each tier's power
+/// operating point and the per-station flow buffers. A workspace is not
+/// tied to one model; once it has evaluated a model of some shape,
+/// evaluating any model of that shape through it allocates nothing.
+struct EvaluationWorkspace {
+  std::vector<queueing::NetworkStation> stations;
+  std::vector<queueing::CustomerClass> classes;
+  std::vector<power::TierPower> tiers;
+  queueing::NetworkWorkspace network;
+};
+
 class ClusterModel {
  public:
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes);
@@ -136,13 +148,21 @@ class ClusterModel {
   /// priority-vs-FCFS comparisons of E6/E7 use this).
   [[nodiscard]] ClusterModel with_discipline(queueing::Discipline discipline) const;
 
-  /// True iff every tier is stable at frequencies `f`.
+  /// True iff every tier is stable at frequencies `f`, that is iff
+  /// evaluate(f).stable.
   [[nodiscard]] bool stable_at(const std::vector<double>& frequencies) const;
 
   /// Analytic per-class delays, power and energy at an operating point.
   /// Returns stable=false (and no metrics) instead of throwing when some
   /// tier saturates — optimisers probe infeasible points routinely.
   [[nodiscard]] Evaluation evaluate(const std::vector<double>& frequencies) const;
+
+  /// In-place form of evaluate(): writes into `out`, reusing its vectors
+  /// and the buffers of `ws`, bit for bit what evaluate() returns. On an
+  /// unstable point it sets only out.stable = false; the metrics keep
+  /// whatever `out` held.
+  void evaluate(const std::vector<double>& frequencies, Evaluation& out,
+                EvaluationWorkspace& ws) const;
 
   /// Cluster average power at `f`, +infinity when unstable.
   [[nodiscard]] units::Watts power_at(const std::vector<double>& frequencies) const;
@@ -173,6 +193,9 @@ class ClusterModel {
 
  private:
   void check_frequencies(const std::vector<double>& frequencies) const;
+  void network_stations(std::vector<queueing::NetworkStation>& out) const;
+  void network_classes(const std::vector<double>& frequencies,
+                       std::vector<queueing::CustomerClass>& out) const;
 
   std::vector<Tier> tiers_;
   std::vector<WorkloadClass> classes_;

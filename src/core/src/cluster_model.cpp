@@ -95,21 +95,36 @@ void ClusterModel::check_frequencies(const std::vector<double>& frequencies) con
 
 std::vector<queueing::NetworkStation> ClusterModel::network_stations() const {
   std::vector<queueing::NetworkStation> stations;
-  stations.reserve(tiers_.size());
-  for (const auto& t : tiers_)
-    stations.push_back(queueing::NetworkStation{t.name, t.servers, t.discipline});
+  network_stations(stations);
   return stations;
+}
+
+void ClusterModel::network_stations(std::vector<queueing::NetworkStation>& out) const {
+  out.resize(tiers_.size());
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    out[i].name = tiers_[i].name;
+    out[i].servers = tiers_[i].servers;
+    out[i].discipline = tiers_[i].discipline;
+  }
 }
 
 std::vector<queueing::CustomerClass> ClusterModel::network_classes(
     const std::vector<double>& frequencies) const {
-  check_frequencies(frequencies);
   std::vector<queueing::CustomerClass> classes;
-  classes.reserve(classes_.size());
-  for (const auto& c : classes_) {
-    queueing::CustomerClass qc;
+  network_classes(frequencies, classes);
+  return classes;
+}
+
+void ClusterModel::network_classes(const std::vector<double>& frequencies,
+                                   std::vector<queueing::CustomerClass>& out) const {
+  check_frequencies(frequencies);
+  out.resize(classes_.size());
+  for (std::size_t k = 0; k < classes_.size(); ++k) {
+    const auto& c = classes_[k];
+    queueing::CustomerClass& qc = out[k];
     qc.name = c.name;
     qc.rate = c.rate;
+    qc.route.clear();
     qc.route.reserve(c.route.size());
     for (const auto& d : c.route) {
       const auto tier = static_cast<std::size_t>(d.tier);
@@ -118,9 +133,7 @@ std::vector<queueing::CustomerClass> ClusterModel::network_classes(
       qc.route.push_back(queueing::Visit{
           d.tier, d.base_service.scaled_to_mean(d.base_service.mean() / speedup)});
     }
-    classes.push_back(std::move(qc));
   }
-  return classes;
 }
 
 std::vector<power::TierPower> ClusterModel::tier_power(
@@ -141,25 +154,29 @@ ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) cons
 }
 
 bool ClusterModel::stable_at(const std::vector<double>& frequencies) const {
-  return queueing::network_stable(network_stations(), network_classes(frequencies));
+  return evaluate(frequencies).stable;
 }
 
 Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const {
   Evaluation ev;
-  const auto stations = network_stations();
-  const auto classes = network_classes(frequencies);
-  if (!queueing::network_stable(stations, classes)) return ev;  // stable=false
-  ev.stable = true;
-  ev.net = queueing::analyze_network(stations, classes);
-
-  std::vector<power::TierPower> tier_power;
-  tier_power.reserve(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    tier_power.push_back(
-        power::TierPower{tiers_[i].power, units::hertz(frequencies[i]),
-                         tiers_[i].servers});
-  ev.energy = power::compute_energy(tier_power, classes, ev.net);
+  EvaluationWorkspace ws;
+  evaluate(frequencies, ev, ws);
   return ev;
+}
+
+void ClusterModel::evaluate(const std::vector<double>& frequencies, Evaluation& out,
+                            EvaluationWorkspace& ws) const {
+  network_classes(frequencies, ws.classes);
+  network_stations(ws.stations);
+  out.stable = queueing::analyze_network(ws.stations, ws.classes, out.net, ws.network);
+  if (!out.stable) return;
+
+  ws.tiers.clear();
+  ws.tiers.reserve(tiers_.size());
+  for (std::size_t i = 0; i < tiers_.size(); ++i)
+    ws.tiers.push_back(power::TierPower{tiers_[i].power, units::hertz(frequencies[i]),
+                                        tiers_[i].servers});
+  power::compute_energy(ws.tiers, ws.classes, out.net, out.energy);
 }
 
 units::Watts ClusterModel::power_at(const std::vector<double>& frequencies) const {

@@ -17,19 +17,35 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The evaluation at the frequencies a continuous solve probed last. The
-// augmented Lagrangian's merit function calls the objective and then every
-// constraint at the same point, so through this memo they share one
-// ClusterModel::evaluate per probe. One entry, keyed by the exact bits of
-// the frequency vector: a hit returns what evaluate would compute again.
-class EvaluationMemo {
+// Evaluates one model at the operating points a solver probes, all
+// through one workspace, so that after the first probe no evaluation
+// allocates. It remembers the last point: the augmented Lagrangian's merit
+// function calls the objective and then every constraint at the same
+// point, and through the memo they share one evaluation per probe. One
+// entry, keyed by the exact bits of the frequency vector: a hit returns
+// what evaluate would compute again.
+class Evaluator {
  public:
-  explicit EvaluationMemo(const ClusterModel& model) : model_(model) {}
+  explicit Evaluator(const ClusterModel& model) : model_(&model) {}
+  // The solver's closures hold it by reference.
+  Evaluator(const Evaluator&) = delete;
+  Evaluator& operator=(const Evaluator&) = delete;
 
+  [[nodiscard]] const ClusterModel& model() const { return *model_; }
+
+  // Evaluates `model` from now on, through the same workspace. The
+  // evaluator keeps a reference: `model` must outlive the next at().
+  void bind(const ClusterModel& model) {
+    model_ = &model;
+    valid_ = false;
+  }
+
+  // The evaluation at `f`. Only `stable` and the accessors are meaningful
+  // at an unstable point (see the in-place ClusterModel::evaluate).
   const Evaluation& at(const std::vector<double>& f) {
     if (!valid_ || !same_bits(f, f_)) {
       valid_ = false;  // a throwing evaluate leaves no stale entry
-      ev_ = model_.evaluate(f);
+      model_->evaluate(f, ev_, ws_);
       f_ = f;
       valid_ = true;
     }
@@ -44,7 +60,8 @@ class EvaluationMemo {
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
   }
 
-  const ClusterModel& model_;
+  const ClusterModel* model_;
+  EvaluationWorkspace ws_;
   std::vector<double> f_;
   Evaluation ev_;
   bool valid_ = false;
@@ -97,12 +114,12 @@ FrequencyOptResult minimize_delay_with_power_budget(
 
   // Normalise the power constraint by the budget so the solver tolerance
   // has a scale-free meaning.
-  EvaluationMemo memo(model);
-  auto delay = [&memo](const std::vector<double>& f) {
-    return memo.at(f).mean_delay().value();
+  Evaluator eval(model);
+  auto delay = [&eval](const std::vector<double>& f) {
+    return eval.at(f).mean_delay().value();
   };
-  std::vector<opt::Objective> cons = {[&memo, power_budget](const std::vector<double>& f) {
-    return memo.at(f).power() / power_budget - 1.0;
+  std::vector<opt::Objective> cons = {[&eval, power_budget](const std::vector<double>& f) {
+    return eval.at(f).power() / power_budget - 1.0;
   }};
 
   opt::AugLagOptions al = options.solver;
@@ -111,8 +128,7 @@ FrequencyOptResult minimize_delay_with_power_budget(
   // Feasibility precheck: cluster power is componentwise increasing in f
   // over the stable region, so the min-stable point attains minimum power.
   const std::vector<double> f_floor = model.min_stable_frequencies();
-  if (!model.stable_at(f_floor) || model.power_at(f_floor) > power_budget)
-    return finish(model, f_floor, false);
+  if (eval.at(f_floor).power() > power_budget) return finish(model, f_floor, false);
 
   // Start from max frequencies (best delay) — the solver then trades delay
   // for feasibility.
@@ -128,13 +144,13 @@ FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
           "P-E: delay bound must be positive");
   const opt::Box box = frequency_box(model);
 
-  EvaluationMemo memo(model);
-  auto power = [&memo](const std::vector<double>& f) {
-    return memo.at(f).power().value();
+  Evaluator eval(model);
+  auto power = [&eval](const std::vector<double>& f) {
+    return eval.at(f).power().value();
   };
   std::vector<opt::Objective> cons = {
-      [&memo, max_mean_delay](const std::vector<double>& f) {
-        return memo.at(f).mean_delay() / max_mean_delay - 1.0;
+      [&eval, max_mean_delay](const std::vector<double>& f) {
+        return eval.at(f).mean_delay() / max_mean_delay - 1.0;
       }};
 
   opt::AugLagOptions al = options.solver;
@@ -142,7 +158,7 @@ FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
 
   // Delay is minimised at f_max; if the bound fails even there, the
   // program is infeasible.
-  if (model.mean_delay_at(model.max_frequencies()) > max_mean_delay)
+  if (eval.at(model.max_frequencies()).mean_delay() > max_mean_delay)
     return finish(model, model.max_frequencies(), false);
 
   const auto r =
@@ -160,16 +176,16 @@ FrequencyOptResult minimize_power_with_class_delay_bounds(
     require(b > units::seconds(0.0), "P-E/each: bounds must be positive");
   const opt::Box box = frequency_box(model);
 
-  EvaluationMemo memo(model);
-  auto power = [&memo](const std::vector<double>& f) {
-    return memo.at(f).power().value();
+  Evaluator eval(model);
+  auto power = [&eval](const std::vector<double>& f) {
+    return eval.at(f).power().value();
   };
   std::vector<opt::Objective> cons;
   cons.reserve(bounds.size());
   for (std::size_t k = 0; k < bounds.size(); ++k) {
     if (bounds[k] == units::Seconds::infinity()) continue;
-    cons.push_back([&memo, k, bound = bounds[k]](const std::vector<double>& f) {
-      const Evaluation& ev = memo.at(f);
+    cons.push_back([&eval, k, bound = bounds[k]](const std::vector<double>& f) {
+      const Evaluation& ev = eval.at(f);
       if (!ev.stable) return kInf;
       return ev.net.e2e_delay[k] / bound - 1.0;
     });
@@ -180,7 +196,7 @@ FrequencyOptResult minimize_power_with_class_delay_bounds(
 
   // Every per-class delay is minimised at f_max.
   {
-    const Evaluation fast = model.evaluate(model.max_frequencies());
+    const Evaluation& fast = eval.at(model.max_frequencies());
     if (!fast.stable) return finish(model, model.max_frequencies(), false);
     for (std::size_t k = 0; k < bounds.size(); ++k)
       if (fast.net.e2e_delay[k] > bounds[k])
@@ -208,8 +224,9 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
     for (std::size_t i = 0; i < f.size(); ++i) f[i] = lo[i] + t * (hi[i] - lo[i]);
     return f;
   };
+  Evaluator eval(model);
   auto within_budget = [&](double t) {
-    return model.power_at(freqs_at(t)) <= power_budget;
+    return eval.at(freqs_at(t)).power() <= power_budget;
   };
   if (!within_budget(0.0)) return finish(model, freqs_at(0.0), false);
   const double t = opt::monotone_threshold(within_budget, 0.0, 1.0, 1e-10);
@@ -267,8 +284,11 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
   for (std::size_t i = 0; i < n_tiers; ++i)
     problem.cost[i] = model.tiers()[i].server_cost;
 
-  problem.feasible = [&model, &freqs](const std::vector<int>& n) {
-    return slas_hold(model, model.with_servers(n).evaluate(freqs));
+  Evaluator eval(model);
+  problem.feasible = [&model, &freqs, &eval](const std::vector<int>& n) {
+    const ClusterModel sized = model.with_servers(n);
+    eval.bind(sized);
+    return slas_hold(sized, eval.at(freqs));
   };
 
   const opt::IntegerResult ir = options.greedy_only
@@ -298,12 +318,14 @@ std::vector<std::vector<double>> frequency_grids(const ClusterModel& model,
 
 namespace {
 
-// Exhaustive lattice search shared by the two discrete programs.
-// `objective` is minimised over stable grid points satisfying `admissible`.
+// Exhaustive lattice search shared by the discrete programs and the TCO
+// inner solve, over the model `eval` is bound to. `objective` is minimised
+// over stable grid points satisfying `admissible`.
 FrequencyOptResult lattice_search(
-    const ClusterModel& model, const std::vector<std::vector<double>>& grids,
+    Evaluator& eval, const std::vector<std::vector<double>>& grids,
     const std::function<double(const Evaluation&)>& objective,
     const std::function<bool(const Evaluation&)>& admissible) {
+  const ClusterModel& model = eval.model();
   const std::size_t n = grids.size();
 
   // Per-tier stability floor: tier i is stable iff f_i exceeds its own
@@ -322,7 +344,7 @@ FrequencyOptResult lattice_search(
       if (f[i] < floor[i]) viable = false;  // tier saturated at this level
     }
     if (viable) {
-      const Evaluation ev = model.evaluate(f);
+      const Evaluation& ev = eval.at(f);
       if (ev.stable && admissible(ev)) {
         const double value = objective(ev);
         if (value < best_value) {
@@ -386,18 +408,19 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
 
   // Odometer enumeration of server vectors with cost pruning; feasibility
   // screened cheaply at f_max before paying for the inner lattice solve.
+  Evaluator eval(model);
   std::vector<int> n(n_tiers, 1);
   for (;;) {
     ++nodes;
     const double floor_cost = capex(n) + idle_opex(n);
     if (floor_cost < best.total_cost) {
       const ClusterModel sized = model.with_servers(n);
-      const Evaluation at_max = sized.evaluate(sized.max_frequencies());
-      if (slas_hold(sized, at_max)) {
+      eval.bind(sized);
+      if (slas_hold(sized, eval.at(sized.max_frequencies()))) {
         // Inner problem: cheapest power meeting the SLAs, over the grid.
         // The grid's top level is f_max, so the search finds a point.
         const FrequencyOptResult inner = lattice_search(
-            sized, frequency_grids(sized, options.levels),
+            eval, frequency_grids(sized, options.levels),
             [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
             [&sized](const Evaluation& ev) { return slas_hold(sized, ev); });
         const double best_power = inner.power.value();
@@ -432,9 +455,9 @@ FrequencyOptResult minimize_power_with_delay_bound_discrete(
     const ClusterModel& model, units::Seconds max_mean_delay, int levels) {
   require(max_mean_delay > units::seconds(0.0),
           "P-E discrete: delay bound must be positive");
-  const auto grids = frequency_grids(model, levels);
+  Evaluator eval(model);
   return lattice_search(
-      model, grids,
+      eval, frequency_grids(model, levels),
       [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
       [max_mean_delay](const Evaluation& ev) {
         return ev.net.mean_e2e_delay <= max_mean_delay;
@@ -449,9 +472,9 @@ FrequencyOptResult minimize_power_with_class_delay_bounds_discrete(
   for (units::Seconds b : bounds)
     require(b > units::seconds(0.0),
             "P-E discrete: delay bounds must be positive");
-  const auto grids = frequency_grids(model, levels);
+  Evaluator eval(model);
   return lattice_search(
-      model, grids,
+      eval, frequency_grids(model, levels),
       [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
       [&bounds](const Evaluation& ev) {
         for (std::size_t k = 0; k < bounds.size(); ++k)
@@ -464,9 +487,9 @@ FrequencyOptResult minimize_delay_with_power_budget_discrete(
     const ClusterModel& model, units::Watts power_budget, int levels) {
   require(power_budget > units::watts(0.0),
           "P-D discrete: power budget must be positive");
-  const auto grids = frequency_grids(model, levels);
+  Evaluator eval(model);
   return lattice_search(
-      model, grids,
+      eval, frequency_grids(model, levels),
       [](const Evaluation& ev) { return ev.net.mean_e2e_delay.value(); },
       [power_budget](const Evaluation& ev) {
         return ev.energy.cluster_avg_power <= power_budget;

@@ -36,6 +36,9 @@ struct TierPower {
 struct EnergyMetrics {
   /// Total cluster average power.
   units::Watts cluster_avg_power = units::watts(0.0);
+  /// Per-station dynamic (busy minus idle) power of one server at the
+  /// tier's frequency.
+  std::vector<units::Watts> station_dynamic_power;
   /// Per-station average power.
   std::vector<units::Watts> station_avg_power;
   /// Per-class mean end-to-end energy per request.
@@ -52,5 +55,13 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
                              const queueing::NetworkMetrics& net,
                              IdleAttribution attribution =
                                  IdleAttribution::kProportionalToLoad);
+
+/// In-place form of compute_energy: writes into `out`, reusing its
+/// vectors. Each tier's dynamic power is computed once and serves both its
+/// average power and every visit's marginal energy.
+void compute_energy(const std::vector<TierPower>& tiers,
+                    const std::vector<queueing::CustomerClass>& classes,
+                    const queueing::NetworkMetrics& net, EnergyMetrics& out,
+                    IdleAttribution attribution = IdleAttribution::kProportionalToLoad);
 
 }  // namespace cpm::power

@@ -66,6 +66,10 @@ class ServerPower {
   /// Average power at frequency f and utilisation rho in [0, 1).
   [[nodiscard]] units::Watts average_power(units::Hertz f, double rho) const;
 
+  /// Average power at utilisation rho, given `dynamic` = dynamic_power(f)
+  /// of the operating frequency: a caller that holds it skips its pow().
+  [[nodiscard]] units::Watts average_power(units::Watts dynamic, double rho) const;
+
   /// Service-capacity multiplier mu(f)/mu_base = f / f_base.
   [[nodiscard]] double speedup(units::Hertz f) const;
 
@@ -76,6 +80,10 @@ class ServerPower {
   /// `mean_service` (already expressed at frequency f).
   [[nodiscard]] units::Joules marginal_energy_per_request(
       units::Hertz f, units::Seconds mean_service) const;
+
+  /// The same, given `dynamic` = dynamic_power(f).
+  [[nodiscard]] units::Joules marginal_energy_per_request(
+      units::Watts dynamic, units::Seconds mean_service) const;
 
  private:
   units::Watts idle_;

@@ -8,20 +8,31 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
                              const std::vector<queueing::CustomerClass>& classes,
                              const queueing::NetworkMetrics& net,
                              IdleAttribution attribution) {
+  EnergyMetrics em;
+  compute_energy(tiers, classes, net, em, attribution);
+  return em;
+}
+
+void compute_energy(const std::vector<TierPower>& tiers,
+                    const std::vector<queueing::CustomerClass>& classes,
+                    const queueing::NetworkMetrics& net, EnergyMetrics& em,
+                    IdleAttribution attribution) {
   const std::size_t n_stations = net.station_utilization.size();
   const std::size_t n_classes = classes.size();
   require(tiers.size() == n_stations, "compute_energy: tiers/stations size mismatch");
   for (const auto& t : tiers)
     require(t.servers >= 1, "compute_energy: tier needs >= 1 server");
 
-  EnergyMetrics em;
+  em.cluster_avg_power = units::watts(0.0);
+  em.station_dynamic_power.resize(n_stations);
   em.station_avg_power.resize(n_stations);
   em.per_request_energy.assign(n_classes, units::joules(0.0));
 
   for (std::size_t s = 0; s < n_stations; ++s) {
     const auto& t = tiers[s];
+    em.station_dynamic_power[s] = t.server.dynamic_power(t.frequency);
     const units::Watts per_server =
-        t.server.average_power(t.frequency, net.station_utilization[s]);
+        t.server.average_power(em.station_dynamic_power[s], net.station_utilization[s]);
     em.station_avg_power[s] = per_server * static_cast<double>(t.servers);
     em.cluster_avg_power += em.station_avg_power[s];
   }
@@ -31,9 +42,8 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
   for (std::size_t k = 0; k < n_classes; ++k) {
     for (const auto& v : classes[k].route) {
       const auto s = static_cast<std::size_t>(v.station);
-      em.per_request_energy[k] +=
-          tiers[s].server.marginal_energy_per_request(
-              tiers[s].frequency, units::seconds(v.service.mean()));
+      em.per_request_energy[k] += tiers[s].server.marginal_energy_per_request(
+          em.station_dynamic_power[s], units::seconds(v.service.mean()));
     }
   }
 
@@ -65,7 +75,6 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
   }
   em.mean_per_request_energy =
       total_rate > 0.0 ? units::joules(weighted / total_rate) : units::joules(0.0);
-  return em;
 }
 
 }  // namespace cpm::power

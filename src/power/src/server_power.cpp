@@ -42,8 +42,12 @@ units::Watts ServerPower::busy_power(units::Hertz f) const {
 }
 
 units::Watts ServerPower::average_power(units::Hertz f, double rho) const {
+  return average_power(dynamic_power(f), rho);
+}
+
+units::Watts ServerPower::average_power(units::Watts dynamic, double rho) const {
   require(rho >= 0.0 && rho <= 1.0, "ServerPower: utilisation outside [0,1]");
-  return idle_ + dynamic_power(f) * rho;
+  return idle_ + dynamic * rho;
 }
 
 double ServerPower::speedup(units::Hertz f) const {
@@ -58,9 +62,14 @@ units::Watts ServerPower::dynamic_power(units::Hertz f) const {
 
 units::Joules ServerPower::marginal_energy_per_request(
     units::Hertz f, units::Seconds mean_service) const {
+  return marginal_energy_per_request(dynamic_power(f), mean_service);
+}
+
+units::Joules ServerPower::marginal_energy_per_request(
+    units::Watts dynamic, units::Seconds mean_service) const {
   require(mean_service >= units::seconds(0.0),
           "ServerPower: service time must be >= 0");
-  return dynamic_power(f) * mean_service;
+  return dynamic * mean_service;
 }
 
 }  // namespace cpm::power

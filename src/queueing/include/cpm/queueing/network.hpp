@@ -75,7 +75,8 @@ struct NetworkMetrics {
 void validate_network(const std::vector<NetworkStation>& stations,
                       const std::vector<CustomerClass>& classes);
 
-/// True iff every station is stable under the offered per-class flows.
+/// True iff every station is stable under the offered per-class flows,
+/// that is iff analyze_network succeeds.
 bool network_stable(const std::vector<NetworkStation>& stations,
                     const std::vector<CustomerClass>& classes);
 
@@ -87,6 +88,29 @@ std::vector<double> network_utilizations(const std::vector<NetworkStation>& stat
 /// unstable.
 NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
                                const std::vector<CustomerClass>& classes);
+
+/// Buffers the in-place analyze_network reuses from call to call. One
+/// workspace serves networks of any shape; once it has analysed a network
+/// with as many stations and classes, a call allocates nothing.
+struct NetworkWorkspace {
+  /// One station's merged per-class flows and their analysis.
+  struct Station {
+    std::vector<ClassFlow> flows;         ///< ordered by class index (priority)
+    std::vector<std::size_t> flow_class;  ///< class index of each flow
+    StationMetrics metrics;               ///< analyze_station of `flows`
+  };
+  /// Grows to the largest network seen; never shrinks.
+  std::vector<Station> stations;
+};
+
+/// In-place form of analyze_network: builds each station's flows once in
+/// `ws`, decides every station's stability from them, analyses the stable
+/// network and writes the result into `out`, reusing its vectors. Returns
+/// false, leaving `out` untouched, when some station is unstable (see the
+/// in-place analyze_station). Throws cpm::Error on an invalid network.
+[[nodiscard]] bool analyze_network(const std::vector<NetworkStation>& stations,
+                                   const std::vector<CustomerClass>& classes,
+                                   NetworkMetrics& out, NetworkWorkspace& ws);
 
 /// The p-th percentile (p in (0,1)) of class `cls`'s end-to-end delay,
 /// from a gamma distribution fitted to the analytic mean and variance.

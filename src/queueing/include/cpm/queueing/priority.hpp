@@ -61,12 +61,27 @@ struct StationMetrics {
 /// Total offered load per server: sum_k lambda_k E[S_k] / servers.
 double station_utilization(int servers, const std::vector<ClassFlow>& flows);
 
-/// True iff the station is stable (utilisation < 1).
+/// True iff the station's utilisation is below 1. Within rounding of 1 a
+/// multi-server station can pass this test and still be unstable to
+/// analyze_station, whose in-place form makes the full decision.
 bool station_stable(int servers, const std::vector<ClassFlow>& flows);
 
 /// Computes steady-state per-class metrics. Throws cpm::Error when the
 /// station is unstable or `servers` < 1.
 StationMetrics analyze_station(int servers, Discipline discipline,
                                const std::vector<ClassFlow>& flows);
+
+/// In-place form of analyze_station: writes into `out`, reusing its
+/// vectors, so a caller that keeps `out` allocates nothing once it has
+/// seen as many classes. Returns false, leaving `out` unspecified, when
+/// the station is unstable: some load the formulas compare with a limit
+/// (the utilisation, a priority prefix's load, the Bondi–Buzen reference
+/// load or an Erlang offered load) reaches it, or a mean wait comes out
+/// infinite or negative, as happens to multi-server stations within a few
+/// ulps of utilisation 1. Throws cpm::Error when `servers` < 1, `flows` is
+/// empty or a rate is negative.
+[[nodiscard]] bool analyze_station(int servers, Discipline discipline,
+                                   const std::vector<ClassFlow>& flows,
+                                   StationMetrics& out);
 
 }  // namespace cpm::queueing

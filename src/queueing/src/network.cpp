@@ -1,5 +1,6 @@
 #include "cpm/queueing/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cpm/common/error.hpp"
@@ -29,16 +30,14 @@ void validate_network(const std::vector<NetworkStation>& stations,
 
 namespace {
 
-// Per-station flow build: one merged flow per class that visits the
-// station, two-moment matched over its visits, plus the flow->class map.
-struct StationFlows {
-  std::vector<ClassFlow> flows;          // ordered by class index (priority)
-  std::vector<std::size_t> flow_class;   // class index of each flow
-};
-
-StationFlows flows_at_station(std::size_t station,
-                              const std::vector<CustomerClass>& classes) {
-  StationFlows out;
+// Per-station flow build into `out`: one merged flow per class that visits
+// the station, two-moment matched over its visits, plus the flow->class map.
+void flows_at_station(std::size_t station, const std::vector<CustomerClass>& classes,
+                      NetworkWorkspace::Station& out) {
+  out.flows.clear();
+  out.flow_class.clear();
+  out.flows.reserve(classes.size());
+  out.flow_class.reserve(classes.size());
   for (std::size_t k = 0; k < classes.size(); ++k) {
     const auto& cls = classes[k];
     double visits = 0.0;
@@ -71,7 +70,6 @@ StationFlows flows_at_station(std::size_t station,
     }
     out.flow_class.push_back(k);
   }
-  return out;
 }
 
 }  // namespace
@@ -80,8 +78,9 @@ std::vector<double> network_utilizations(const std::vector<NetworkStation>& stat
                                          const std::vector<CustomerClass>& classes) {
   validate_network(stations, classes);
   std::vector<double> util(stations.size(), 0.0);
+  NetworkWorkspace::Station sf;
   for (std::size_t s = 0; s < stations.size(); ++s) {
-    const StationFlows sf = flows_at_station(s, classes);
+    flows_at_station(s, classes, sf);
     if (!sf.flows.empty()) util[s] = station_utilization(stations[s].servers, sf.flows);
   }
   return util;
@@ -89,37 +88,68 @@ std::vector<double> network_utilizations(const std::vector<NetworkStation>& stat
 
 bool network_stable(const std::vector<NetworkStation>& stations,
                     const std::vector<CustomerClass>& classes) {
-  for (double u : network_utilizations(stations, classes))
-    if (u >= 1.0) return false;
-  return true;
+  NetworkMetrics m;
+  NetworkWorkspace ws;
+  return analyze_network(stations, classes, m, ws);
 }
 
 NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
                                const std::vector<CustomerClass>& classes) {
-  validate_network(stations, classes);
-
   NetworkMetrics m;
+  NetworkWorkspace ws;
+  require(analyze_network(stations, classes, m, ws),
+          "analyze_network: unstable station (rho >= 1)");
+  return m;
+}
+
+bool analyze_network(const std::vector<NetworkStation>& stations,
+                     const std::vector<CustomerClass>& classes, NetworkMetrics& m,
+                     NetworkWorkspace& ws) {
+  validate_network(stations, classes);
   const std::size_t n_stations = stations.size();
   const std::size_t n_classes = classes.size();
+  if (ws.stations.size() < n_stations) ws.stations.resize(n_stations);
+
+  // Build every station's flows once. A station loaded to 1 or beyond
+  // makes the network unstable before any station is analysed.
+  for (std::size_t s = 0; s < n_stations; ++s) {
+    NetworkWorkspace::Station& st = ws.stations[s];
+    flows_at_station(s, classes, st);
+    if (!st.flows.empty() && !station_stable(stations[s].servers, st.flows))
+      return false;
+  }
+  // Analyse each station from the same flows; within rounding of
+  // utilisation 1 the analysis can still find a station unstable.
+  for (std::size_t s = 0; s < n_stations; ++s) {
+    NetworkWorkspace::Station& st = ws.stations[s];
+    if (!st.flows.empty() &&
+        !analyze_station(stations[s].servers, stations[s].discipline, st.flows,
+                         st.metrics))
+      return false;
+  }
+
   m.e2e_delay.assign(n_classes, units::seconds(0.0));
   m.e2e_delay_variance.assign(n_classes, units::SecondsSquared(0.0));
-  m.visit_sojourn.assign(n_classes, {});
-  m.station_wait.assign(n_stations, std::vector<double>(n_classes, 0.0));
-  m.station_wait_m2.assign(n_stations, std::vector<double>(n_classes, 0.0));
-  m.station_rho.assign(n_stations, std::vector<double>(n_classes, 0.0));
+  m.visit_sojourn.resize(n_classes);
+  m.station_wait.resize(n_stations);
+  m.station_wait_m2.resize(n_stations);
+  m.station_rho.resize(n_stations);
   m.station_utilization.assign(n_stations, 0.0);
+  m.total_rate = units::per_second(0.0);
 
-  // Analyse each station independently and scatter per-class waits.
+  // Scatter each station's per-class results.
   for (std::size_t s = 0; s < n_stations; ++s) {
-    const StationFlows sf = flows_at_station(s, classes);
-    if (sf.flows.empty()) continue;
-    const StationMetrics sm =
-        analyze_station(stations[s].servers, stations[s].discipline, sf.flows);
+    m.station_wait[s].assign(n_classes, 0.0);
+    m.station_wait_m2[s].assign(n_classes, 0.0);
+    m.station_rho[s].assign(n_classes, 0.0);
+    const NetworkWorkspace::Station& st = ws.stations[s];
+    if (st.flows.empty()) continue;
+    const StationMetrics& sm = st.metrics;
     m.station_utilization[s] = sm.total_utilization;
-    for (std::size_t i = 0; i < sf.flows.size(); ++i) {
-      m.station_wait[s][sf.flow_class[i]] = sm.mean_wait[i];
-      m.station_wait_m2[s][sf.flow_class[i]] = sm.wait_m2[i];
-      m.station_rho[s][sf.flow_class[i]] = sm.rho[i];
+    for (std::size_t i = 0; i < st.flows.size(); ++i) {
+      m.station_wait[s][st.flow_class[i]] = sm.mean_wait[i];
+      m.station_wait_m2[s][st.flow_class[i]] = sm.wait_m2[i];
+      m.station_rho[s][st.flow_class[i]] = sm.rho[i];
     }
   }
 
@@ -128,14 +158,16 @@ NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
   double weighted = 0.0;
   for (std::size_t k = 0; k < n_classes; ++k) {
     const auto& cls = classes[k];
-    m.visit_sojourn[k].reserve(cls.route.size());
+    std::vector<double>& sojourns = m.visit_sojourn[k];
+    sojourns.clear();
+    sojourns.reserve(cls.route.size());
     double total = 0.0;
     double variance = 0.0;
     for (const auto& v : cls.route) {
       const auto s = static_cast<std::size_t>(v.station);
       const double wait = m.station_wait[s][k];
       const double sojourn = wait + v.service.mean();
-      m.visit_sojourn[k].push_back(sojourn);
+      sojourns.push_back(sojourn);
       total += sojourn;
       // Independence across visits: variances add. Wait and own service
       // are independent in all modelled disciplines except PS/preemption,
@@ -150,7 +182,7 @@ NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
   m.mean_e2e_delay = m.total_rate > units::per_second(0.0)
                          ? units::seconds(weighted / m.total_rate.value())
                          : units::seconds(0.0);
-  return m;
+  return true;
 }
 
 units::Seconds percentile_e2e_delay(const NetworkMetrics& metrics,

@@ -1,6 +1,9 @@
 #include "cpm/queueing/priority.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "cpm/common/error.hpp"
 #include "cpm/queueing/erlang.hpp"
@@ -40,12 +43,17 @@ struct Aggregate {
   double rho = 0.0;     // per-server utilisation
 };
 
-Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows) {
+// Totals over the flows, class k served by the law `service(k)`: the
+// flow's own law, or its Bondi–Buzen reference law.
+template <class Service>
+Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows,
+                          const Service& service) {
   Aggregate a;
-  for (const auto& f : flows) {
-    a.lambda += f.rate.value();
-    a.es += f.rate.value() * f.service.mean();
-    a.es2 += f.rate.value() * f.service.second_moment();
+  for (std::size_t k = 0; k < flows.size(); ++k) {
+    const Distribution& s = service(k);
+    a.lambda += flows[k].rate.value();
+    a.es += flows[k].rate.value() * s.mean();
+    a.es2 += flows[k].rate.value() * s.second_moment();
   }
   a.rho = a.es / static_cast<double>(servers);
   if (a.lambda > 0.0) {
@@ -55,7 +63,13 @@ Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows) {
   return a;
 }
 
-// Single-server per-class "delay beyond own service" for each discipline.
+// Pollaczek–Khinchine wait of a single server with aggregate `agg`.
+double mg1_fcfs_wait(const Aggregate& agg) {
+  return agg.lambda > 0.0 ? agg.lambda * agg.es2 / (2.0 * (1.0 - agg.rho)) : 0.0;
+}
+
+// Single-server per-class "delay beyond own service" for each discipline,
+// written to `delay`, class k served by `service(k)` with aggregate `agg`.
 // Class 0 is highest priority. Exact formulas:
 //   FCFS:   P-K wait, identical across classes.
 //   NP:     Cobham, W_k = R / ((1 - s_{k-1})(1 - s_k)), R = sum l_i E[S_i^2]/2.
@@ -63,29 +77,29 @@ Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows) {
 //               + (sum_{i<=k} l_i E[S_i^2]/2) / ((1 - s_{k-1})(1 - s_k)),
 //           delay_k = T_k - E[S_k].
 //   PS:     T_k = E[S_k]/(1 - rho), delay_k = T_k - E[S_k].
-std::vector<double> single_server_delays(Discipline d,
-                                         const std::vector<ClassFlow>& flows) {
+// Returns false when the load, or the load of some priority prefix,
+// reaches 1.
+template <class Service>
+bool single_server_delays(Discipline d, const std::vector<ClassFlow>& flows,
+                          const Service& service, const Aggregate& agg,
+                          std::vector<double>& delay) {
   const std::size_t k_classes = flows.size();
-  std::vector<double> delay(k_classes, 0.0);
-  const Aggregate agg = aggregate_flows(1, flows);
-  require(agg.rho < 1.0, "analyze_station: unstable station (rho >= 1)");
+  if (!(agg.rho < 1.0)) return false;
 
   switch (d) {
     case Discipline::kFcfs: {
-      const double wq =
-          agg.lambda > 0.0
-              ? agg.lambda * agg.es2 / (2.0 * (1.0 - agg.rho))
-              : 0.0;
+      const double wq = mg1_fcfs_wait(agg);
       for (auto& w : delay) w = wq;
       break;
     }
     case Discipline::kNonPreemptivePriority: {
       double r = 0.0;  // mean residual work: sum l_i E[S_i^2] / 2 over ALL classes
-      for (const auto& f : flows) r += f.rate.value() * f.service.second_moment() / 2.0;
+      for (std::size_t k = 0; k < k_classes; ++k)
+        r += flows[k].rate.value() * service(k).second_moment() / 2.0;
       double sigma_prev = 0.0;
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double sigma_k = sigma_prev + flows[k].rate.value() * flows[k].service.mean();
-        require(sigma_k < 1.0, "analyze_station: priority levels saturate");
+        const double sigma_k = sigma_prev + flows[k].rate.value() * service(k).mean();
+        if (!(sigma_k < 1.0)) return false;  // priority levels saturate
         delay[k] = r / ((1.0 - sigma_prev) * (1.0 - sigma_k));
         sigma_prev = sigma_k;
       }
@@ -95,10 +109,11 @@ std::vector<double> single_server_delays(Discipline d,
       double r_upto = 0.0;  // residual work of classes 0..k only
       double sigma_prev = 0.0;
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double es_k = flows[k].service.mean();
+        const Distribution& s = service(k);
+        const double es_k = s.mean();
         const double sigma_k = sigma_prev + flows[k].rate.value() * es_k;
-        require(sigma_k < 1.0, "analyze_station: priority levels saturate");
-        r_upto += flows[k].rate.value() * flows[k].service.second_moment() / 2.0;
+        if (!(sigma_k < 1.0)) return false;  // priority levels saturate
+        r_upto += flows[k].rate.value() * s.second_moment() / 2.0;
         const double sojourn = es_k / (1.0 - sigma_prev) +
                                r_upto / ((1.0 - sigma_prev) * (1.0 - sigma_k));
         delay[k] = sojourn - es_k;
@@ -108,86 +123,113 @@ std::vector<double> single_server_delays(Discipline d,
     }
     case Discipline::kProcessorSharing: {
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double es_k = flows[k].service.mean();
+        const double es_k = service(k).mean();
         delay[k] = es_k / (1.0 - agg.rho) - es_k;
       }
       break;
     }
   }
-  return delay;
+  return true;
+}
+
+// M/M/c mean wait at lambda > 0, or nullopt when the offered load
+// lambda/mu, rounded as mmc_mean_wait rounds it, reaches `servers`.
+std::optional<double> mmc_wait(int servers, double lambda, double mu) {
+  if (!(lambda / mu < static_cast<double>(servers))) return std::nullopt;
+  return mmc_mean_wait(servers, lambda, mu);
 }
 
 // M/G/c FCFS mean wait via Lee-Longton: (1 + SCV)/2 times the M/M/c wait at
-// the same mean service time.
-double mgc_fcfs_wait(int servers, const Aggregate& agg) {
+// the same mean service time; nullopt when that M/M/c queue saturates.
+std::optional<double> mgc_fcfs_wait(int servers, const Aggregate& agg) {
   if (agg.lambda == 0.0) return 0.0;
   const double mu = 1.0 / agg.es;
   const double scv = agg.es2 / (agg.es * agg.es) - 1.0;
-  return 0.5 * (1.0 + scv) * mmc_mean_wait(servers, agg.lambda, mu);
+  const std::optional<double> wq = mmc_wait(servers, agg.lambda, mu);
+  if (!wq) return std::nullopt;
+  return 0.5 * (1.0 + scv) * *wq;
 }
 
 }  // namespace
 
 StationMetrics analyze_station(int servers, Discipline discipline,
                                const std::vector<ClassFlow>& flows) {
+  StationMetrics m;
+  require(analyze_station(servers, discipline, flows, m),
+          "analyze_station: unstable station (rho >= 1)");
+  return m;
+}
+
+bool analyze_station(int servers, Discipline discipline,
+                     const std::vector<ClassFlow>& flows, StationMetrics& m) {
   require(servers >= 1, "analyze_station: servers must be >= 1");
   require(!flows.empty(), "analyze_station: need at least one class");
   for (const auto& f : flows)
     require(f.rate.value() >= 0.0, "analyze_station: negative arrival rate");
 
   const std::size_t k_classes = flows.size();
-  StationMetrics m;
+  m.total_utilization = station_utilization(servers, flows);
+  if (!(m.total_utilization < 1.0)) return false;
   m.mean_wait.resize(k_classes);
   m.mean_sojourn.resize(k_classes);
   m.wait_m2.resize(k_classes);
   m.mean_queue_len.resize(k_classes);
   m.mean_in_system.resize(k_classes);
   m.rho.resize(k_classes);
-  for (std::size_t k = 0; k < k_classes; ++k)
-    m.rho[k] = flows[k].rate.value() * flows[k].service.mean() / static_cast<double>(servers);
-  m.total_utilization = station_utilization(servers, flows);
-  require(m.total_utilization < 1.0, "analyze_station: unstable station (rho >= 1)");
 
-  std::vector<double> delay(k_classes, 0.0);
+  // Each class's delay beyond service; mean_wait holds it from here on.
+  std::vector<double>& delay = m.mean_wait;
+  const auto own = [&flows](std::size_t k) -> const Distribution& {
+    return flows[k].service;
+  };
+  Aggregate agg;  // of the real station, multi-server only
   if (servers == 1) {
-    delay = single_server_delays(discipline, flows);
+    if (!single_server_delays(discipline, flows, own, aggregate_flows(1, flows, own),
+                              delay))
+      return false;
   } else {
-    const Aggregate agg = aggregate_flows(servers, flows);
+    agg = aggregate_flows(servers, flows, own);
     if (discipline == Discipline::kProcessorSharing) {
       // PS multi-server approximation: treat the c servers as one PS server
       // that is c times faster for the contention factor. We use the
       // simple insensitive bound T_k = E[S_k] + E[S_k] * Wq-factor with the
       // M/M/c congestion term, matching the single-class M/M/c in the
       // exponential case reasonably.
-      const double wq_factor =
-          agg.lambda > 0.0 ? mmc_mean_wait(servers, agg.lambda, 1.0 / agg.es) / agg.es
-                           : 0.0;
+      double wq_factor = 0.0;
+      if (agg.lambda > 0.0) {
+        const std::optional<double> wq = mmc_wait(servers, agg.lambda, 1.0 / agg.es);
+        if (!wq) return false;
+        wq_factor = *wq / agg.es;
+      }
       for (std::size_t k = 0; k < k_classes; ++k)
         delay[k] = flows[k].service.mean() * wq_factor;
     } else if (discipline == Discipline::kFcfs) {
-      const double wq = mgc_fcfs_wait(servers, agg);
-      for (auto& w : delay) w = wq;
+      const std::optional<double> wq = mgc_fcfs_wait(servers, agg);
+      if (!wq) return false;
+      for (auto& w : delay) w = *wq;
     } else {
       // Bondi-Buzen scaling: per-class priority delay at c servers =
       // (single-server priority delay / single-server FCFS delay) x
       // (M/G/c FCFS delay). The single-server reference system divides
       // every service time by c so that it is stable whenever the real
-      // station is.
-      std::vector<ClassFlow> scaled;
-      scaled.reserve(k_classes);
+      // station is, up to rounding.
       const double inv_c = 1.0 / static_cast<double>(servers);
-      for (const auto& f : flows) {
-        ClassFlow g{f.rate, f.service.scaled_to_mean(f.service.mean() * inv_c)};
-        scaled.push_back(std::move(g));
-      }
-      const std::vector<double> prio1 = single_server_delays(discipline, scaled);
-      const std::vector<double> fcfs1 = single_server_delays(Discipline::kFcfs, scaled);
-      const double wq_c = mgc_fcfs_wait(servers, agg);
-      for (std::size_t k = 0; k < k_classes; ++k) {
-        delay[k] = fcfs1[k] > 0.0 ? wq_c * prio1[k] / fcfs1[k] : 0.0;
-      }
+      const auto reference = [&flows, inv_c](std::size_t k) {
+        return flows[k].service.scaled_to_mean(flows[k].service.mean() * inv_c);
+      };
+      const Aggregate ref = aggregate_flows(1, flows, reference);
+      if (!single_server_delays(discipline, flows, reference, ref, delay)) return false;
+      const double fcfs1 = mg1_fcfs_wait(ref);
+      const std::optional<double> wq_c = mgc_fcfs_wait(servers, agg);
+      if (!wq_c) return false;
+      for (std::size_t k = 0; k < k_classes; ++k)
+        delay[k] = fcfs1 > 0.0 ? *wq_c * delay[k] / fcfs1 : 0.0;
     }
   }
+  // Near saturation the M/M/c denominator c*mu - lambda can round to zero
+  // or below although lambda/mu < c: such a station is unstable too.
+  for (double w : delay)
+    if (!(w >= 0.0 && w < std::numeric_limits<double>::infinity())) return false;
 
   // Second moment of the wait. Exact (Takács) for single-server FCFS:
   //   E[W^2] = 2 E[W]^2 + lambda E[S^3] / (3 (1 - rho)),
@@ -211,10 +253,10 @@ StationMetrics analyze_station(int servers, Discipline discipline,
       m.wait_m2[k] = 2.0 * delay[k] * delay[k] + tail;
   } else {
     double q = m.total_utilization;
-    if (servers > 1) {
-      const Aggregate agg = aggregate_flows(servers, flows);
-      if (agg.lambda > 0.0 && agg.es > 0.0)
-        q = erlang_c(servers, agg.lambda * agg.es);
+    if (servers > 1 && agg.lambda > 0.0 && agg.es > 0.0) {
+      const double offered = agg.lambda * agg.es;
+      if (!(offered < static_cast<double>(servers))) return false;
+      q = erlang_c(servers, offered);
     }
     const double q_safe = std::max(q, 1e-12);
     for (std::size_t k = 0; k < k_classes; ++k)
@@ -222,12 +264,12 @@ StationMetrics analyze_station(int servers, Discipline discipline,
   }
 
   for (std::size_t k = 0; k < k_classes; ++k) {
-    m.mean_wait[k] = delay[k];
+    m.rho[k] = flows[k].rate.value() * flows[k].service.mean() / static_cast<double>(servers);
     m.mean_sojourn[k] = delay[k] + flows[k].service.mean();
     m.mean_queue_len[k] = flows[k].rate.value() * delay[k];
     m.mean_in_system[k] = flows[k].rate.value() * m.mean_sojourn[k];
   }
-  return m;
+  return true;
 }
 
 }  // namespace cpm::queueing

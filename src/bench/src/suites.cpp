@@ -12,9 +12,9 @@ namespace cpm::bench {
 namespace {
 
 /// p1 — library micro/meso benchmarks: the simulator hot path, the event
-/// queue, the analytic evaluator, the replication pool and one optimizer,
-/// emitted as the machine-diffable cpm-bench/v1 document the CI gate
-/// consumes.
+/// queue, the analytic evaluator, the replication pool, one optimizer and
+/// the JSON layer, emitted as the machine-diffable cpm-bench/v1 document
+/// the CI gate consumes.
 std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // Everything runs the shared enterprise scenario so numbers line up
   // with the E/A experiment binaries. Quick cases are sized to >= ~20 ms
@@ -25,6 +25,7 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   const int analytic_rounds = options.quick ? 500 : 5000;
   const int replications = options.quick ? 8 : 16;
   const int optimizer_solves = options.quick ? 1 : 5;
+  const int json_rounds = options.quick ? 24 : 240;
   const std::uint64_t seed = validation_settings().seed;
 
   std::vector<BenchCase> cases;
@@ -87,6 +88,29 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
           require(r.feasible, "optimizer_power_bound: infeasible");
         }
         rec.count("solves", optimizer_solves);
+      }});
+
+  // The cpm-online/v1 timeline of a fixed 1,000 s scenario (about 190 KB
+  // pretty-printed, mostly non-integral numbers), built once here so the
+  // case times only the JSON layer: the pretty dump `cpmctl online`
+  // writes, its parse, and the compact dump that keys and checksums use.
+  online::Scenario scenario;
+  scenario.horizon = 1000.0;
+  scenario.window = 10.0;
+  scenario.seed = seed;
+  const Json timeline =
+      online::run_online(core::make_enterprise_model(0.7), scenario).timeline;
+  cases.push_back(BenchCase{
+      "json_roundtrip", [timeline, compact = timeline.dump(),
+                         json_rounds](Recorder& rec) {
+        double bytes = 0.0;
+        for (int i = 0; i < json_rounds; ++i) {
+          const std::string pretty = timeline.dump(2);
+          const std::string again = Json::parse(pretty).dump();
+          require(again == compact, "json_roundtrip: not a fixed point");
+          bytes += static_cast<double>(2 * pretty.size() + again.size());
+        }
+        rec.count("bytes", bytes);
       }});
 
   return cases;

@@ -4,10 +4,14 @@
 // JSON document (sorted keys, round-trip number formatting), so the hash
 // must be collision-resistant across millions of near-identical specs —
 // a 64-bit mixing hash is not enough. This is a dependency-free SHA-256
-// (FIPS 180-4). Keying is not cheap next to what it keys: on a 4-vCPU
-// x86-64 KVM guest, perfbench measured a ClusterModel::evaluate at about
-// 5 us and sweep::point_key (a canonical dump of model, pipeline and point,
-// then this hash) at about 29 us, 39% of a warm sweep over cached points.
+// (FIPS 180-4). Keying costs about as much as what it keys, and only
+// because sweep::run_sweep hashes the constant prefix of its key documents
+// (engine salt, model, pipeline) once per sweep and copies that state for
+// each point. On a 4-vCPU x86-64 KVM guest a point's key and seed took
+// about 6 us that way, against about 42 us when each point re-serialised
+// and re-hashed its whole document, and about 5 us for a
+// ClusterModel::evaluate. The one-shot sweep::point_key still dumps the
+// model: about 26 us.
 #pragma once
 
 #include <array>

@@ -5,6 +5,14 @@
 // small self-contained implementation of the JSON subset the model format
 // needs: null, booleans, finite doubles, strings (with \uXXXX escapes for
 // the BMP), arrays and objects. Parse errors carry line/column positions.
+//
+// Number text is part of the cache-key and document formats, so it is
+// fixed byte for byte and does not depend on the locale: an integral
+// value with |d| < 1e15 is written as that integer, every other number as
+// printf's "%.17g" in the C locale (std::to_chars, general format,
+// precision 17). Parsing rounds as strtod does in the C locale. Arrays and
+// objects nest at most kMaxNesting (256) deep; deeper input is a parse
+// error, so hostile bytes cannot exhaust the stack.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +42,12 @@ class Json {
   Json(JsonArray a);                                                // NOLINT
   Json(JsonObject o);                                               // NOLINT
 
+  /// Deepest nesting of arrays and objects that parse accepts.
+  static constexpr int kMaxNesting = 256;
+
   /// Parses a complete JSON document; throws cpm::Error with a
-  /// line:column message on malformed input or trailing garbage.
+  /// line:column message on malformed input, trailing garbage or
+  /// nesting deeper than kMaxNesting.
   static Json parse(const std::string& text);
 
   [[nodiscard]] Type type() const { return type_; }

@@ -91,20 +91,15 @@ void Sha256::update(const void* data, std::size_t len) {
 
 std::array<std::uint8_t, 32> Sha256::digest() {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Pad: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit count.
-  const std::uint8_t one = 0x80;
-  update(&one, 1);
-  total_bytes_ -= 1;  // padding is not message content
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(&zero, 1);
-    total_bytes_ -= 1;
-  }
-  std::array<std::uint8_t, 8> length_bytes{};
-  for (int i = 0; i < 8; ++i)
-    length_bytes[static_cast<std::size_t>(i)] =
+  // Pad in one update: 0x80, zeros to 56 mod 64, then the 64-bit
+  // big-endian bit count (9 to 72 bytes).
+  std::array<std::uint8_t, 72> padding{};
+  padding[0] = 0x80;
+  const std::size_t zeros = (buffered_ < 56 ? 55 : 119) - buffered_;
+  for (std::size_t i = 0; i < 8; ++i)
+    padding[1 + zeros + i] =
         static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  update(length_bytes.data(), length_bytes.size());
+  update(padding.data(), 1 + zeros + 8);
 
   std::array<std::uint8_t, 32> out{};
   for (std::size_t i = 0; i < 8; ++i) {

@@ -1,8 +1,10 @@
 #include "cpm/common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "cpm/common/error.hpp"
 
@@ -140,8 +142,16 @@ class Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxNesting)
+          fail("nesting deeper than " + std::to_string(Json::kMaxNesting) +
+               " levels");
+        ++depth_;
+        Json value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -275,16 +285,27 @@ class Parser {
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     if (!digits) fail("invalid number");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value))
-      fail("invalid number '" + token + "'");
+    // from_chars reads the token in place and rounds as strtod does. A
+    // token it reports out of range goes to strtod, which turns underflow
+    // into a signed zero and overflow into an inf that fails below.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    std::from_chars_result r = std::from_chars(first, last, value);
+    if (r.ec == std::errc::result_out_of_range) {
+      const std::string token(first, last);
+      char* token_end = nullptr;
+      value = std::strtod(token.c_str(), &token_end);
+      r.ptr = first + (token_end - token.c_str());
+    }
+    if (r.ptr != last || !std::isfinite(value))
+      fail("invalid number '" + std::string(first, last) + "'");
     return Json(value);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 void dump_string(std::string& out, const std::string& s) {
@@ -312,15 +333,16 @@ void dump_string(std::string& out, const std::string& s) {
 }
 
 void dump_number(std::string& out, double d) {
-  // Integers print without a decimal point; everything else with enough
-  // digits to round-trip.
-  if (d == static_cast<long long>(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<long long>(d));
-    return;
-  }
+  // Integers print without a decimal point; everything else as printf's
+  // "%.17g" in the C locale, enough digits to round-trip. The range test
+  // comes first: casting an inf, a NaN or |d| >= 2^63 is undefined.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
+  std::to_chars_result r{};
+  if (std::abs(d) < 1e15 && d == static_cast<double>(static_cast<long long>(d)))
+    r = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
+  else
+    r = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -328,14 +350,13 @@ void dump_number(std::string& out, double d) {
 Json Json::parse(const std::string& text) { return Parser(text).parse_document(); }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  std::string pad;
-  std::string pad_close;
-  if (indent > 0) {
-    pad.assign(1, '\n');
-    pad.append(static_cast<std::size_t>(indent * (depth + 1)), ' ');
-    pad_close.assign(1, '\n');
-    pad_close.append(static_cast<std::size_t>(indent * depth), ' ');
-  }
+  // Pretty-printing starts each member on a new line, `indent` spaces per
+  // level, and puts the closing bracket on a line of its own.
+  auto newline = [&out, indent](int level) {
+    if (indent <= 0) return;
+    out.push_back('\n');
+    out.append(static_cast<std::size_t>(indent * level), ' ');
+  };
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
@@ -351,10 +372,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (const auto& v : *arr_) {
         if (!first) out.push_back(',');
         first = false;
-        out += pad;
+        newline(depth + 1);
         v.dump_to(out, indent, depth + 1);
       }
-      out += pad_close;
+      newline(depth);
       out.push_back(']');
       break;
     }
@@ -368,12 +389,12 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (const auto& [key, value] : *obj_) {
         if (!first) out.push_back(',');
         first = false;
-        out += pad;
+        newline(depth + 1);
         dump_string(out, key);
         out += indent > 0 ? ": " : ":";
         value.dump_to(out, indent, depth + 1);
       }
-      out += pad_close;
+      newline(depth);
       out.push_back('}');
       break;
     }

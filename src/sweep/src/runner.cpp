@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "cpm/common/error.hpp"
 #include "cpm/common/hash.hpp"
@@ -32,6 +33,66 @@ std::uint64_t u64_from_hex_prefix(const std::string& hex) {
   }
   return value;
 }
+
+/// Canonical text of the spec seed, as the key and seed documents hold it.
+std::string seed_text(const SweepSpec& spec) {
+  return Json(static_cast<double>(spec.seed)).dump();
+}
+
+/// `<point>,"seed":<seed>}`: how both a point's key document and its seed
+/// document end, and the only part of either that differs between points.
+std::string point_tail(const PointParams& params, const std::string& seed) {
+  std::string tail = params_to_json(params).dump();
+  tail += ",\"seed\":";
+  tail += seed;
+  tail += '}';
+  return tail;
+}
+
+/// A point's seed document, `cpm-sweep-seed:{"point":<point>,"seed":<seed>}`,
+/// up to its tail.
+constexpr std::string_view kSeedPrefix = "cpm-sweep-seed:{\"point\":";
+
+/// The seed comes from the hash of the seed document.
+std::uint64_t seed_from_tail(const std::string& tail) {
+  Sha256 h;
+  h.update(kSeedPrefix.data(), kSeedPrefix.size());
+  h.update(tail);
+  // A zero seed is legal but conventionally avoided; nudge it.
+  const std::uint64_t seed = u64_from_hex_prefix(h.hex_digest()) & kSeedMask;
+  return seed == 0 ? 1 : seed;
+}
+
+/// Keys of one sweep's points. A key is the SHA-256 of the canonical dump
+/// of {"engine","model","pipeline","point","seed"}. Everything before the
+/// point is the same for the whole sweep, so the keyer hashes that prefix,
+/// `{"engine":<salt>,"model":<model>,"pipeline":<pipeline>,"point":`, once
+/// and each point's key only absorbs the point's tail.
+class PointKeyer {
+ public:
+  PointKeyer(const SweepSpec& spec, const std::string& engine_salt)
+      : seed_(seed_text(spec)) {
+    std::string prefix = "{\"engine\":" + Json(engine_salt).dump();
+    prefix += ",\"model\":" + spec.model.dump();
+    prefix += ",\"pipeline\":" + spec.pipeline.dump();
+    prefix += ",\"point\":";
+    prefix_.update(prefix);
+  }
+
+  [[nodiscard]] std::string tail(const PointParams& params) const {
+    return point_tail(params, seed_);
+  }
+
+  [[nodiscard]] std::string key(const std::string& tail) const {
+    Sha256 h = prefix_;
+    h.update(tail);
+    return h.hex_digest();
+  }
+
+ private:
+  Sha256 prefix_;
+  std::string seed_;
+};
 
 }  // namespace
 
@@ -75,24 +136,13 @@ std::string spec_hash(const SweepSpec& spec, const std::string& engine_salt) {
 
 std::string point_key(const SweepSpec& spec, const PointParams& params,
                       const std::string& engine_salt) {
-  JsonObject doc;
-  doc["engine"] = Json(engine_salt);
-  doc["model"] = spec.model;
-  doc["pipeline"] = spec.pipeline;
-  doc["point"] = params_to_json(params);
-  doc["seed"] = Json(static_cast<double>(spec.seed));
-  return sha256_hex(Json(std::move(doc)).dump());
+  const PointKeyer keyer(spec, engine_salt);
+  return keyer.key(keyer.tail(params));
 }
 
 std::uint64_t point_seed(const SweepSpec& spec, const PointParams& params) {
-  JsonObject doc;
-  doc["point"] = params_to_json(params);
-  doc["seed"] = Json(static_cast<double>(spec.seed));
-  const std::string hex =
-      sha256_hex("cpm-sweep-seed:" + Json(std::move(doc)).dump());
-  // A zero seed is legal but conventionally avoided; nudge it.
-  const std::uint64_t seed = u64_from_hex_prefix(hex) & kSeedMask;
-  return seed == 0 ? 1 : seed;
+  // The seed document holds no model: never build the keyer here.
+  return seed_from_tail(point_tail(params, seed_text(spec)));
 }
 
 RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
@@ -125,13 +175,15 @@ RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
     double wall_seconds = 0.0;
   };
   std::vector<PendingPoint> owned;
+  const PointKeyer keyer(spec, salt);
   for (std::size_t i = 0; i < total; ++i) {
     if (!shard_owns(options.shard, i)) continue;
     PendingPoint p;
     p.index = i;
     p.params = grid_point(spec.axes, i);
-    p.key = point_key(spec, p.params, salt);
-    p.seed = point_seed(spec, p.params);
+    const std::string tail = keyer.tail(p.params);
+    p.key = keyer.key(tail);
+    p.seed = seed_from_tail(tail);
     owned.push_back(std::move(p));
   }
 

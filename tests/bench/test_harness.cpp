@@ -90,12 +90,13 @@ TEST(Suites, P1IsKnownAndOthersAreRejected) {
   EXPECT_THROW(make_suite("nope", opt), Error);
   // Case list is stable: the CI gate matches cases by name.
   const auto cases = make_suite("p1", opt);
-  ASSERT_EQ(cases.size(), 5u);
+  ASSERT_EQ(cases.size(), 6u);
   EXPECT_EQ(cases[0].name, "sim_event_throughput");
   EXPECT_EQ(cases[1].name, "event_queue_schedule_run");
   EXPECT_EQ(cases[2].name, "analytic_evaluate");
   EXPECT_EQ(cases[3].name, "replication_throughput");
   EXPECT_EQ(cases[4].name, "optimizer_power_bound");
+  EXPECT_EQ(cases[5].name, "json_roundtrip");
 }
 
 TEST(Suites, QuickP1RunsEndToEnd) {
@@ -104,7 +105,7 @@ TEST(Suites, QuickP1RunsEndToEnd) {
   opt.warmup = 0;
   opt.repeats = 1;
   const auto r = run_named_suite("p1", opt);
-  ASSERT_EQ(r.cases.size(), 5u);
+  ASSERT_EQ(r.cases.size(), 6u);
   for (const auto& c : r.cases) {
     EXPECT_GT(c.wall_seconds.median, 0.0) << c.name;
     EXPECT_FALSE(c.rates.empty()) << c.name;
@@ -112,6 +113,8 @@ TEST(Suites, QuickP1RunsEndToEnd) {
   ASSERT_TRUE(r.cases[0].rates.count("events_per_sec"));
   EXPECT_GT(r.cases[0].rates.at("events_per_sec").median, 0.0);
   ASSERT_TRUE(r.cases[3].rates.count("replications_per_sec"));
+  ASSERT_TRUE(r.cases[5].rates.count("bytes_per_sec"));
+  EXPECT_GT(r.cases[5].rates.at("bytes_per_sec").median, 0.0);
 #if defined(__linux__)
   EXPECT_GT(r.peak_rss_bytes, 0u);
 #endif

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "cpm/common/rng.hpp"
 
 namespace cpm {
 namespace {
@@ -43,6 +48,49 @@ TEST(Sha256, PaddingBoundaries) {
     for (char c : msg) byte_wise.update(&c, 1);
     EXPECT_EQ(one_shot.hex_digest(), byte_wise.hex_digest())
         << "length " << n;
+  }
+}
+
+// Digests from Python's hashlib of the message 'a', 'b', ..., 'z', 'a', ...
+// cut at each length, around the one-block and two-block padding limits.
+TEST(Sha256, PaddingBoundaryDigests) {
+  const std::vector<std::pair<std::size_t, const char*>> cases = {
+      {55, "595615dbe4f0f407ae397d08b4c2cb870cb9b0e11937416f950c5160acf9c005"},
+      {56, "784f623b787495078e93ff28a25b581df0584055a7e71d8cd90c454716b92f51"},
+      {57, "808f0738aa4401bdee842e5a15a7baad5809f976d8eb6f9bd2683cebd2e8d671"},
+      {63, "5ca3e1ef5207490eac01a795e5cc94d59582a5118bf9534665c8668d87aa647c"},
+      {64, "2fcd5a0d60e4c941381fcc4e00a4bf8be422c3ddfafb93c809e8d1e2bfffae8e"},
+      {65, "1b3cd1877ab2f2f19f7be001722554f336cb799df0329de0bb4c118dc6abc06d"},
+      {119, "faef67da856d6fd9c8d12f9ed0a4fefd3cf0ce085ab43e2907418d457e3c354b"},
+      {120, "c9512b08619c19fbb503c7da6b46ef20301e5f7a7a5f43989182398536f5c5c8"},
+  };
+  for (const auto& [length, digest] : cases) {
+    std::string msg;
+    for (std::size_t i = 0; i < length; ++i)
+      msg.push_back(static_cast<char>('a' + i % 26));
+    EXPECT_EQ(sha256_hex(msg), digest) << "length " << length;
+  }
+}
+
+TEST(Sha256, SplitUpdatesMatchReferenceDigest) {
+  // Byte i is (7i + 3) mod 256; digest from Python's hashlib.
+  std::string msg;
+  for (int i = 0; i < 1000; ++i)
+    msg.push_back(static_cast<char>((7 * i + 3) % 256));
+  const char* expected =
+      "1e9bc38cbf860b9ec31918b065f9b52476c549a782e0e7990bed8ce3868d2371";
+  ASSERT_EQ(sha256_hex(msg), expected);
+  Rng rng(1009);
+  for (int trial = 0; trial < 50; ++trial) {
+    Sha256 h;
+    std::size_t done = 0;
+    while (done < msg.size()) {
+      const std::size_t take =
+          std::min<std::size_t>(msg.size() - done, rng.below(140));
+      h.update(msg.data() + done, take);
+      done += take;
+    }
+    EXPECT_EQ(h.hex_digest(), expected) << "trial " << trial;
   }
 }
 

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cpm/common/error.hpp"
 #include "cpm/common/rng.hpp"
 
@@ -106,8 +116,176 @@ TEST(JsonDump, PrettyPrintParses) {
 TEST(JsonDump, NumbersRoundTrip) {
   for (double v : {0.0, 1.0, -17.0, 0.1, 1e-9, 123456.789, 3.141592653589793}) {
     const Json j(v);
-    EXPECT_DOUBLE_EQ(Json::parse(j.dump()).as_number(), v) << j.dump();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Json::parse(j.dump()).as_number()),
+              std::bit_cast<std::uint64_t>(v))
+        << j.dump();
   }
+}
+
+// The number text the format defines: an integral |d| < 1e15 as that
+// integer, anything else as printf's "%.17g".
+std::string printf_number_text(double d) {
+  if (std::abs(d) < 1e15 && d == std::trunc(d))
+    return std::to_string(static_cast<long long>(d));
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+TEST(JsonDump, NumbersMatchPrintf) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                9007199254740992.0,   // 2^53
+                                -9007199254740992.0,
+                                9.3e18,               // past 2^63
+                                -9.3e18,
+                                1e300,
+                                -1e300,
+                                0.1,
+                                1.05,
+                                20110516.0};
+  for (const double edge : {1e15 - 1, 1e15, 1e15 + 1}) {
+    values.push_back(edge);
+    values.push_back(-edge);
+  }
+  Rng rng(271828);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double d = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  // Random bit patterns are almost never integral or short decimals.
+  for (int i = 0; i < 100'000; ++i) {
+    const auto n = static_cast<double>(rng.below(1ULL << 54)) - 9e15;
+    values.push_back(n);
+    values.push_back(n / 1000.0);
+  }
+  std::size_t mismatches = 0;
+  for (const double d : values) {
+    const std::string text = Json(d).dump();
+    if (text != printf_number_text(d) && ++mismatches <= 10)
+      ADD_FAILURE() << text << " != " << printf_number_text(d);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+}
+
+// A number token as the parser has always read it: the scanned bytes
+// copied and handed to strtod, which must use all of them and give a
+// finite value. Returns the value's bits, or the error message.
+std::string strtod_number(const std::string& token) {
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || !std::isfinite(value))
+    return "Json parse error at 1:" + std::to_string(token.size() + 1) +
+           ": invalid number '" + token + "'";
+  return std::to_string(std::bit_cast<std::uint64_t>(value));
+}
+
+std::string parsed_number(const std::string& token) {
+  try {
+    return std::to_string(
+        std::bit_cast<std::uint64_t>(Json::parse(token).as_number()));
+  } catch (const Error& e) {
+    return e.what();
+  }
+}
+
+// A random token in the scanner's grammar:
+// -?[0-9]+(.[0-9]*)?([eE][+-]?[0-9]*)?
+std::string random_number_token(Rng& rng) {
+  auto digits = [&rng](std::string& out, std::uint64_t max_count) {
+    const std::uint64_t count = rng.below(max_count + 1);
+    for (std::uint64_t i = 0; i < count; ++i)
+      out.push_back(static_cast<char>('0' + rng.below(10)));
+  };
+  std::string token;
+  if (rng.bernoulli(0.5)) token.push_back('-');
+  if (rng.bernoulli(0.2)) token.append(1 + rng.below(3), '0');
+  token.push_back(static_cast<char>('0' + rng.below(10)));
+  digits(token, rng.bernoulli(0.1) ? 40 : 8);
+  if (rng.bernoulli(0.6)) {
+    token.push_back('.');
+    digits(token, rng.bernoulli(0.1) ? 40 : 12);
+  }
+  if (rng.bernoulli(0.5)) {
+    token.push_back(rng.bernoulli(0.5) ? 'e' : 'E');
+    const auto sign = rng.below(3);
+    if (sign == 1) token.push_back('+');
+    if (sign == 2) token.push_back('-');
+    digits(token, 3);
+  }
+  return token;
+}
+
+TEST(JsonParse, NumbersMatchStrtod) {
+  std::vector<std::string> tokens = {
+      "0", "-0", "007", "-00.50", "1.", "-1.", "1.e5", "1e", "1E+", "1.5e+",
+      "2e-", "1e-400", "-1e-400", "-2.4e-324", "2.5e-324", "4.9e-324",
+      "1e400", "-1e400", "1.7976931348623157e308", "1.7976931348623159e308",
+      "2.2250738585072011e-308", "9007199254740993",
+      "123456789012345678901234567890", "0.1000000000000000055511151231257827"};
+  Rng rng(314159);
+  for (int i = 0; i < 200'000; ++i) tokens.push_back(random_number_token(rng));
+  std::size_t mismatches = 0;
+  for (const std::string& token : tokens) {
+    const std::string expected = strtod_number(token);
+    if (parsed_number(token) != expected && ++mismatches <= 10)
+      ADD_FAILURE() << token << ": " << parsed_number(token)
+                    << " != " << expected;
+    // Inside a document the token is followed by more bytes, which the
+    // parse must not read.
+    if (expected.find("invalid") == std::string::npos) {
+      const Json arr = Json::parse("[" + token + ",9]");
+      EXPECT_EQ(std::to_string(std::bit_cast<std::uint64_t>(
+                    arr.at(std::size_t{0}).as_number())),
+                expected)
+          << token;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << tokens.size();
+}
+
+TEST(JsonParse, NestingAtTheLimitParses) {
+  const int n = Json::kMaxNesting;
+  const Json arr =
+      Json::parse(std::string(static_cast<std::size_t>(n), '[') +
+                  std::string(static_cast<std::size_t>(n), ']'));
+  EXPECT_TRUE(arr.is_array());
+  std::string obj;
+  for (int i = 0; i < n; ++i) obj += "{\"a\":";
+  obj += "1";
+  obj.append(static_cast<std::size_t>(n), '}');
+  EXPECT_EQ(Json::parse(obj).at("a").size(), 1u);
+}
+
+TEST(JsonParse, NestingPastTheLimitThrows) {
+  const int n = Json::kMaxNesting + 1;
+  try {
+    (void)Json::parse(std::string(static_cast<std::size_t>(n), '[') +
+                      std::string(static_cast<std::size_t>(n), ']'));
+    ADD_FAILURE() << "array nesting " << n << " parsed";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Json parse error at 1:257: nesting deeper than 256 levels");
+  }
+  std::string obj = "\n";
+  for (int i = 0; i < n; ++i) obj += "{\"a\":";
+  obj += "1";
+  obj.append(static_cast<std::size_t>(n), '}');
+  try {
+    (void)Json::parse(obj);
+    ADD_FAILURE() << "object nesting " << n << " parsed";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Json parse error at 2:1281: nesting deeper than 256 levels");
+  }
+  // Far past the limit: a positioned error, not a stack overflow.
+  EXPECT_THROW((void)Json::parse(std::string(100'000, '[')), Error);
+  EXPECT_THROW((void)Json::parse(std::string(100'000, '{')), Error);
 }
 
 TEST(JsonDump, StringEscaping) {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "cpm/common/hash.hpp"
+
 namespace cpm::resilience {
 namespace {
 
@@ -124,6 +126,22 @@ TEST_F(JournalTest, GarbageLinesAreCountedNotFatal) {
   const auto replay = RunJournal::replay(fs_, path_);
   EXPECT_TRUE(replay.found);
   EXPECT_EQ(replay.dropped, 2u);
+  ASSERT_EQ(replay.records.size(), 1u);
+}
+
+TEST_F(JournalTest, DeeplyNestedLineIsDropped) {
+  // A line whose checksum holds but whose payload nests far past
+  // Json::kMaxNesting is dropped, not a stack overflow.
+  RunJournal journal(fs_, path_);
+  journal.begin(header());
+  const std::string payload(100'000, '[');
+  fs_.append(path_, "\n" + sha256_hex(payload).substr(0, 16) + " " +
+                        payload + "\n");
+  journal.append(point(0, 1.0));
+
+  const auto replay = RunJournal::replay(fs_, path_);
+  EXPECT_TRUE(replay.found);
+  EXPECT_EQ(replay.dropped, 1u);
   ASSERT_EQ(replay.records.size(), 1u);
 }
 

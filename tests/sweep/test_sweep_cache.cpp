@@ -100,6 +100,19 @@ TEST_F(SweepCacheTest, CorruptEntryIsAMiss) {
   EXPECT_FALSE(cache.load(key).has_value());
 }
 
+TEST_F(SweepCacheTest, DeeplyNestedEntryIsAMiss) {
+  // Nesting far past Json::kMaxNesting must fail the parse, not the stack.
+  const ResultCache cache(options_in(dir_));
+  const std::string key = key_of("nested");
+  cache.store(key, "evaluate", result_doc(4.0));
+  {
+    std::ofstream out(cache.path_for(key), std::ios::trunc);
+    out << "{\"engine\": \"cpm-sweep-engine/1\", \"result\": "
+        << std::string(200'000, '[');
+  }
+  EXPECT_FALSE(cache.load(key).has_value());
+}
+
 TEST_F(SweepCacheTest, ForeignFileIsAMiss) {
   const ResultCache cache(options_in(dir_));
   const std::string key = key_of("foreign");

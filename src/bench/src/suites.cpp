@@ -6,13 +6,14 @@
 #include "cpm/online/estimator.hpp"
 #include "cpm/online/scenario.hpp"
 #include "cpm/online/timeline.hpp"
+#include "cpm/sim/event_heap.hpp"
 
 namespace cpm::bench {
 
 namespace {
 
-/// p1 — library micro/meso benchmarks: the simulator hot path, the event
-/// queue, the analytic evaluator, the replication pool, one optimizer and
+/// p1 — library micro/meso benchmarks: the simulator hot path, its event
+/// heap, the analytic evaluator, the replication pool, one optimizer and
 /// the JSON layer, emitted as the machine-diffable cpm-bench/v1 document
 /// the CI gate consumes.
 std::vector<BenchCase> p1_suite(const BenchOptions& options) {
@@ -20,11 +21,11 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // with the E/A experiment binaries. Quick cases are sized to >= ~20 ms
   // each: shorter runs put scheduler jitter on shared runners at the
   // same magnitude as the regression tolerance and the CI gate flakes.
-  const double sim_horizon = options.quick ? 2000.0 : 20000.0;
-  const int queue_events = options.quick ? 100000 : 1000000;
-  const int analytic_rounds = options.quick ? 500 : 5000;
-  const int replications = options.quick ? 8 : 16;
-  const int optimizer_solves = options.quick ? 1 : 5;
+  const double sim_horizon = options.quick ? 3000.0 : 20000.0;
+  const int heap_events = options.quick ? 150000 : 1000000;
+  const int analytic_rounds = options.quick ? 2000 : 5000;
+  const int replications = options.quick ? 24 : 16;
+  const int optimizer_solves = options.quick ? 4 : 5;
   const int json_rounds = options.quick ? 24 : 240;
   const std::uint64_t seed = validation_settings().seed;
 
@@ -40,13 +41,17 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
       }});
 
   cases.push_back(BenchCase{
-      "event_queue_schedule_run", [queue_events](Recorder& rec) {
-        sim::EventQueue q;
+      "event_heap_push_pop", [heap_events](Recorder& rec) {
+        sim::FourAryHeap<std::uint64_t> heap;
         Rng rng(7);
-        for (int i = 0; i < queue_events; ++i)
-          q.schedule(rng.uniform(0.0, 1.0e6), [] {});
-        while (!q.empty()) q.run_next();
-        rec.count("events", queue_events);
+        for (int i = 0; i < heap_events; ++i) {
+          const auto seq = static_cast<std::uint64_t>(i);
+          heap.push(rng.uniform(0.0, 1.0e6), seq, seq);
+        }
+        std::uint64_t sum = 0;
+        while (!heap.empty()) sum += heap.pop().payload;
+        require(sum > 0, "event_heap_push_pop: degenerate result");
+        rec.count("events", heap_events);
       }});
 
   cases.push_back(BenchCase{

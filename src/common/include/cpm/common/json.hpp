@@ -15,10 +15,13 @@
 // error, so hostile bytes cannot exhaust the stack.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cpm {
@@ -73,6 +76,20 @@ class Json {
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string fallback) const;
 
+  /// The number as an integer in [lo, hi] (hi defaults to T's maximum).
+  /// Throws cpm::Error naming the value unless it is finite, integral and
+  /// inside the range, so no document reaches an undefined float-to-integer
+  /// cast.
+  template <class T>
+  [[nodiscard]] T as_integer(T lo,
+                             T hi = std::numeric_limits<T>::max()) const;
+  /// Member `key` through as_integer, or `fallback` when absent.
+  template <class T>
+  [[nodiscard]] T integer_or(const std::string& key, T fallback, T lo,
+                             T hi = std::numeric_limits<T>::max()) const {
+    return contains(key) ? at(key).as_integer(lo, hi) : fallback;
+  }
+
   /// Array element access; throws when not an array / out of range.
   [[nodiscard]] const Json& at(std::size_t index) const;
   [[nodiscard]] std::size_t size() const;
@@ -82,6 +99,8 @@ class Json {
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
+  [[noreturn]] void throw_not_integer(const std::string& lo,
+                                      const std::string& hi) const;
 
   Type type_;
   bool bool_ = false;
@@ -91,5 +110,20 @@ class Json {
   std::shared_ptr<JsonArray> arr_;
   std::shared_ptr<JsonObject> obj_;
 };
+
+template <class T>
+T Json::as_integer(T lo, T hi) const {
+  static_assert(std::is_integral_v<T>);
+  const double v = as_number();
+  // 2^digits is the first value past T's range, and exact as a double.
+  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double min = std::is_signed_v<T> ? -past_max : 0.0;
+  if (v >= min && v < past_max &&
+      v == std::floor(v)) {  // conv-ok: CONV-5 (integrality test)
+    const auto t = static_cast<T>(v);
+    if (t >= lo && t <= hi) return t;
+  }
+  throw_not_integer(std::to_string(lo), std::to_string(hi));
+}
 
 }  // namespace cpm

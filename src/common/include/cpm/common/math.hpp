@@ -6,34 +6,6 @@
 
 namespace cpm {
 
-/// Compensated (Kahan) summation; the queueing evaluators sum many terms of
-/// wildly different magnitude near saturation.
-class KahanSum {
- public:
-  void add(double x);
-  [[nodiscard]] double value() const { return sum_; }
-
- private:
-  double sum_ = 0.0;
-  double comp_ = 0.0;
-};
-
-/// |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
-bool approx_equal(double a, double b, double rel_tol = 1e-9, double abs_tol = 1e-12);
-
-/// log(n!) via lgamma; Erlang formulas need factorials beyond double range.
-double log_factorial(unsigned n);
-
-/// Sum of a vector with compensation.
-double sum(const std::vector<double>& xs);
-
-/// Dot product; sizes must match.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Elementwise clamp of `x` into [lo, hi] boxes; sizes must match.
-std::vector<double> clamp_box(std::vector<double> x, const std::vector<double>& lo,
-                              const std::vector<double>& hi);
-
 /// Linearly spaced grid of `n` points from `lo` to `hi` inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, std::size_t n);
 

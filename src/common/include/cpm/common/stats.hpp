@@ -9,7 +9,7 @@
 //                       (queue length, utilisation, instantaneous power).
 //   P2Quantile        — Jain & Chlamtac's P^2 streaming quantile estimator,
 //                       used for percentile-SLA reporting.
-// BatchMeans + confidence_interval turn correlated within-run samples into
+// confidence_interval turns independent replication means into
 // defensible confidence intervals.
 #pragma once
 
@@ -115,26 +115,6 @@ class P2Quantile {
   std::array<double, 5> desired_{};
   std::array<double, 5> increments_{};
   std::vector<double> warmup_;  // first <5 samples, kept sorted
-};
-
-/// Groups a correlated sample stream into fixed-count batches whose means
-/// are (approximately) independent, enabling classical CIs on steady-state
-/// simulation output.
-class BatchMeans {
- public:
-  explicit BatchMeans(std::size_t batch_size);
-
-  void add(double x);
-  [[nodiscard]] std::size_t completed_batches() const { return batch_means_.size(); }
-  [[nodiscard]] const std::vector<double>& batch_means() const { return batch_means_; }
-  /// Mean over completed batches.
-  [[nodiscard]] double grand_mean() const;
-
- private:
-  std::size_t batch_size_;
-  std::size_t in_batch_ = 0;
-  double batch_sum_ = 0.0;
-  std::vector<double> batch_means_;
 };
 
 /// Two-sided confidence interval half-width for the mean of `values`

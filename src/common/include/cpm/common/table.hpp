@@ -2,8 +2,7 @@
 //
 // Every bench binary reproduces one paper table/figure by printing rows; a
 // shared formatter keeps that output uniform and lets EXPERIMENTS.md quote
-// it verbatim. Tables render either as aligned ASCII (for terminals) or CSV
-// (for downstream plotting).
+// it verbatim. Tables render as aligned ASCII.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +34,7 @@ class Table {
 
   /// Renders with a header rule and right-aligned numeric-looking cells.
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -60,6 +60,14 @@ std::string Json::string_or(const std::string& key, std::string fallback) const 
   return contains(key) ? at(key).as_string() : std::move(fallback);
 }
 
+void Json::throw_not_integer(const std::string& lo, const std::string& hi) const {
+  // Shortest round-trip text: the value as the document most likely wrote it.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, num_);
+  throw Error("Json: " + std::string(buf, res.ptr) +
+              " is not an integer in [" + lo + ", " + hi + "]");
+}
+
 const Json& Json::at(std::size_t index) const {
   const auto& arr = as_array();
   require(index < arr.size(), "Json: array index out of range");

@@ -1,45 +1,11 @@
 #include "cpm/common/math.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "cpm/common/error.hpp"
 #include "cpm/common/stats.hpp"  // normal_quantile
 
 namespace cpm {
-
-void KahanSum::add(double x) {
-  const double y = x - comp_;
-  const double t = sum_ + y;
-  comp_ = (t - sum_) - y;
-  sum_ = t;
-}
-
-bool approx_equal(double a, double b, double rel_tol, double abs_tol) {
-  return std::abs(a - b) <= abs_tol + rel_tol * std::max(std::abs(a), std::abs(b));
-}
-
-double log_factorial(unsigned n) { return std::lgamma(static_cast<double>(n) + 1.0); }
-
-double sum(const std::vector<double>& xs) {
-  KahanSum k;
-  for (double x : xs) k.add(x);
-  return k.value();
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  require(a.size() == b.size(), "dot: size mismatch");
-  KahanSum k;
-  for (std::size_t i = 0; i < a.size(); ++i) k.add(a[i] * b[i]);
-  return k.value();
-}
-
-std::vector<double> clamp_box(std::vector<double> x, const std::vector<double>& lo,
-                              const std::vector<double>& hi) {
-  require(x.size() == lo.size() && x.size() == hi.size(), "clamp_box: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::clamp(x[i], lo[i], hi[i]);
-  return x;
-}
 
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
   require(n >= 2, "linspace: need at least 2 points");

@@ -132,26 +132,6 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-BatchMeans::BatchMeans(std::size_t batch_size) : batch_size_(batch_size) {
-  require(batch_size >= 1, "BatchMeans: batch size must be >= 1");
-}
-
-void BatchMeans::add(double x) {
-  batch_sum_ += x;
-  if (++in_batch_ == batch_size_) {
-    batch_means_.push_back(batch_sum_ / static_cast<double>(batch_size_));
-    batch_sum_ = 0.0;
-    in_batch_ = 0;
-  }
-}
-
-double BatchMeans::grand_mean() const {
-  if (batch_means_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double m : batch_means_) sum += m;
-  return sum / static_cast<double>(batch_means_.size());
-}
-
 double ConfidenceInterval::relative() const {
   if (mean == 0.0) return std::numeric_limits<double>::infinity();
   return half_width / std::abs(mean);

@@ -83,27 +83,9 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-}
-
 std::string Table::to_string() const {
   std::ostringstream oss;
   print(oss);
-  return oss.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream oss;
-  print_csv(oss);
   return oss.str();
 }
 

@@ -67,11 +67,6 @@ FrequencyOptResult minimize_power_with_class_delay_bounds(
 FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
                                               units::Watts power_budget);
 
-/// Baseline for P-E: no DVFS — every tier at f_max; feasible iff the delay
-/// bound(s) hold there.
-FrequencyOptResult no_dvfs_baseline(
-    const ClusterModel& model, const std::vector<units::Seconds>& class_bounds);
-
 /// Result of the integer provisioning optimisation.
 struct CostOptResult {
   std::vector<int> servers;

@@ -32,7 +32,7 @@ Distribution distribution_from_json(const Json& json) {
   if (kind == "exponential")
     return Distribution::exponential(json.at("mean").as_number());
   if (kind == "erlang")
-    return Distribution::erlang(static_cast<int>(json.at("k").as_number()),
+    return Distribution::erlang(json.at("k").as_integer(1),
                                 json.at("mean").as_number());
   if (kind == "gamma")
     return Distribution::gamma(json.at("shape").as_number(),
@@ -136,8 +136,8 @@ Json power_to_json(const power::ServerPower& sp) {
 int tier_index(const Json& ref, const std::vector<Tier>& tiers,
                const std::string& cls_name) {
   if (ref.is_number()) {
-    const int idx = static_cast<int>(ref.as_number());
-    if (idx < 0 || static_cast<std::size_t>(idx) >= tiers.size())
+    const int idx = ref.as_integer(0);
+    if (static_cast<std::size_t>(idx) >= tiers.size())
       throw Error("model_io: class '" + cls_name +
                   "' routes to tier index out of range");
     return idx;
@@ -160,7 +160,7 @@ ClusterModel model_from_json(const Json& json) {
   for (const auto& tj : json.at("tiers").as_array()) {
     Tier t;
     t.name = tj.at("name").as_string();
-    t.servers = static_cast<int>(tj.number_or("servers", 1.0));
+    t.servers = tj.integer_or("servers", 1, 1);
     t.discipline = discipline_from_name(tj.string_or("discipline", "np-priority"));
     t.power = power_from_json(tj);
     t.server_cost = tj.number_or("server_cost", 1.0);

@@ -233,22 +233,6 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
   return finish(model, freqs_at(t), true);
 }
 
-FrequencyOptResult no_dvfs_baseline(
-    const ClusterModel& model,
-    const std::vector<units::Seconds>& class_bounds) {
-  require(class_bounds.size() == model.num_classes(),
-          "no_dvfs_baseline: one bound per class required");
-  FrequencyOptResult r = finish(model, model.max_frequencies(), true);
-  if (!r.evaluation.stable) return r;
-  for (std::size_t k = 0; k < class_bounds.size(); ++k) {
-    if (r.evaluation.net.e2e_delay[k] > class_bounds[k]) {
-      r.feasible = false;
-      break;
-    }
-  }
-  return r;
-}
-
 CostOptResult minimize_cost_for_slas(const ClusterModel& model,
                                      const CostOptOptions& options) {
   require(options.max_servers_per_tier >= 1,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 
 #include "cpm/common/error.hpp"
 
@@ -77,28 +78,27 @@ ScenarioFault fault_from_json(const Json& json) {
   require(fault.time >= 0.0, "scenario: fault time must be >= 0");
   fault.tier = json.at("tier").as_string();
   fault.kind = fault_kind_from_name(json.at("kind").as_string());
-  fault.value = static_cast<int>(json.at("value").as_number());
+  fault.value = json.at("value").as_integer(std::numeric_limits<int>::min());
   return fault;
 }
 
 void controller_from_json(const Json& json, ControllerOptions& opts) {
   require(json.is_object(), "scenario: 'controller' must be an object");
   opts.hysteresis = json.number_or("hysteresis", opts.hysteresis);
-  opts.drift_windows =
-      static_cast<int>(json.number_or("drift_windows", opts.drift_windows));
-  opts.cooldown_windows = static_cast<int>(
-      json.number_or("cooldown_windows", opts.cooldown_windows));
+  opts.drift_windows = json.integer_or("drift_windows", opts.drift_windows, 1);
+  opts.cooldown_windows =
+      json.integer_or("cooldown_windows", opts.cooldown_windows, 0);
   opts.ewma_alpha = json.number_or("ewma_alpha", opts.ewma_alpha);
-  opts.estimator_windows = static_cast<std::size_t>(json.number_or(
-      "estimator_windows", static_cast<double>(opts.estimator_windows)));
-  opts.levels = static_cast<int>(json.number_or("levels", opts.levels));
+  opts.estimator_windows = json.integer_or<std::size_t>(
+      "estimator_windows", opts.estimator_windows, 1);
+  opts.levels = json.integer_or("levels", opts.levels, 2);
   opts.rate_headroom = json.number_or("rate_headroom", opts.rate_headroom);
   if (json.contains("size_servers"))
     opts.size_servers = json.at("size_servers").as_bool();
-  opts.max_servers_per_tier = static_cast<int>(
-      json.number_or("max_servers_per_tier", opts.max_servers_per_tier));
+  opts.max_servers_per_tier =
+      json.integer_or("max_servers_per_tier", opts.max_servers_per_tier, 1);
   opts.max_server_step =
-      static_cast<int>(json.number_or("max_server_step", opts.max_server_step));
+      json.integer_or("max_server_step", opts.max_server_step, 1);
   opts.max_freq_step =
       units::hertz(json.number_or("max_freq_step", opts.max_freq_step.value()));
   opts.server_switch_cost_j = units::joules(
@@ -124,7 +124,7 @@ Scenario scenario_from_json(const Json& json) {
           "scenario: warmup must be in [0, horizon)");
   s.window = json.number_or("window", s.window);
   require(s.window > 0.0, "scenario: window must be positive");
-  s.seed = static_cast<std::uint64_t>(json.number_or("seed", 1.0));
+  s.seed = json.integer_or<std::uint64_t>("seed", 1, 0);
 
   if (json.contains("arrivals"))
     for (const auto& a : json.at("arrivals").as_array())

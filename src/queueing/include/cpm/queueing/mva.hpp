@@ -8,9 +8,6 @@
 //   * exact_mva            — the exact single-class MVA recursion for
 //                            product-form networks (queueing + delay
 //                            stations);
-//   * approximate_mva      — the Bard–Schweitzer fixed point for multiple
-//                            closed classes (exact MVA is exponential in
-//                            class count);
 //   * asymptotic_bounds    — operational-analysis bounds: X(N) <=
 //                            min(1/D_max, N/(D_total + Z)) and the knee
 //                            population N*.
@@ -35,13 +32,6 @@ struct ClosedStation {
   int servers = 1;
 };
 
-/// One closed customer class.
-struct ClosedClass {
-  std::string name;
-  int population = 1;       ///< N_k concurrent users
-  double think_time = 0.0;  ///< Z_k between completing and resubmitting
-};
-
 struct MvaResult {
   /// Per-class throughput X_k (requests/second).
   std::vector<double> throughput;
@@ -51,8 +41,6 @@ struct MvaResult {
   std::vector<std::vector<double>> queue_len;
   /// Per station: total utilisation (busy servers / servers).
   std::vector<double> station_utilization;
-  int iterations = 0;
-  bool converged = false;
 };
 
 /// Exact MVA for ONE closed class. `demands[i]` is the total service
@@ -61,14 +49,6 @@ struct MvaResult {
 MvaResult exact_mva(const std::vector<ClosedStation>& stations,
                     const std::vector<double>& demands, int population,
                     double think_time);
-
-/// Bard–Schweitzer approximate MVA for multiple classes.
-/// `demands[k][i]` = class-k demand at station i. Fixed-point iteration to
-/// `tol` on queue lengths.
-MvaResult approximate_mva(const std::vector<ClosedStation>& stations,
-                          const std::vector<ClosedClass>& classes,
-                          const std::vector<std::vector<double>>& demands,
-                          double tol = 1e-10, int max_iter = 10000);
 
 /// Operational-analysis asymptotes for a single class.
 struct AsymptoticBounds {

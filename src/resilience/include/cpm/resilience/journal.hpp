@@ -53,6 +53,16 @@ class RunJournal {
   /// appending to the survivor.
   void begin(const Json& header) CPM_EXCLUDES(mutex_);
 
+  /// The resume handshake. With `resume`, replays the journal: a survivor
+  /// whose header equals `header` (each header fingerprints its run) is
+  /// returned, and appends continue it; any other header throws
+  /// IoError(kCorrupt) "<what>: journal '<path>' belongs to a different
+  /// run (header mismatch)". Without `resume`, or with no survivor header,
+  /// begins a fresh journal and returns no records (`dropped` still counts
+  /// the bad lines of a survivor).
+  JournalReplay resume_or_begin(const Json& header, bool resume,
+                                const std::string& what) CPM_EXCLUDES(mutex_);
+
   /// Appends one checksummed record and flushes it to the kernel.
   /// Thread-safe; transient failures are retried per the policy.
   void append(const Json& record) CPM_EXCLUDES(mutex_);

@@ -1,7 +1,5 @@
 #include "cpm/resilience/fault_plan.hpp"
 
-#include <cmath>
-
 #include "cpm/common/error.hpp"
 
 namespace cpm::resilience {
@@ -41,10 +39,7 @@ FaultPlan fault_plan_from_json(const Json& doc) {
   require(doc.string_or("schema", "") == "cpm-fault-plan/v1",
           "fault plan: schema must be \"cpm-fault-plan/v1\"");
   FaultPlan plan;
-  double seed = doc.number_or("seed", 0.0);
-  require(seed >= 0.0 && seed == std::floor(seed),
-          "fault plan: seed must be a non-negative integer");
-  plan.seed = static_cast<std::uint64_t>(seed);
+  plan.seed = doc.integer_or<std::uint64_t>("seed", 0, 0);
   if (!doc.contains("rules")) return plan;
   const Json& rules = doc.at("rules");
   require(rules.is_array(), "fault plan: rules must be an array");
@@ -58,14 +53,8 @@ FaultPlan fault_plan_from_json(const Json& doc) {
                   "' (expected *|read|write|append|remove|mkdir|list)");
     rule.path = r.string_or("path", "");
     rule.kind = fault_kind_from_name(r.string_or("kind", "eio"));
-    double after = r.number_or("after", 0.0);
-    require(after >= 0.0 && after == std::floor(after),
-            "fault plan: rule 'after' must be a non-negative integer");
-    rule.after = static_cast<std::uint64_t>(after);
-    double count = r.number_or("count", 0.0);
-    require(count >= 0.0 && count == std::floor(count),
-            "fault plan: rule 'count' must be a non-negative integer");
-    rule.count = static_cast<std::uint64_t>(count);
+    rule.after = r.integer_or<std::uint64_t>("after", 0, 0);
+    rule.count = r.integer_or<std::uint64_t>("count", 0, 0);
     rule.probability = r.number_or("probability", 1.0);
     require(rule.probability >= 0.0 && rule.probability <= 1.0,
             "fault plan: rule 'probability' must be in [0, 1]");

@@ -52,6 +52,21 @@ void RunJournal::begin(const Json& header) {
       sleeper_);
 }
 
+JournalReplay RunJournal::resume_or_begin(const Json& header, bool resume,
+                                         const std::string& what) {
+  JournalReplay survivor;
+  if (resume) survivor = replay(fs_, path_);
+  if (survivor.header.is_null()) {
+    begin(header);
+    return survivor;
+  }
+  if (survivor.header.dump() != header.dump())
+    throw IoError(IoErrorKind::kCorrupt,
+                  what + ": journal '" + path_ +
+                      "' belongs to a different run (header mismatch)");
+  return survivor;
+}
+
 void RunJournal::append(const Json& record) {
   std::string line = frame(record);
   MutexLock lock(mutex_);

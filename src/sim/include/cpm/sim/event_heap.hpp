@@ -1,19 +1,14 @@
-// 4-ary min-heaps for the discrete-event hot path.
+// 4-ary min-heap for the discrete-event hot path.
 //
-// Both heaps order entries by (time, seq): the sequence number breaks ties
+// Entries are ordered by (time, seq): the sequence number breaks ties
 // deterministically in insertion order, which keeps simulations bit-for-bit
 // reproducible. A 4-ary layout halves the tree height of the old binary
 // heap and keeps sibling keys in one or two cache lines, which measurably
 // cuts pop cost at simulator queue depths (dozens to thousands of pending
 // events). Sift operations move a hole instead of swapping whole entries,
-// so each displaced entry is moved exactly once.
-//
-//  - FourAryHeap<Payload>: the plain, fastest variant. Used by the
-//    simulator, whose POD events never need to be found again (stale
-//    completions are invalidated by token, not removed).
-//  - IndexedFourAryHeap<Payload>: adds stable handles so a pending entry
-//    can be retargeted (`decrease-key` — in fact any retiming) or
-//    cancelled in O(log4 n). Backs EventQueue::reschedule/cancel.
+// so each displaced entry is moved exactly once. The simulator's POD
+// events never need to be found again (stale completions are invalidated
+// by token, not removed), so the heap keeps no handles.
 #pragma once
 
 #include <algorithm>
@@ -90,135 +85,6 @@ class FourAryHeap {
   }
 
   std::vector<Entry> slots_;
-};
-
-/// Handle-tracking variant: push returns an id that stays valid until the
-/// entry is popped or cancelled; ids are recycled.
-template <class Payload>
-class IndexedFourAryHeap {
- public:
-  using Handle = std::uint64_t;
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  struct Entry {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    Handle id = 0;
-    Payload payload{};
-  };
-
-  [[nodiscard]] bool empty() const { return slots_.empty(); }
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-  [[nodiscard]] const Entry& top() const { return slots_.front(); }
-  /// True while `id` refers to a pending (not yet popped/cancelled) entry.
-  [[nodiscard]] bool contains(Handle id) const {
-    return id < pos_.size() && pos_[id] != kNone;
-  }
-  /// Scheduled time of a pending entry (precondition: contains(id)).
-  [[nodiscard]] double time_of(Handle id) const { return slots_[pos_[id]].time; }
-
-  Handle push(double time, std::uint64_t seq, Payload payload) {
-    Handle id;
-    if (!free_ids_.empty()) {
-      id = free_ids_.back();
-      free_ids_.pop_back();
-    } else {
-      id = pos_.size();
-      pos_.push_back(kNone);
-    }
-    slots_.push_back(Entry{time, seq, id, std::move(payload)});
-    pos_[id] = slots_.size() - 1;
-    sift_up(slots_.size() - 1);
-    return id;
-  }
-
-  Entry pop() {
-    Entry out = std::move(slots_.front());
-    pos_[out.id] = kNone;
-    free_ids_.push_back(out.id);
-    detach_back(0);
-    return out;
-  }
-
-  /// Moves a pending entry to a new time (earlier OR later) while keeping
-  /// its payload and handle. The entry's seq is replaced with `new_seq` so
-  /// callers control where it lands among equal-time peers.
-  void retime(Handle id, double new_time, std::uint64_t new_seq) {
-    const std::size_t i = pos_[id];
-    const bool earlier =
-        new_time < slots_[i].time ||
-        (new_time == slots_[i].time && new_seq < slots_[i].seq);
-    slots_[i].time = new_time;
-    slots_[i].seq = new_seq;
-    if (earlier)
-      sift_up(i);
-    else
-      sift_down(i);
-  }
-
-  /// Removes a pending entry by handle.
-  void erase(Handle id) {
-    const std::size_t i = pos_[id];
-    pos_[id] = kNone;
-    free_ids_.push_back(id);
-    detach_back(i);
-  }
-
- private:
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
-  /// Fills the hole at `i` with the last slot and restores heap order.
-  void detach_back(std::size_t i) {
-    Entry last = std::move(slots_.back());
-    slots_.pop_back();
-    if (i >= slots_.size()) return;  // removed the last slot itself
-    slots_[i] = std::move(last);
-    pos_[slots_[i].id] = i;
-    // The moved entry may need to travel either way from the hole. When
-    // sift_up displaces it, the ancestor left at `i` already precedes the
-    // whole subtree, so the follow-up sift_down is a cheap no-op.
-    sift_up(i);
-    sift_down(i);
-  }
-
-  void sift_up(std::size_t i) {
-    Entry e = std::move(slots_[i]);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(e, slots_[parent])) break;
-      slots_[i] = std::move(slots_[parent]);
-      pos_[slots_[i].id] = i;
-      i = parent;
-    }
-    slots_[i] = std::move(e);
-    pos_[slots_[i].id] = i;
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = slots_.size();
-    Entry e = std::move(slots_[i]);
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (before(slots_[c], slots_[best])) best = c;
-      if (!before(slots_[best], e)) break;
-      slots_[i] = std::move(slots_[best]);
-      pos_[slots_[i].id] = i;
-      i = best;
-    }
-    slots_[i] = std::move(e);
-    pos_[slots_[i].id] = i;
-  }
-
-  std::vector<Entry> slots_;
-  std::vector<std::size_t> pos_;    ///< handle -> slot index (kNone = free)
-  std::vector<Handle> free_ids_;
 };
 
 }  // namespace cpm::sim

@@ -11,34 +11,11 @@
 #include <functional>
 #include <vector>
 
-#include "cpm/common/mutex.hpp"
 #include "cpm/common/stats.hpp"
 #include "cpm/common/units.hpp"
 #include "cpm/sim/simulator.hpp"
 
 namespace cpm::sim {
-
-/// Live progress counters for a replicate() run, updated by every pool
-/// worker as its replication finishes (Thread Safety Analysis proves the
-/// locking discipline). Purely observational: readers see monotonically
-/// growing counts, and nothing read from here feeds any aggregate, so
-/// polling mid-run can never perturb the deterministic result.
-class ReplicationProgress {
- public:
-  /// Called by a worker when one replication completes.
-  void record(std::uint64_t events_fired) CPM_EXCLUDES(mutex_);
-
-  /// Replications finished so far.
-  [[nodiscard]] std::uint64_t completed() const CPM_EXCLUDES(mutex_);
-
-  /// Simulation events fired across the finished replications.
-  [[nodiscard]] std::uint64_t events_fired() const CPM_EXCLUDES(mutex_);
-
- private:
-  mutable Mutex mutex_;
-  std::uint64_t completed_ CPM_GUARDED_BY(mutex_) = 0;
-  std::uint64_t events_fired_ CPM_GUARDED_BY(mutex_) = 0;
-};
 
 /// Everything the replicate() aggregation needs from one finished
 /// replication, flattened so a checkpoint layer (cpm::resilience's run
@@ -68,9 +45,6 @@ RepSummary summarize_replication(const SimResult& result);
 struct ReplicationOptions {
   int replications = 10;
   int threads = 0;         ///< 0 = std::thread::hardware_concurrency()
-  double confidence = 0.95;
-  /// Optional progress observer; must outlive the replicate() call.
-  ReplicationProgress* progress = nullptr;
   /// Resume hook: called once per replication index before simulating.
   /// Returning true (and filling the summary) marks the replication as
   /// already done — the simulation is skipped and the stored summary
@@ -114,10 +88,10 @@ std::vector<std::uint64_t> replication_seeds(std::uint64_t base_seed,
                                              int replications);
 
 /// Runs `options.replications` independent copies of `base` (seeds derived
-/// from base.seed via replication_seeds) and aggregates. Extra threads
-/// beyond the replication count are not spawned. Throws cpm::Error for
-/// replications < 2 (no variance estimate would exist) or a confidence
-/// level outside (0, 1).
+/// from base.seed via replication_seeds) and aggregates every metric to a
+/// 95% Student-t confidence interval. Extra threads beyond the replication
+/// count are not spawned. Throws cpm::Error for replications < 2 (no
+/// variance estimate would exist).
 ReplicatedResult replicate(const SimConfig& base, const ReplicationOptions& options = {});
 
 }  // namespace cpm::sim

@@ -27,7 +27,6 @@
 #include "cpm/common/units.hpp"
 #include "cpm/common/stats.hpp"
 #include "cpm/queueing/network.hpp"
-#include "cpm/sim/event_queue.hpp"
 #include "cpm/workload/rate_schedule.hpp"
 
 namespace cpm::sim {
@@ -144,8 +143,6 @@ struct SimConfig {
   double warmup_time = 0.0;   ///< statistics collected only after this
   double end_time = 1000.0;   ///< simulation horizon (model time)
   std::uint64_t seed = 1;
-  /// Optional cap on completed requests counted after warm-up; 0 = none.
-  std::uint64_t max_completions = 0;
   /// Record every counted completion's (time, E2E delay) in order — the
   /// input of the MSER warm-up rule (cpm/sim/warmup.hpp). Off by default:
   /// it costs memory proportional to the number of completions.

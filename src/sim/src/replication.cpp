@@ -8,21 +8,12 @@
 
 namespace cpm::sim {
 
-void ReplicationProgress::record(std::uint64_t events_fired) {
-  const MutexLock lock(mutex_);
-  completed_ += 1;
-  events_fired_ += events_fired;
-}
+namespace {
 
-std::uint64_t ReplicationProgress::completed() const {
-  const MutexLock lock(mutex_);
-  return completed_;
-}
+/// Confidence level of every interval replicate reports.
+constexpr double kConfidence = 0.95;
 
-std::uint64_t ReplicationProgress::events_fired() const {
-  const MutexLock lock(mutex_);
-  return events_fired_;
-}
+}  // namespace
 
 std::vector<std::uint64_t> replication_seeds(std::uint64_t base_seed,
                                              int replications) {
@@ -64,8 +55,6 @@ RepSummary summarize_replication(const SimResult& result) {
 ReplicatedResult replicate(const SimConfig& base, const ReplicationOptions& options) {
   validate_config(base);
   require(options.replications >= 2, "replicate: need >= 2 replications");
-  require(options.confidence > 0.0 && options.confidence < 1.0,
-          "replicate: confidence must lie in (0, 1)");
   const auto n_reps = static_cast<std::size_t>(options.replications);
 
   // Every aggregate reads from the flat summaries (not SimResult), so a
@@ -107,7 +96,6 @@ ReplicatedResult replicate(const SimConfig& base, const ReplicationOptions& opti
           const SimResult result = simulate(cfg);
           summaries[i] = summarize_replication(result);
           if (options.checkpoint) options.checkpoint(i, summaries[i]);
-          if (options.progress) options.progress->record(result.events_fired);
         });
   }
 
@@ -123,7 +111,7 @@ ReplicatedResult replicate(const SimConfig& base, const ReplicationOptions& opti
     std::vector<double> xs;
     xs.reserve(n_reps);
     for (const auto& s : summaries) xs.push_back(metric(s));
-    return confidence_interval(xs, options.confidence);
+    return confidence_interval(xs, kConfidence);
   };
 
   for (std::size_t k = 0; k < n_classes; ++k) {

@@ -177,7 +177,7 @@ struct EvPayload {
 
 class Simulation {
  public:
-  explicit Simulation(SimConfig& config) : cfg_(config) {
+  explicit Simulation(const SimConfig& config) : cfg_(config) {
     validate_config(config);
     const std::size_t n_stations = cfg_.stations.size();
     const std::size_t n_classes = cfg_.classes.size();
@@ -425,21 +425,8 @@ class Simulation {
         }
       }
       if (victim < st.in_service.size()) {
-        InService victim_entry = st.in_service[victim];
-        st.in_service.erase(st.in_service.begin() +
-                            static_cast<std::ptrdiff_t>(victim));
+        preempt(s, victim);
         update_busy_signals(s);
-        // The scheduled completion for this token becomes a no-op. The
-        // remaining WORK is the remaining wall time at the current speed.
-        victim_entry.job->service_remaining =
-            (victim_entry.finish_time - now_) * st.speed;
-        // Close the victim's energy segment: it drew power while serving.
-        victim_entry.job->energy_joules +=
-            st.dynamic_watts * (now_ - victim_entry.segment_start);
-        const std::size_t q = victim_entry.job->cls;
-        st.queues[q].push_front(victim_entry.job);
-        ++st.waiting;
-        update_queue_len(s);
         start_service(s, job);
         return;
       }
@@ -447,6 +434,25 @@ class Simulation {
 
     const std::size_t q = st.discipline == Discipline::kFcfs ? 0 : job->cls;
     st.queues[q].push_back(job);
+    ++st.waiting;
+    update_queue_len(s);
+  }
+
+  /// Returns the job in service slot i of station s to the front of its
+  /// queue. Its scheduled completion becomes a no-op (stale token); the
+  /// remaining WORK is the remaining wall time at the current speed, and
+  /// its energy segment closes now. The caller updates the busy signals.
+  void preempt(std::size_t s, std::size_t i) {
+    auto& st = stations_[s];
+    const InService entry = st.in_service[i];
+    st.in_service.erase(st.in_service.begin() +
+                        static_cast<std::ptrdiff_t>(i));
+    entry.job->service_remaining = (entry.finish_time - now_) * st.speed;
+    entry.job->energy_joules +=
+        st.dynamic_watts * (now_ - entry.segment_start);
+    const std::size_t q =
+        st.discipline == Discipline::kFcfs ? 0 : entry.job->cls;
+    st.queues[q].push_front(entry.job);
     ++st.waiting;
     update_queue_len(s);
   }
@@ -656,21 +662,10 @@ class Simulation {
       ++completed_[k];
       if (cfg_.record_completions)
         completions_.push_back(CompletionRecord{now_, units::seconds(delay), k});
-      if (cfg_.max_completions > 0) {
-        std::uint64_t total = 0;
-        for (auto c : completed_) total += c;
-        if (total >= cfg_.max_completions) truncate_horizon();
-      }
     }
     arena_.release(job);
     // Closed class: the user goes back to thinking, then resubmits.
     if (cfg_.classes[k].population > 0) start_think(k);
-  }
-
-  void truncate_horizon() {
-    // Stop the run: pending events beyond "now" never fire because the
-    // main loop re-checks cfg_.end_time before every event.
-    cfg_.end_time = now_;
   }
 
   void update_queue_len(std::size_t s) {
@@ -817,19 +812,7 @@ class Simulation {
       for (std::size_t i = 1; i < st.in_service.size(); ++i)
         if (st.in_service[i].job->cls >= st.in_service[victim].job->cls)
           victim = i;
-      InService entry = st.in_service[victim];
-      st.in_service.erase(st.in_service.begin() +
-                          static_cast<std::ptrdiff_t>(victim));
-      // The scheduled completion for this token becomes a no-op; remaining
-      // WORK is the remaining wall time at the current speed.
-      entry.job->service_remaining = (entry.finish_time - now_) * st.speed;
-      entry.job->energy_joules +=
-          st.dynamic_watts * (now_ - entry.segment_start);
-      const std::size_t q =
-          st.discipline == Discipline::kFcfs ? 0 : entry.job->cls;
-      st.queues[q].push_front(entry.job);
-      ++st.waiting;
-      update_queue_len(s);
+      preempt(s, victim);
     }
     update_busy_signals(s);
     dispatch(s);  // growing: hand the new servers to waiting jobs
@@ -972,7 +955,7 @@ class Simulation {
     return r;
   }
 
-  SimConfig& cfg_;
+  const SimConfig& cfg_;
   FourAryHeap<EvPayload> heap_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;
@@ -1006,8 +989,7 @@ class Simulation {
 }  // namespace
 
 SimResult simulate(const SimConfig& config) {
-  SimConfig local = config;  // simulate may truncate the horizon
-  Simulation sim(local);
+  Simulation sim(config);
   return sim.run();
 }
 

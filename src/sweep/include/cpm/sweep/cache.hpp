@@ -13,9 +13,9 @@
 // SHA-256 of the compact result serialisation. All I/O goes through the
 // cpm::FileSystem seam: writes are atomic (temp + rename) and retried
 // per the configured RetryPolicy; a store that still fails degrades to a
-// counted no-op (the sweep recomputes next time) instead of aborting the
-// run. Reads treat every failure — unreadable file, torn JSON, checksum
-// mismatch, foreign entry — as a miss, never as an error.
+// no-op that run_sweep counts (the sweep recomputes next time) instead of
+// aborting the run. Reads treat every failure — unreadable file, torn
+// JSON, checksum mismatch, foreign entry — as a miss, never as an error.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 
 #include "cpm/common/fs.hpp"
 #include "cpm/common/json.hpp"
-#include "cpm/common/mutex.hpp"
 #include "cpm/resilience/retry.hpp"
 
 namespace cpm::sweep {
@@ -55,17 +54,6 @@ struct CacheStats {
   std::map<std::string, std::size_t> by_engine;
 };
 
-/// What one ResultCache instance did during its lifetime. Counters are
-/// per-instance (not per-directory): two sweeps sharing a directory each
-/// see only their own traffic.
-struct CacheActivity {
-  std::uint64_t loads = 0;           ///< load() calls while enabled
-  std::uint64_t hits = 0;            ///< loads that returned a result
-  std::uint64_t misses = 0;          ///< loads that returned nullopt
-  std::uint64_t stores = 0;          ///< entries published
-  std::uint64_t store_failures = 0;  ///< stores abandoned after retries
-};
-
 class ResultCache {
  public:
   explicit ResultCache(CacheOptions options);
@@ -83,28 +71,19 @@ class ResultCache {
 
   /// Persists a point result under `key` (no-op when disabled).
   /// Transient write failures are retried; a store that still cannot
-  /// publish is dropped and counted in CacheActivity::store_failures —
-  /// a lossy cache is slower, never wrong.
-  void store(const std::string& key, const std::string& pipeline_kind,
+  /// publish is dropped and returns false, which run_sweep counts in
+  /// RunStats::store_failures — a lossy cache is slower, never wrong.
+  /// Returns true when the entry was published or the cache is disabled.
+  bool store(const std::string& key, const std::string& pipeline_kind,
              const Json& result) const;
 
   /// Walks the cache directory and aggregates entry statistics.
   [[nodiscard]] CacheStats stat() const;
 
-  /// Snapshot of this instance's hit/miss/store counters. The counters
-  /// are updated from every pool worker, so they live behind a mutex
-  /// (Thread Safety Analysis enforces the locking discipline).
-  [[nodiscard]] CacheActivity activity() const CPM_EXCLUDES(mutex_);
-
  private:
-  /// Reads and validates the on-disk entry (no counter updates).
-  [[nodiscard]] std::optional<Json> read_entry(const std::string& key) const;
-
   [[nodiscard]] FileSystem& filesystem() const;
 
   CacheOptions options_;
-  mutable Mutex mutex_;
-  mutable CacheActivity activity_ CPM_GUARDED_BY(mutex_);
 };
 
 /// $CPM_SWEEP_CACHE when set, else ".cpm-sweep-cache" (relative to the

@@ -50,8 +50,8 @@ struct RunOptions {
   /// Replay `journal_path` before running: points with a valid journal
   /// record are restored verbatim (zero recomputation), the rest run
   /// normally. The final document is byte-identical to an uninterrupted
-  /// run. A journal from a different sweep (spec_hash/engine/shard
-  /// mismatch) raises IoError(kCorrupt).
+  /// run. A journal from a different sweep (any header difference: spec
+  /// hash, engine, shard or seed) raises IoError(kCorrupt).
   bool resume = false;
 };
 
@@ -70,6 +70,8 @@ struct RunStats {
   std::size_t cache_hits = 0;
   std::size_t restored = 0;         ///< points restored from the journal
   std::size_t journal_dropped = 0;  ///< torn/corrupt journal lines skipped
+  /// Computed points the cache could not store, even after retries.
+  std::size_t store_failures = 0;
   double wall_seconds = 0.0;
   unsigned threads_used = 1;
   std::vector<PointStats> points;

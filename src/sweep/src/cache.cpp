@@ -31,16 +31,6 @@ std::string ResultCache::path_for(const std::string& key) const {
 
 std::optional<Json> ResultCache::load(const std::string& key) const {
   if (!options_.enabled) return std::nullopt;
-  std::optional<Json> result = read_entry(key);
-  {
-    const MutexLock lock(mutex_);
-    ++activity_.loads;
-    ++(result ? activity_.hits : activity_.misses);
-  }
-  return result;
-}
-
-std::optional<Json> ResultCache::read_entry(const std::string& key) const {
   std::string text;
   try {
     text = filesystem().read(path_for(key));
@@ -65,10 +55,10 @@ std::optional<Json> ResultCache::read_entry(const std::string& key) const {
   }
 }
 
-void ResultCache::store(const std::string& key,
+bool ResultCache::store(const std::string& key,
                         const std::string& pipeline_kind,
                         const Json& result) const {
-  if (!options_.enabled) return;
+  if (!options_.enabled) return true;
   JsonObject entry;
   entry["engine"] = Json(options_.engine_salt);
   entry["key"] = Json(key);
@@ -83,19 +73,11 @@ void ResultCache::store(const std::string& key,
         [&] { filesystem().write_atomic(path, content); });
   } catch (const IoError&) {
     // Publication failed even after retries. The cache is an
-    // accelerator, not a ledger: drop the entry, count the failure, and
+    // accelerator, not a ledger: drop the entry, report the failure, and
     // let a future run recompute the point.
-    const MutexLock lock(mutex_);
-    ++activity_.store_failures;
-    return;
+    return false;
   }
-  const MutexLock lock(mutex_);
-  ++activity_.stores;
-}
-
-CacheActivity ResultCache::activity() const {
-  const MutexLock lock(mutex_);
-  return activity_;
+  return true;
 }
 
 CacheStats ResultCache::stat() const {

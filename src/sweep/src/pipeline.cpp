@@ -1,6 +1,5 @@
 #include "cpm/sweep/pipeline.hpp"
 
-#include <cmath>
 #include <optional>
 #include <set>
 #include <string>
@@ -29,13 +28,6 @@ std::size_t class_index(const core::ClusterModel& model,
   for (std::size_t i = 0; i < model.num_classes(); ++i)
     if (model.classes()[i].name == name) return i;
   throw Error("sweep: no class named '" + name + "'");
-}
-
-int as_positive_int(double v, const std::string& what) {
-  const double rounded = std::floor(v);
-  if (!(rounded == v && v >= 1.0))  // conv-ok: CONV-5 (integrality test)
-    throw Error("sweep: " + what + " must be a positive integer");
-  return static_cast<int>(rounded);
 }
 
 /// A swept value with a fixed pipeline-option fallback.
@@ -126,7 +118,7 @@ Json run_optimize_delay(const Json& pipeline, const core::ClusterModel& model,
   } else {
     budget = lookup_required(params, pipeline, "power_budget");
   }
-  const int levels = static_cast<int>(pipeline.number_or("levels", 0));
+  const int levels = pipeline.integer_or("levels", 0, 0);
   const auto r =
       levels > 0 ? core::minimize_delay_with_power_budget_discrete(
                        model, units::watts(budget), levels)
@@ -167,7 +159,7 @@ Json run_optimize_power(const Json& pipeline, const core::ClusterModel& model,
   } else {
     bound = lookup_required(params, pipeline, "delay_bound");
   }
-  const int levels = static_cast<int>(pipeline.number_or("levels", 0));
+  const int levels = pipeline.integer_or("levels", 0, 0);
   const auto r = levels > 0
                      ? core::minimize_power_with_delay_bound_discrete(
                            model, units::seconds(bound), levels)
@@ -199,7 +191,7 @@ Json run_size(const Json& pipeline, const core::ClusterModel& model,
               const PointParams& params) {
   core::CostOptOptions opts;
   if (const auto v = lookup(params, pipeline, "max_servers"))
-    opts.max_servers_per_tier = as_positive_int(*v, "max_servers");
+    opts.max_servers_per_tier = Json(*v).as_integer(1);
   opts.greedy_only =
       pipeline.contains("greedy") && pipeline.at("greedy").as_bool();
   const auto r = core::minimize_cost_for_slas(model, opts);
@@ -234,7 +226,7 @@ Json run_simulate(const Json& pipeline, const core::ClusterModel& model,
   const double end_time = pipeline.number_or("time", 1000.0);
   const double warmup = pipeline.number_or("warmup", end_time * 0.1);
   sim::ReplicationOptions rep;
-  rep.replications = static_cast<int>(pipeline.number_or("reps", 4));
+  rep.replications = pipeline.integer_or("reps", 4, 2);
   // Points already run in parallel across the sweep pool; nesting the
   // replication pool on top would oversubscribe the machine.
   rep.threads = 1;
@@ -304,7 +296,7 @@ MvaSetup mva_setup(const Json& pipeline) {
     queueing::ClosedStation station;
     station.name = s.at("name").as_string();
     station.is_delay = s.contains("delay") && s.at("delay").as_bool();
-    station.servers = as_positive_int(s.number_or("servers", 1), "servers");
+    station.servers = s.integer_or("servers", 1, 1);
     setup.stations.push_back(station);
     setup.demands.push_back(s.at("demand").as_number());
   }
@@ -316,8 +308,8 @@ MvaSetup mva_setup(const Json& pipeline) {
 Json run_mva(const Json& pipeline, const PointParams& params,
              std::uint64_t seed) {
   const auto setup = mva_setup(pipeline);
-  const int population = as_positive_int(
-      lookup_required(params, pipeline, "population"), "population");
+  const int population =
+      Json(lookup_required(params, pipeline, "population")).as_integer(1);
   const double think =
       lookup(params, pipeline, "think_time")
           .value_or(pipeline.number_or("think", 0.0));
@@ -390,8 +382,7 @@ core::ClusterModel apply_model_params(const core::ClusterModel& base,
     if (name.rfind("servers:", 0) != 0) continue;
     if (servers.empty())
       for (const auto& t : model.tiers()) servers.push_back(t.servers);
-    servers[tier_index(model, name.substr(8))] =
-        as_positive_int(value, "'" + name + "'");
+    servers[tier_index(model, name.substr(8))] = Json(value).as_integer(1);
   }
   if (!servers.empty()) model = model.with_servers(servers);
 

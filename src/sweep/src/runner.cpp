@@ -172,6 +172,7 @@ RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
     Json result;
     bool cached = false;
     bool restored = false;
+    bool store_failed = false;
     double wall_seconds = 0.0;
   };
   std::vector<PendingPoint> owned;
@@ -199,55 +200,36 @@ RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
   if (!options.journal_path.empty()) {
     journal = std::make_unique<resilience::RunJournal>(
         fs, options.journal_path, options.cache.retry);
-    bool continuing = false;
-    if (options.resume) {
-      const resilience::JournalReplay replay =
-          resilience::RunJournal::replay(fs, options.journal_path);
-      stats.journal_dropped = replay.dropped;
-      if (replay.found && !replay.header.is_null()) {
-        const Json& h = replay.header;
-        if (h.string_or("schema", "") != "cpm-journal/v1" ||
-            h.string_or("kind", "") != "sweep" ||
-            h.string_or("spec_hash", "") != fingerprint ||
-            h.string_or("engine", "") != salt ||
-            static_cast<int>(h.number_or("shard_index", 0)) !=
-                options.shard.index ||
-            static_cast<int>(h.number_or("shard_count", 0)) !=
-                options.shard.count) {
-          throw IoError(IoErrorKind::kCorrupt,
-                        "sweep resume: journal '" + options.journal_path +
-                            "' belongs to a different sweep or shard "
-                            "(header mismatch)");
-        }
-        continuing = true;
-        // Index completed points by grid index; the key must also match
-        // (defence in depth against a reused journal path).
-        std::map<std::size_t, const Json*> by_index;
-        for (const Json& rec : replay.records) {
-          by_index[static_cast<std::size_t>(rec.number_or("index", -1.0))] =
-              &rec;
-        }
-        for (PendingPoint& p : owned) {
-          auto it = by_index.find(p.index);
-          if (it == by_index.end()) continue;
-          if (it->second->string_or("key", "") != p.key) continue;
-          if (!it->second->contains("result")) continue;
-          p.result = it->second->at("result");
-          p.restored = true;
-          ++stats.restored;
-        }
+    JsonObject header;
+    header["schema"] = Json("cpm-journal/v1");
+    header["kind"] = Json("sweep");
+    header["spec_hash"] = Json(fingerprint);
+    header["engine"] = Json(salt);
+    header["shard_index"] = Json(options.shard.index);
+    header["shard_count"] = Json(options.shard.count);
+    header["seed"] = Json(static_cast<double>(spec.seed));
+    const resilience::JournalReplay replay = journal->resume_or_begin(
+        Json(std::move(header)), options.resume, "sweep resume");
+    stats.journal_dropped = replay.dropped;
+    // Index completed points by grid index; the key must also match
+    // (defence in depth against a reused journal path). A record without
+    // a valid index is skipped, and its point recomputed.
+    std::map<std::size_t, const Json*> by_index;
+    for (const Json& rec : replay.records) {
+      try {
+        by_index[rec.at("index").as_integer<std::size_t>(0)] = &rec;
+      } catch (const Error&) {
+        continue;  // no usable index: the point is recomputed
       }
     }
-    if (!continuing) {
-      JsonObject header;
-      header["schema"] = Json("cpm-journal/v1");
-      header["kind"] = Json("sweep");
-      header["spec_hash"] = Json(fingerprint);
-      header["engine"] = Json(salt);
-      header["shard_index"] = Json(options.shard.index);
-      header["shard_count"] = Json(options.shard.count);
-      header["seed"] = Json(static_cast<double>(spec.seed));
-      journal->begin(Json(std::move(header)));
+    for (PendingPoint& p : owned) {
+      auto it = by_index.find(p.index);
+      if (it == by_index.end()) continue;
+      if (it->second->string_or("key", "") != p.key) continue;
+      if (!it->second->contains("result")) continue;
+      p.result = it->second->at("result");
+      p.restored = true;
+      ++stats.restored;
     }
   }
 
@@ -283,7 +265,7 @@ RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
           const auto t_point = std::chrono::steady_clock::now();
           p.result = run_point(spec, model.get(), p.params, p.seed);
           p.wall_seconds = elapsed_seconds(t_point);
-          cache.store(p.key, kind, p.result);
+          p.store_failed = !cache.store(p.key, kind, p.result);
           journal_point(p);
         });
   }
@@ -317,6 +299,7 @@ RunResult run_sweep(const SweepSpec& spec, const RunOptions& options) {
     points.push_back(Json(std::move(pj)));
     stats.points.push_back(
         PointStats{p.index, p.cached, p.restored, p.wall_seconds});
+    if (p.store_failed) ++stats.store_failures;
   }
   doc["points"] = Json(std::move(points));
 
@@ -343,15 +326,19 @@ Json merge_shards(const std::vector<Json>& shard_documents) {
     if (!doc.contains("shard"))
       throw Error("sweep merge: document has no 'shard' field "
                   "(already merged or unsharded?)");
-    const int count = static_cast<int>(doc.at("shard").at("count").as_number());
-    const int index = static_cast<int>(doc.at("shard").at("index").as_number());
+    const int count = doc.at("shard").at("count").as_integer(1);
+    const int index = doc.at("shard").at("index").as_integer(1);
     if (shard_count == 0) {
       shard_count = count;
+      if (static_cast<std::size_t>(count) != shard_documents.size())
+        throw Error("sweep merge: expected " + std::to_string(count) +
+                    " shard documents, got " +
+                    std::to_string(shard_documents.size()));
       shards_seen.assign(static_cast<std::size_t>(count), false);
     }
     if (count != shard_count)
       throw Error("sweep merge: shards disagree on the shard count");
-    if (index < 1 || index > count)
+    if (index > count)
       throw Error("sweep merge: shard index out of range");
     auto seen = shards_seen[static_cast<std::size_t>(index - 1)];
     if (seen)
@@ -360,21 +347,14 @@ Json merge_shards(const std::vector<Json>& shard_documents) {
     shards_seen[static_cast<std::size_t>(index - 1)] = true;
 
     for (const auto& point : doc.at("points").as_array()) {
-      const auto idx =
-          static_cast<std::size_t>(point.at("index").as_number());
+      const auto idx = point.at("index").as_integer<std::size_t>(0);
       if (by_index.count(idx) > 0)
         throw Error("sweep merge: point " + std::to_string(idx) +
                     " appears in more than one shard");
       by_index[idx] = point;
     }
   }
-  if (shard_count != static_cast<int>(shard_documents.size()))
-    throw Error("sweep merge: expected " + std::to_string(shard_count) +
-                " shard documents, got " +
-                std::to_string(shard_documents.size()));
-
-  const auto total =
-      static_cast<std::size_t>(first.at("total_points").as_number());
+  const auto total = first.at("total_points").as_integer<std::size_t>(0);
   if (by_index.size() != total)
     throw Error("sweep merge: shards cover " +
                 std::to_string(by_index.size()) + " of " +
@@ -401,6 +381,7 @@ Json stats_to_json(const RunStats& stats) {
   doc["cache_hits"] = Json(static_cast<double>(stats.cache_hits));
   doc["restored"] = Json(static_cast<double>(stats.restored));
   doc["journal_dropped"] = Json(static_cast<double>(stats.journal_dropped));
+  doc["store_failures"] = Json(static_cast<double>(stats.store_failures));
   doc["cache_hit_rate"] =
       Json(stats.shard_points == 0
                ? 0.0

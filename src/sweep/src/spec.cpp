@@ -100,7 +100,7 @@ Axis axis_from_json(const Json& json) {
                   "': range axes need 'from', 'to' and 'steps'");
     axis.from = json.at("from").as_number();
     axis.to = json.at("to").as_number();
-    axis.steps = static_cast<int>(json.at("steps").as_number());
+    axis.steps = json.at("steps").as_integer(1);
   }
   // Validate eagerly so a bad axis fails at parse time, not mid-run.
   (void)axis.expand();
@@ -132,9 +132,7 @@ SweepSpec spec_from_json(const Json& json, const std::string& base_dir) {
 
   SweepSpec spec;
   spec.name = json.string_or("name", "sweep");
-  const double seed = json.number_or("seed", 20110516.0);
-  if (seed < 0.0) throw Error("sweep: seed must be non-negative");
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = json.integer_or<std::uint64_t>("seed", spec.seed, 0);
 
   spec.model = resolve_file_reference(json, "model", "model_file", base_dir);
 

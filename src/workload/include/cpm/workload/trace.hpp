@@ -49,13 +49,6 @@ class ArrivalTrace {
   /// over [first, last]. Slot rates are per unit time.
   [[nodiscard]] RateSchedule to_rate_schedule(std::size_t slots = 100) const;
 
-  /// Returns a copy with all timestamps multiplied by `time_factor`
-  /// (> 1 stretches / slows the trace, < 1 compresses / accelerates it).
-  [[nodiscard]] ArrivalTrace time_scaled(double time_factor) const;
-
-  /// Returns a copy shifted so the first arrival lands at `start`.
-  [[nodiscard]] ArrivalTrace shifted_to(double start) const;
-
  private:
   explicit ArrivalTrace(std::vector<double> times) : times_(std::move(times)) {}
   std::vector<double> times_;

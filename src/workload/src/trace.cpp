@@ -103,19 +103,4 @@ RateSchedule ArrivalTrace::to_rate_schedule(std::size_t slots) const {
   return RateSchedule(std::move(counts), duration);
 }
 
-ArrivalTrace ArrivalTrace::time_scaled(double time_factor) const {
-  require(time_factor > 0.0, "trace: time factor must be positive");
-  std::vector<double> times = times_;
-  for (double& t : times) t *= time_factor;
-  return ArrivalTrace(std::move(times));
-}
-
-ArrivalTrace ArrivalTrace::shifted_to(double start) const {
-  require(start >= 0.0, "trace: start must be >= 0");
-  const double delta = start - times_.front();
-  std::vector<double> times = times_;
-  for (double& t : times) t += delta;
-  return ArrivalTrace(std::move(times));
-}
-
 }  // namespace cpm::workload

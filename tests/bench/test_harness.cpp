@@ -92,7 +92,7 @@ TEST(Suites, P1IsKnownAndOthersAreRejected) {
   const auto cases = make_suite("p1", opt);
   ASSERT_EQ(cases.size(), 6u);
   EXPECT_EQ(cases[0].name, "sim_event_throughput");
-  EXPECT_EQ(cases[1].name, "event_queue_schedule_run");
+  EXPECT_EQ(cases[1].name, "event_heap_push_pop");
   EXPECT_EQ(cases[2].name, "analytic_evaluate");
   EXPECT_EQ(cases[3].name, "replication_throughput");
   EXPECT_EQ(cases[4].name, "optimizer_power_bound");

@@ -99,6 +99,45 @@ TEST(JsonAccessors, Fallbacks) {
   EXPECT_EQ(j.string_or("t", "d"), "d");
 }
 
+TEST(JsonAccessors, IntegersAreCheckedBeforeTheCast) {
+  const Json j = Json::parse(
+      R"({"n": 7, "neg": -5, "frac": 2.5, "huge": 1e300, "top": 2147483647,
+          "past": 2147483648, "u53": 9007199254740992})");
+  EXPECT_EQ(j.at("n").as_integer(0, 10), 7);
+  EXPECT_EQ(j.at("neg").as_integer(-5), -5);
+  EXPECT_EQ(j.at("top").as_integer(0), 2147483647);
+  EXPECT_EQ(j.at("u53").as_integer<std::uint64_t>(0), 9007199254740992u);
+  EXPECT_EQ(j.integer_or("n", 3, 0), 7);
+  EXPECT_EQ(j.integer_or("absent", 3, 0), 3);
+
+  auto message_of = [](auto convert) {
+    try {
+      (void)convert();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message_of([&] { return j.at("huge").as_integer<std::size_t>(0); }),
+            "Json: 1e+300 is not an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(message_of([&] { return j.at("neg").as_integer<std::uint64_t>(0); }),
+            "Json: -5 is not an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(message_of([&] { return j.at("frac").as_integer(1); }),
+            "Json: 2.5 is not an integer in [1, 2147483647]");
+  EXPECT_EQ(message_of([&] { return j.at("n").as_integer(0, 6); }),
+            "Json: 7 is not an integer in [0, 6]");
+  // 2^31 is one past int's range: rejected before any cast.
+  EXPECT_EQ(message_of([&] { return j.at("past").as_integer(0); }),
+            "Json: 2147483648 is not an integer in [0, 2147483647]");
+  EXPECT_THROW((void)Json(std::numeric_limits<double>::infinity()).as_integer(0),
+               Error);
+  EXPECT_THROW((void)Json(std::nan("")).as_integer(0), Error);
+  EXPECT_THROW((void)Json(18446744073709551616.0).as_integer<std::uint64_t>(0),
+               Error);
+  EXPECT_THROW((void)j.at("n").as_integer<std::string::size_type>(8), Error);
+  EXPECT_THROW((void)Json("7").as_integer(0), Error);
+}
+
 TEST(JsonDump, RoundTripsCompact) {
   const std::string doc = R"({"a":[1,2.5,"x"],"b":{"c":true,"d":null}})";
   const Json j = Json::parse(doc);

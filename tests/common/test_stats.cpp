@@ -117,16 +117,6 @@ TEST(P2Quantile, RejectsDegenerateQuantile) {
   EXPECT_THROW(P2Quantile(1.0), Error);
 }
 
-TEST(BatchMeans, GroupsCorrectly) {
-  BatchMeans bm(3);
-  for (int i = 1; i <= 10; ++i) bm.add(i);  // batches {1,2,3},{4,5,6},{7,8,9}
-  ASSERT_EQ(bm.completed_batches(), 3u);
-  EXPECT_DOUBLE_EQ(bm.batch_means()[0], 2.0);
-  EXPECT_DOUBLE_EQ(bm.batch_means()[1], 5.0);
-  EXPECT_DOUBLE_EQ(bm.batch_means()[2], 8.0);
-  EXPECT_DOUBLE_EQ(bm.grand_mean(), 5.0);
-}
-
 TEST(NormalQuantile, KnownValues) {
   EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-9);
   EXPECT_NEAR(normal_quantile(0.975), 1.959964, 1e-5);

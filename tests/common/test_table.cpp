@@ -33,12 +33,6 @@ TEST(Table, BuildsAndPrints) {
   EXPECT_NE(s.find("---"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.row().add(1).add(2);
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, RejectsOverflowAndIncompleteRows) {
   Table t({"only"});
   EXPECT_THROW(t.add("no row yet"), Error);

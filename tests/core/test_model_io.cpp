@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cpm/common/error.hpp"
 
@@ -152,6 +153,16 @@ TEST(ModelIo, SchemaErrorsAreSpecific) {
                  "route": [{"tier": 0, "service": {"dist": "cauchy"}}]}]
   })"),
                Error);
+  // Server counts are integers; no value reaches an unchecked cast.
+  for (const char* servers : {"1e300", "2.5"}) {
+    EXPECT_THROW(model_from_json_text(std::string(R"({
+      "tiers": [{"name": "a", "servers": )") + servers + R"(}],
+      "classes": [{"name": "c", "rate": 1,
+                   "route": [{"tier": 0, "service": {"mean": 0.1}}]}]
+    })"),
+                 Error)
+        << servers;
+  }
 }
 
 }  // namespace

@@ -144,16 +144,6 @@ TEST(EnergyOptimizer, PerClassTighterThanAggregate) {
   EXPECT_GE(per_class.power.value(), aggregate.power.value() - 0.5);
 }
 
-TEST(NoDvfsBaseline, FeasibleIffBoundsHoldAtMax) {
-  const auto model = make_enterprise_model(0.6);
-  const auto fast = model.evaluate(model.max_frequencies());
-  std::vector<units::Seconds> loose(model.num_classes(), units::seconds(100.0));
-  EXPECT_TRUE(no_dvfs_baseline(model, loose).feasible);
-  std::vector<units::Seconds> tight(
-      model.num_classes(), units::seconds(fast.net.e2e_delay[0].value() * 0.5));
-  EXPECT_FALSE(no_dvfs_baseline(model, tight).feasible);
-}
-
 TEST(CostOptimizer, MeetsAllSlas) {
   const auto model = make_enterprise_model(0.8);
   const auto r = minimize_cost_for_slas(model);

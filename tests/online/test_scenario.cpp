@@ -100,6 +100,11 @@ TEST(ScenarioParse, ExactErrorMessages) {
   EXPECT_EQ(error_of(R"({"faults": [{"time": -5, "tier": "db",
                                      "kind": "set-servers", "value": 1}]})"),
             "scenario: fault time must be >= 0");
+  // Integer fields are checked before any cast.
+  EXPECT_EQ(error_of(R"({"seed": -5})"),
+            "Json: -5 is not an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(error_of(R"({"controller": {"levels": 1e300}})"),
+            "Json: 1e+300 is not an integer in [2, 2147483647]");
 }
 
 TEST(BuildSchedule, ConstantScalesTheBaseRate) {

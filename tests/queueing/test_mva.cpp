@@ -85,46 +85,6 @@ TEST(ExactMva, ZeroPopulation) {
   EXPECT_DOUBLE_EQ(r.response_time[0], 0.0);
 }
 
-TEST(ApproximateMva, MatchesExactForSingleClass) {
-  // Bard-Schweitzer converges near the exact answer for one class.
-  const std::vector<double> demands = {0.2, 0.35};
-  for (int n : {1, 3, 10, 40}) {
-    const auto exact = exact_mva(two_queues(), demands, n, 1.0);
-    const auto approx = approximate_mva(
-        two_queues(), {ClosedClass{"c", n, 1.0}}, {demands});
-    ASSERT_TRUE(approx.converged) << n;
-    EXPECT_NEAR(approx.throughput[0], exact.throughput[0],
-                0.05 * exact.throughput[0])
-        << n;
-    EXPECT_NEAR(approx.response_time[0], exact.response_time[0],
-                0.10 * exact.response_time[0])
-        << n;
-  }
-}
-
-TEST(ApproximateMva, TwoClassesShareTheBottleneck) {
-  std::vector<ClosedClass> classes = {ClosedClass{"a", 10, 1.0},
-                                      ClosedClass{"b", 10, 1.0}};
-  std::vector<std::vector<double>> demands = {{0.30, 0.05}, {0.05, 0.30}};
-  const auto r = approximate_mva(two_queues(), classes, demands);
-  ASSERT_TRUE(r.converged);
-  // Symmetric problem: equal throughputs and responses.
-  EXPECT_NEAR(r.throughput[0], r.throughput[1], 1e-6);
-  EXPECT_NEAR(r.response_time[0], r.response_time[1], 1e-6);
-  // Total utilisation of each station below 1.
-  for (double u : r.station_utilization) EXPECT_LT(u, 1.0);
-}
-
-TEST(ApproximateMva, MorePopulationMoreResponse) {
-  double prev = 0.0;
-  for (int n : {2, 8, 32}) {
-    const auto r = approximate_mva(
-        two_queues(), {ClosedClass{"c", n, 0.5}}, {{0.2, 0.3}});
-    EXPECT_GT(r.response_time[0], prev);
-    prev = r.response_time[0];
-  }
-}
-
 TEST(AsymptoticBoundsTest, BoundExactMva) {
   const std::vector<double> demands = {0.2, 0.5};
   const auto b = asymptotic_bounds(two_queues(), demands, 1.0);
@@ -144,9 +104,6 @@ TEST(Mva, Validation) {
   EXPECT_THROW(exact_mva(two_queues(), {0.1, -0.1}, 1, 0.0), Error);
   EXPECT_THROW(exact_mva(two_queues(), {0.1, 0.1}, -1, 0.0), Error);
   EXPECT_THROW(exact_mva(two_queues(), {0.1, 0.1}, 1, -1.0), Error);
-  EXPECT_THROW(
-      approximate_mva(two_queues(), {ClosedClass{"c", 0, 0.0}}, {{0.1, 0.1}}),
-      Error);
 }
 
 }  // namespace

@@ -54,6 +54,40 @@ TEST_F(JournalTest, BeginAppendReplayRoundTrips) {
   EXPECT_EQ(replay.records[1].at("value").as_number(), 2.25);
 }
 
+TEST_F(JournalTest, ResumeOrBeginResumesRejectsOrBeginsAfresh) {
+  // No survivor: a fresh journal begins, with no records to restore.
+  RunJournal journal(fs_, path_);
+  const auto fresh = journal.resume_or_begin(header(), true, "test resume");
+  EXPECT_TRUE(fresh.records.empty());
+  journal.append(point(0, 1.5));
+
+  // A survivor with the same header resumes: its records come back and
+  // the file is kept.
+  const auto resumed = journal.resume_or_begin(header(), true, "test resume");
+  EXPECT_EQ(resumed.header.dump(), header().dump());
+  ASSERT_EQ(resumed.records.size(), 1u);
+  EXPECT_EQ(resumed.records[0].at("value").as_number(), 1.5);
+
+  // A survivor with any other header belongs to another run.
+  const Json other(JsonObject{{"schema", Json("cpm-journal/v1")},
+                              {"kind", Json("replicate")}});
+  try {
+    (void)journal.resume_or_begin(other, true, "test resume");
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kCorrupt);
+    EXPECT_EQ(std::string(e.what()).rfind("test resume: journal '", 0), 0u)
+        << e.what();
+  }
+
+  // Without resume the survivor is replaced.
+  const auto replaced = journal.resume_or_begin(other, false, "test resume");
+  EXPECT_TRUE(replaced.records.empty());
+  const auto replay = RunJournal::replay(fs_, path_);
+  EXPECT_EQ(replay.header.dump(), other.dump());
+  EXPECT_TRUE(replay.records.empty());
+}
+
 TEST_F(JournalTest, MissingFileIsNotFound) {
   const auto replay = RunJournal::replay(fs_, path_);
   EXPECT_FALSE(replay.found);

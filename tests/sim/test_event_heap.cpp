@@ -67,95 +67,5 @@ TEST(FourAryHeap, InterleavedPushPopKeepsOrder) {
   }
 }
 
-TEST(IndexedFourAryHeap, HandlesTrackEntriesAcrossSifts) {
-  IndexedFourAryHeap<int> h;
-  std::uint64_t seq = 0;
-  std::vector<IndexedFourAryHeap<int>::Handle> ids;
-  for (double t : {9.0, 3.0, 7.0, 1.0, 5.0})
-    ids.push_back(h.push(t, seq++, static_cast<int>(t)));
-  for (const auto id : ids) EXPECT_TRUE(h.contains(id));
-  EXPECT_EQ(h.time_of(ids[3]), 1.0);
-  EXPECT_EQ(h.time_of(ids[0]), 9.0);
-}
-
-TEST(IndexedFourAryHeap, DecreaseKeyMovesEntryForward) {
-  IndexedFourAryHeap<int> h;
-  std::uint64_t seq = 0;
-  h.push(10.0, seq++, 1);
-  const auto id = h.push(20.0, seq++, 2);
-  h.push(30.0, seq++, 3);
-  h.retime(id, 5.0, seq++);  // decrease-key: now earliest
-  EXPECT_EQ(h.pop().payload, 2);
-  EXPECT_EQ(h.pop().payload, 1);
-  EXPECT_EQ(h.pop().payload, 3);
-}
-
-TEST(IndexedFourAryHeap, IncreaseKeyMovesEntryBack) {
-  IndexedFourAryHeap<int> h;
-  std::uint64_t seq = 0;
-  const auto id = h.push(1.0, seq++, 1);
-  h.push(2.0, seq++, 2);
-  h.retime(id, 9.0, seq++);
-  EXPECT_EQ(h.pop().payload, 2);
-  EXPECT_EQ(h.pop().payload, 1);
-}
-
-TEST(IndexedFourAryHeap, EraseRemovesPendingEntry) {
-  IndexedFourAryHeap<int> h;
-  std::uint64_t seq = 0;
-  h.push(1.0, seq++, 1);
-  const auto id = h.push(2.0, seq++, 2);
-  h.push(3.0, seq++, 3);
-  h.erase(id);
-  EXPECT_FALSE(h.contains(id));
-  EXPECT_EQ(h.size(), 2u);
-  EXPECT_EQ(h.pop().payload, 1);
-  EXPECT_EQ(h.pop().payload, 3);
-}
-
-TEST(IndexedFourAryHeap, HandleIdsAreRecycledSafely) {
-  IndexedFourAryHeap<int> h;
-  std::uint64_t seq = 0;
-  const auto id1 = h.push(1.0, seq++, 1);
-  EXPECT_EQ(h.pop().payload, 1);
-  EXPECT_FALSE(h.contains(id1));
-  // The recycled id refers to the NEW entry, not the popped one.
-  const auto id2 = h.push(2.0, seq++, 2);
-  EXPECT_EQ(id1, id2);
-  EXPECT_TRUE(h.contains(id2));
-  EXPECT_EQ(h.time_of(id2), 2.0);
-}
-
-TEST(IndexedFourAryHeap, RandomRetimeEraseStress) {
-  IndexedFourAryHeap<std::size_t> h;
-  Rng rng(99);
-  std::uint64_t seq = 0;
-  std::vector<IndexedFourAryHeap<std::size_t>::Handle> live;
-  for (std::size_t i = 0; i < 3000; ++i) {
-    const double op = rng.uniform01();
-    if (op < 0.5 || live.empty()) {
-      live.push_back(h.push(rng.uniform(0.0, 1000.0), seq++, i));
-    } else if (op < 0.7) {
-      const auto idx = rng.below(live.size());
-      h.retime(live[idx], rng.uniform(0.0, 1000.0), seq++);
-    } else if (op < 0.85) {
-      const auto idx = rng.below(live.size());
-      h.erase(live[idx]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else {
-      const auto popped = h.pop().id;
-      live.erase(std::remove(live.begin(), live.end(), popped), live.end());
-    }
-  }
-  // Drain: times must come out non-decreasing and handles must die.
-  double last = -1.0;
-  while (!h.empty()) {
-    const auto e = h.pop();
-    EXPECT_GE(e.time, last);
-    last = e.time;
-    EXPECT_FALSE(h.contains(e.id));
-  }
-}
-
 }  // namespace
 }  // namespace cpm::sim

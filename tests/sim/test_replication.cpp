@@ -70,34 +70,6 @@ TEST(Replicate, RequiresTwoReplications) {
   EXPECT_THROW(replicate(base_config(), opts), Error);
 }
 
-TEST(Replicate, ProgressCountersMatchAggregates) {
-  ReplicationProgress progress;
-  ReplicationOptions opts;
-  opts.replications = 6;
-  opts.progress = &progress;
-  const auto r = replicate(base_config(), opts);
-  EXPECT_EQ(progress.completed(), 6u);
-  EXPECT_EQ(progress.events_fired(), r.total_events);
-}
-
-TEST(Replicate, ProgressIdenticalAcrossThreadCounts) {
-  ReplicationProgress serial_progress;
-  ReplicationOptions serial;
-  serial.replications = 6;
-  serial.threads = 1;
-  serial.progress = &serial_progress;
-
-  ReplicationProgress parallel_progress;
-  ReplicationOptions parallel = serial;
-  parallel.threads = 4;
-  parallel.progress = &parallel_progress;
-
-  replicate(base_config(), serial);
-  replicate(base_config(), parallel);
-  EXPECT_EQ(serial_progress.completed(), parallel_progress.completed());
-  EXPECT_EQ(serial_progress.events_fired(), parallel_progress.events_fired());
-}
-
 TEST(Replicate, StationUtilizationAggregated) {
   ReplicationOptions opts;
   opts.replications = 6;

@@ -99,14 +99,5 @@ TEST(Replicate, TenThousandReplicationsNeverExceedHardwareConcurrency) {
   EXPECT_TRUE(std::isfinite(r.mean_e2e_delay.mean));
 }
 
-TEST(Replicate, InvalidConfidenceIsRejected) {
-  sim::ReplicationOptions opt;
-  opt.replications = 2;
-  for (double bad : {0.0, 1.0, -0.5, 1.5}) {
-    opt.confidence = bad;
-    EXPECT_THROW(sim::replicate(small_config(1), opt), Error) << bad;
-  }
-}
-
 }  // namespace
 }  // namespace cpm

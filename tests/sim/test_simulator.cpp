@@ -204,14 +204,6 @@ TEST(Simulator, EnergyAccountingMatchesUtilization) {
   EXPECT_NEAR(r.classes[0].mean_e2e_energy.value(), 50.0 * 1.0, 0.05 * 50.0);
 }
 
-TEST(Simulator, MaxCompletionsTruncates) {
-  SimConfig cfg = mm1_config(0.5, 1.0);
-  cfg.max_completions = 100;
-  const auto r = simulate(cfg);
-  EXPECT_GE(r.classes[0].completed, 100u);
-  EXPECT_LE(r.classes[0].completed, 110u);  // small overshoot allowed
-}
-
 TEST(Simulator, WarmupExcludesTransient) {
   // With a warmup, jobs arriving before it are not counted.
   SimConfig cfg = mm1_config(0.5, 1.0);

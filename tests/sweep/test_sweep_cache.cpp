@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cpm/common/hash.hpp"
 
@@ -151,54 +149,6 @@ TEST_F(SweepCacheTest, StatOnMissingDirectoryIsEmpty) {
   const auto stats = cache.stat();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
-}
-
-TEST_F(SweepCacheTest, ActivityCountsHitsMissesAndStores) {
-  const ResultCache cache(options_in(dir_));
-  const std::string key = key_of("point");
-  EXPECT_FALSE(cache.load(key).has_value());
-  cache.store(key, "evaluate", result_doc(1.0));
-  EXPECT_TRUE(cache.load(key).has_value());
-  EXPECT_TRUE(cache.load(key).has_value());
-
-  const CacheActivity activity = cache.activity();
-  EXPECT_EQ(activity.loads, 3u);
-  EXPECT_EQ(activity.misses, 1u);
-  EXPECT_EQ(activity.hits, 2u);
-  EXPECT_EQ(activity.stores, 1u);
-}
-
-TEST_F(SweepCacheTest, ActivityIsPerInstanceAndSkipsDisabledLoads) {
-  const ResultCache writer(options_in(dir_));
-  writer.store(key_of("shared"), "evaluate", result_doc(1.0));
-
-  CacheOptions disabled = options_in(dir_);
-  disabled.enabled = false;
-  const ResultCache off(disabled);
-  EXPECT_FALSE(off.load(key_of("shared")).has_value());
-  EXPECT_EQ(off.activity().loads, 0u);  // disabled loads are not traffic
-
-  const ResultCache reader(options_in(dir_));
-  EXPECT_TRUE(reader.load(key_of("shared")).has_value());
-  EXPECT_EQ(reader.activity().hits, 1u);
-  EXPECT_EQ(writer.activity().loads, 0u);  // counters never shared
-}
-
-TEST_F(SweepCacheTest, ActivityCountersSurviveConcurrentTraffic) {
-  const ResultCache cache(options_in(dir_));
-  const std::string key = key_of("hot");
-  cache.store(key, "evaluate", result_doc(7.0));
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&cache, &key] {
-      for (int i = 0; i < 50; ++i) EXPECT_TRUE(cache.load(key).has_value());
-    });
-  for (auto& th : threads) th.join();
-  const CacheActivity activity = cache.activity();
-  EXPECT_EQ(activity.loads, 200u);
-  EXPECT_EQ(activity.hits, 200u);
-  EXPECT_EQ(activity.misses, 0u);
 }
 
 TEST(SweepCacheOptions, EmptyDirectoryFallsBackToDefault) {

@@ -132,6 +132,7 @@ TEST_F(SweepResilienceTest, PersistentStoreFailuresAreCountedNotFatal) {
 
   const auto result = run_sweep(spec, opts);
   EXPECT_EQ(result.stats.computed, result.stats.shard_points);
+  EXPECT_EQ(result.stats.store_failures, result.stats.shard_points);
   EXPECT_TRUE(real_filesystem().list_files(opts.cache.directory).empty());
 }
 
@@ -147,8 +148,9 @@ TEST_F(SweepResilienceTest, TransientStoreFaultsAreRetriedThrough) {
   opts.cache.fs = &faulty;
   opts.cache.retry.backoff_base = units::seconds(0.0);
 
-  run_sweep(spec, opts);
+  const auto result = run_sweep(spec, opts);
   EXPECT_EQ(faulty.injected(), 1u);
+  EXPECT_EQ(result.stats.store_failures, 0u);
   EXPECT_FALSE(real_filesystem().list_files(opts.cache.directory).empty());
   // Second run is served entirely from the now-complete cache.
   auto clean = options();
@@ -202,6 +204,37 @@ TEST_F(SweepResilienceTest, ResumeRecomputesPointsDroppedFromTheJournal) {
   EXPECT_EQ(resumed.stats.journal_dropped, 1u);
   EXPECT_EQ(resumed.stats.restored, resumed.stats.shard_points - 1);
   EXPECT_EQ(resumed.stats.computed, 1u);
+  EXPECT_EQ(resumed.document.dump(), full.document.dump());
+}
+
+TEST_F(SweepResilienceTest, ResumeRecomputesRecordsWithoutAValidIndex) {
+  const auto spec = tiny_spec();
+  auto opts = options();
+  opts.cache.enabled = false;
+  opts.journal_path = dir_ + "/run.journal";
+  const auto full = run_sweep(spec, opts);
+
+  // Rewrite the journal with valid checksums, but with one record that
+  // has no index and one whose index no integer holds.
+  FileSystem& fs = real_filesystem();
+  const auto replay = resilience::RunJournal::replay(fs, opts.journal_path);
+  ASSERT_EQ(replay.records.size(), full.stats.shard_points);
+  resilience::RunJournal journal(fs, opts.journal_path);
+  journal.begin(replay.header);
+  for (std::size_t i = 0; i < replay.records.size(); ++i) {
+    JsonObject rec = replay.records[i].as_object();
+    if (i == 0) rec.erase("index");
+    if (i == 1) rec["index"] = Json(1e300);
+    journal.append(Json(std::move(rec)));
+  }
+
+  // Both records are skipped and their points recomputed.
+  auto resume_opts = opts;
+  resume_opts.resume = true;
+  const auto resumed = run_sweep(spec, resume_opts);
+  EXPECT_EQ(resumed.stats.journal_dropped, 0u);
+  EXPECT_EQ(resumed.stats.computed, 2u);
+  EXPECT_EQ(resumed.stats.restored, resumed.stats.shard_points - 2);
   EXPECT_EQ(resumed.document.dump(), full.document.dump());
 }
 

@@ -71,15 +71,6 @@ TEST(ArrivalTrace, RateScheduleIntegratesToCount) {
   EXPECT_NEAR(expected, static_cast<double>(t.stats().count), 1.0);
 }
 
-TEST(ArrivalTrace, TimeScaleAndShift) {
-  const auto t = ArrivalTrace::from_timestamps({1.0, 2.0, 4.0});
-  const auto fast = t.time_scaled(0.5);
-  EXPECT_EQ(fast.timestamps(), (std::vector<double>{0.5, 1.0, 2.0}));
-  const auto moved = t.shifted_to(10.0);
-  EXPECT_EQ(moved.timestamps(), (std::vector<double>{10.0, 11.0, 13.0}));
-  EXPECT_THROW(t.time_scaled(0.0), Error);
-}
-
 TEST(TraceReplay, SimulatorReplaysExactCount) {
   const auto trace = ArrivalTrace::poisson(units::per_second(0.5), 1000.0, 11);
   sim::SimConfig cfg;

@@ -48,7 +48,7 @@ LAYERS: dict[str, list[str]] = {
     "check": ["certify", "common", "core", "lint", "queueing", "sim"],
     "sweep": ["check", "common", "core", "online", "queueing",
               "resilience", "sim"],
-    "bench": ["common", "core", "online"],
+    "bench": ["common", "core", "online", "sim"],
 }
 
 INCLUDE = re.compile(r'^\s*#\s*include\s+"cpm/([A-Za-z0-9_]+)/')

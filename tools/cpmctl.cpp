@@ -398,15 +398,15 @@ sim::RepSummary summary_from_json(const Json& j) {
     c.p95_e2e_delay = units::seconds(cj.at("p95_delay").as_number());
     c.mean_e2e_energy = units::joules(cj.at("mean_energy").as_number());
     c.blocking_probability = cj.at("blocking").as_number();
-    c.completed = static_cast<std::uint64_t>(cj.at("completed").as_number());
-    c.blocked = static_cast<std::uint64_t>(cj.at("blocked").as_number());
+    c.completed = cj.at("completed").as_integer<std::uint64_t>(0);
+    c.blocked = cj.at("blocked").as_integer<std::uint64_t>(0);
     s.classes.push_back(c);
   }
   s.mean_e2e_delay = units::seconds(j.at("mean_delay").as_number());
   s.cluster_avg_power = units::watts(j.at("power").as_number());
   for (const auto& u : j.at("utilization").as_array())
     s.station_utilization.push_back(u.as_number());
-  s.events_fired = static_cast<std::uint64_t>(j.at("events").as_number());
+  s.events_fired = j.at("events").as_integer<std::uint64_t>(0);
   return s;
 }
 
@@ -485,34 +485,21 @@ int cmd_simulate(const std::string& path, const Args& args) {
 
     journal = std::make_unique<resilience::RunJournal>(real_filesystem(),
                                                        *journal_flag);
-    bool have_survivor = false;
-    if (resume) {
-      const auto replay =
-          resilience::RunJournal::replay(real_filesystem(), *journal_flag);
-      if (replay.found && !replay.header.is_null()) {
-        if (replay.header.string_or("schema", "") != "cpm-journal/v1" ||
-            replay.header.string_or("kind", "") != "replicate" ||
-            replay.header.string_or("config", "") != config_sum)
-          throw IoError(IoErrorKind::kCorrupt,
-                        "simulate resume: journal '" + *journal_flag +
-                            "' belongs to a different run (header mismatch)");
-        have_survivor = true;
-        for (const auto& recj : replay.records) {
-          const double idx = recj.number_or("rep", -1.0);
-          if (idx < 0.0 || !recj.contains("summary")) continue;
-          const auto i = static_cast<std::size_t>(idx);
-          if (i < restored.size())
-            restored[i] = summary_from_json(recj.at("summary"));
-        }
+    JsonObject hdr;
+    hdr["schema"] = "cpm-journal/v1";
+    hdr["kind"] = "replicate";
+    hdr["config"] = config_sum;
+    hdr["reps"] = static_cast<double>(reps);
+    const auto replay = journal->resume_or_begin(Json(std::move(hdr)), resume,
+                                                 "simulate resume");
+    for (const auto& recj : replay.records) {
+      try {
+        const auto i = recj.at("rep").as_integer<std::size_t>(0);
+        if (i < restored.size())
+          restored[i] = summary_from_json(recj.at("summary"));
+      } catch (const Error&) {
+        continue;  // a record that does not convert: its replication reruns
       }
-    }
-    if (!have_survivor) {
-      JsonObject hdr;
-      hdr["schema"] = "cpm-journal/v1";
-      hdr["kind"] = "replicate";
-      hdr["config"] = config_sum;
-      hdr["reps"] = static_cast<double>(reps);
-      journal->begin(Json(std::move(hdr)));
     }
     rep.restore = [&restored](std::size_t i, sim::RepSummary& out) {
       if (i < restored.size() && restored[i]) {

@@ -3,8 +3,16 @@
 // The CLI front-end (tools/cpmctl) reads cluster models from JSON files;
 // the repro environment has no third-party JSON library, so this is a
 // small self-contained implementation of the JSON subset the model format
-// needs: null, booleans, finite doubles, strings (with \uXXXX escapes for
-// the BMP), arrays and objects. Parse errors carry line/column positions.
+// needs: null, booleans, finite doubles, strings, arrays and objects. Parse
+// errors carry line/column positions.
+//
+// A \uXXXX escape decodes to UTF-8: a BMP character to one to three bytes,
+// and a high surrogate escape followed by a low one (U+10000 to U+10FFFF)
+// to one four-byte sequence. A surrogate escape without its partner is a
+// parse error, so escapes never yield invalid UTF-8 and a parsed document
+// dumps back as UTF-8 JSON (RFC 8259 section 8.1). Unescaped bytes are
+// taken as they are; dump escapes only quotes, backslashes and control
+// characters.
 //
 // Number text is part of the cache-key and document formats, so it is
 // fixed byte for byte and does not depend on the locale: an integral

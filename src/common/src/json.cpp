@@ -84,6 +84,31 @@ std::size_t Json::size() const {
 
 namespace {
 
+/// True for a string character JSON text holds as itself: anything but a
+/// quote, a backslash or a control character.
+bool is_plain(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
+/// Appends code point `code` (at most 0x10FFFF) as UTF-8.
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -189,7 +214,9 @@ class Parser {
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      obj.emplace(std::move(key), parse_value());
+      // Documents list members in key order, so the end is the usual
+      // place; a duplicate key keeps the first member, as emplace does.
+      obj.emplace_hint(obj.end(), std::move(key), parse_value());
       skip_whitespace();
       const char c = next();
       if (c == '}') break;
@@ -226,53 +253,61 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && is_plain(text_[pos_])) ++pos_;
+      out.append(text_, run, pos_ - run);
       const char c = next();
       if (c == '"') return out;
-      if (c == '\\') {
-        const char esc = next();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid \\u escape");
-            }
-            // UTF-8 encode the BMP code point (surrogates unsupported).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            --pos_;
-            fail("invalid escape sequence");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         fail("unescaped control character in string");
-      } else {
-        out.push_back(c);
+      }
+      const char esc = next();
+      switch (esc) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': append_utf8(out, parse_code_point()); break;
+        default:
+          --pos_;
+          fail("invalid escape sequence");
       }
     }
+  }
+
+  /// The four hex digits of a \u escape.
+  unsigned parse_hex4() {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = next();
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+      else fail("invalid \\u escape");
+    }
+    return code;
+  }
+
+  /// The code point of a \u escape whose "\u" is consumed: a BMP
+  /// character, or a high surrogate whose low surrogate follows as a second
+  /// escape. A surrogate without its partner is an error at its escape.
+  unsigned parse_code_point() {
+    const std::size_t escape = pos_ - 2;
+    const unsigned code = parse_hex4();
+    if (code < 0xD800 || code > 0xDFFF) return code;
+    if (code <= 0xDBFF && consume_literal("\\u")) {
+      const unsigned low = parse_hex4();
+      if (low >= 0xDC00 && low <= 0xDFFF)
+        return 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    pos_ = escape;
+    fail("unpaired surrogate in \\u escape");
   }
 
   Json parse_number() {
@@ -318,7 +353,12 @@ class Parser {
 
 void dump_string(std::string& out, const std::string& s) {
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;  // first character not yet written
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (is_plain(c)) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -327,16 +367,14 @@ void dump_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out.push_back('"');
 }
 

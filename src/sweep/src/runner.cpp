@@ -23,17 +23,6 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 /// Seeds stay within 2^53 so they survive a JSON number round-trip.
 constexpr std::uint64_t kSeedMask = (1ULL << 53) - 1;
 
-std::uint64_t u64_from_hex_prefix(const std::string& hex) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 16 && i < hex.size(); ++i) {
-    const char c = hex[i];
-    const auto nibble = static_cast<std::uint64_t>(
-        c >= 'a' ? c - 'a' + 10 : c - '0');
-    value = (value << 4) | nibble;
-  }
-  return value;
-}
-
 /// Canonical text of the spec seed, as the key and seed documents hold it.
 std::string seed_text(const SweepSpec& spec) {
   return Json(static_cast<double>(spec.seed)).dump();
@@ -53,13 +42,17 @@ std::string point_tail(const PointParams& params, const std::string& seed) {
 /// up to its tail.
 constexpr std::string_view kSeedPrefix = "cpm-sweep-seed:{\"point\":";
 
-/// The seed comes from the hash of the seed document.
+/// The seed is the first eight bytes of the seed document's hash, read
+/// big-endian, cut to kSeedMask.
 std::uint64_t seed_from_tail(const std::string& tail) {
   Sha256 h;
   h.update(kSeedPrefix.data(), kSeedPrefix.size());
   h.update(tail);
+  const auto digest = h.digest();
+  std::uint64_t prefix = 0;
+  for (std::size_t i = 0; i < 8; ++i) prefix = (prefix << 8) | digest[i];
   // A zero seed is legal but conventionally avoided; nudge it.
-  const std::uint64_t seed = u64_from_hex_prefix(h.hex_digest()) & kSeedMask;
+  const std::uint64_t seed = prefix & kSeedMask;
   return seed == 0 ? 1 : seed;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -60,6 +61,35 @@ TEST_F(RealFsTest, ReadMissingFileIsPermanent) {
     EXPECT_EQ(e.kind(), IoErrorKind::kPermanent);
     EXPECT_NE(std::string(e.what()).find("nope"), std::string::npos);
   }
+}
+
+TEST_F(RealFsTest, ReadDirectoryIsPermanentAndNamesThePath) {
+  fs_.create_directories(dir_ + "/sub");
+  try {
+    (void)fs_.read(dir_ + "/sub");
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kPermanent);
+    EXPECT_EQ(std::string(e.what()), "read failed for '" + dir_ +
+                                         "/sub': " + std::strerror(EISDIR) +
+                                         " (permanent)");
+  }
+}
+
+TEST_F(RealFsTest, ReadEmptyFileIsEmpty) {
+  fs_.write_atomic(dir_ + "/empty", "");
+  EXPECT_EQ(fs_.read(dir_ + "/empty"), "");
+}
+
+// Past one 64 KiB read chunk, with NULs that a C-string copy would cut.
+TEST_F(RealFsTest, ReadLargeBinaryFileByteForByte) {
+  std::string content(200'000, '\0');
+  for (std::size_t i = 0; i < content.size(); ++i)
+    content[i] = static_cast<char>((i * 131 + i / 251) % 256);
+  fs_.write_atomic(dir_ + "/big.bin", content);
+  const std::string back = fs_.read(dir_ + "/big.bin");
+  ASSERT_EQ(back.size(), content.size());
+  EXPECT_TRUE(back == content);
 }
 
 TEST_F(RealFsTest, AppendCreatesAndAccumulates) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +95,80 @@ TEST(Sha256, SplitUpdatesMatchReferenceDigest) {
     }
     EXPECT_EQ(h.hex_digest(), expected) << "trial " << trial;
   }
+}
+
+/// The FIPS 180-4 padding of `msg`: 0x80, zeros to 56 mod 64, then the
+/// 64-bit big-endian bit count.
+std::string padded(const std::string& msg) {
+  std::string out = msg;
+  out.push_back('\x80');
+  while (out.size() % 64 != 56) out.push_back('\0');
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8)
+    out.push_back(static_cast<char>((bits >> shift) & 0xff));
+  return out;
+}
+
+using CompressBody = bool (*)(std::array<std::uint32_t, 8>&,
+                              const std::uint8_t*, std::size_t);
+
+/// Hex digest of `msg` through one compression body alone, or "" when the
+/// body cannot run here.
+std::string body_hex(CompressBody body, const std::string& msg) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  const std::string blocks = padded(msg);
+  if (!body(state, reinterpret_cast<const std::uint8_t*>(blocks.data()),
+            blocks.size() / 64))
+    return "";
+  std::string hex;
+  for (const std::uint32_t word : state) {
+    char buf[9];
+    std::snprintf(buf, sizeof buf, "%08x", word);
+    hex += buf;
+  }
+  return hex;
+}
+
+bool portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+              std::size_t count) {
+  detail::sha256_compress_portable(state, blocks, count);
+  return true;
+}
+
+// Both bodies against each other and against Sha256, whichever body Sha256
+// runs here: every length from 0 to 1,100 bytes (0 to 17 whole blocks and
+// every padding boundary), one-shot and in random split updates.
+TEST(Sha256, PortableAndNativeCompressAgree) {
+  const char* million_a =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  const std::string a_million(1'000'000, 'a');
+  EXPECT_EQ(body_hex(portable, a_million), million_a);
+  Rng rng(20250);
+  std::vector<std::string> messages;
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    std::string msg(n, '\0');
+    for (char& c : msg) c = static_cast<char>(rng.below(256));
+    const std::string expected = body_hex(portable, msg);
+    EXPECT_EQ(sha256_hex(msg), expected) << "length " << n;
+    Sha256 split;
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t take = std::min<std::size_t>(n - done, rng.below(150));
+      split.update(msg.data() + done, take);
+      done += take;
+    }
+    EXPECT_EQ(split.hex_digest(), expected) << "length " << n;
+    messages.push_back(std::move(msg));
+  }
+
+  if (body_hex(detail::sha256_compress_native, "").empty())
+    GTEST_SKIP() << "no SHA instructions on this CPU: native body not run";
+  EXPECT_EQ(body_hex(detail::sha256_compress_native, a_million), million_a);
+  for (const std::string& msg : messages)
+    EXPECT_EQ(body_hex(detail::sha256_compress_native, msg),
+              body_hex(portable, msg))
+        << "length " << msg.size();
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {

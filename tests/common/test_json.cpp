@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpm/common/error.hpp"
@@ -36,6 +37,82 @@ TEST(JsonParse, StringEscapes) {
   EXPECT_EQ(Json::parse(R"("tab\there")").as_string(), "tab\there");
   EXPECT_EQ(Json::parse(R"("A")").as_string(), "A");
   EXPECT_EQ(Json::parse(R"("é")").as_string(), "\xc3\xa9");  // é in UTF-8
+  // Plain runs are copied whole; escapes may start, split or end them.
+  EXPECT_EQ(Json::parse(R"("\nabc")").as_string(), "\nabc");
+  EXPECT_EQ(Json::parse(R"("ab\tcd")").as_string(), "ab\tcd");
+  EXPECT_EQ(Json::parse(R"("abc\\")").as_string(), "abc\\");
+  EXPECT_EQ(Json::parse(R"("\"\"")").as_string(), "\"\"");
+  EXPECT_EQ(Json::parse(R"("a\u0041b\/c\"")").as_string(), "aAb/c\"");
+  EXPECT_EQ(Json::parse(R"("")").as_string(), "");
+  const std::string hex =
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+  EXPECT_EQ(Json::parse("\"" + hex + "\"").as_string(), hex);
+  // Non-ASCII bytes are plain: UTF-8 runs pass through unchanged.
+  const std::string utf8 = "gr\xc3\xbc\xc3\x9f \xe2\x82\xac \xf0\x9f\x98\x80!";
+  EXPECT_EQ(Json::parse("\"" + utf8 + "\"").as_string(), utf8);
+  EXPECT_EQ(Json::parse("\"" + utf8 + "\\n" + utf8 + "\"").as_string(),
+            utf8 + "\n" + utf8);
+}
+
+// A \u escape pair of a high and a low surrogate is one code point past the
+// BMP, written as 4 bytes of UTF-8; RFC 8259 documents must be UTF-8.
+TEST(JsonParse, SurrogatePairsDecodeToUtf8) {
+  EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(Json::parse(R"("\uD83D\uDE00")").as_string(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(Json::parse(R"("\udbff\udfff")").as_string(), "\xf4\x8f\xbf\xbf");
+  EXPECT_EQ(Json::parse(R"("\ud800\udc00")").as_string(), "\xf0\x90\x80\x80");
+  EXPECT_EQ(Json::parse(R"("x\ud83d\ude00y")").as_string(),
+            "x\xf0\x9f\x98\x80y");
+  // BMP escapes as before, up to either side of the surrogate range.
+  EXPECT_EQ(Json::parse(R"("\u0041")").as_string(), "A");
+  EXPECT_EQ(Json::parse(R"("\u00e9")").as_string(), "\xc3\xa9");
+  EXPECT_EQ(Json::parse(R"("\u20ac")").as_string(), "\xe2\x82\xac");
+  EXPECT_EQ(Json::parse(R"("\ud7ff")").as_string(), "\xed\x9f\xbf");
+  EXPECT_EQ(Json::parse(R"("\ue000")").as_string(), "\xee\x80\x80");
+  EXPECT_EQ(Json::parse(R"("\uffff")").as_string(), "\xef\xbf\xbf");
+  // parse -> dump -> parse is a fixed point.
+  const Json doc = Json::parse(R"({"s":"a\ud83d\ude00b\udbff\udfff\u00e9"})");
+  const std::string once = doc.dump();
+  EXPECT_EQ(Json::parse(once).dump(), once);
+  EXPECT_EQ(Json::parse(once).at("s").as_string(),
+            doc.at("s").as_string());
+}
+
+TEST(JsonParse, UnpairedSurrogatesArePositionedErrors) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"("\ud83d")", "1:2"},        // high surrogate at the end
+      {R"("ab\ud83d\u0041")", "1:4"},  // high, then a non-surrogate escape
+      {R"("\ud83dx")", "1:2"},       // high, then a plain character
+      {R"("\ud83d\n")", "1:2"},      // high, then another escape
+      {R"("\ud83d\ud83d")", "1:2"},  // high, then high
+      {R"("x\udc00y")", "1:3"},      // lone low surrogate
+      {"[\n\"\\ude00\"]", "2:2"},   // lone low, on line 2
+  };
+  for (const auto& [text, where] : cases) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "Json parse error at " + where +
+                                           ": unpaired surrogate in \\u "
+                                           "escape")
+          << text;
+    }
+  }
+}
+
+TEST(JsonParse, DuplicateKeysKeepTheFirstMember) {
+  const Json j = Json::parse(R"({"a":1,"b":2,"a":3})");
+  EXPECT_EQ(j.size(), 2u);
+  EXPECT_DOUBLE_EQ(j.at("a").as_number(), 1.0);
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":2})");
+}
+
+TEST(JsonParse, MembersOutOfOrderDumpSorted) {
+  const Json j = Json::parse(R"({"zeta":1,"alpha":{"y":2,"x":3},"mid":[]})");
+  EXPECT_EQ(j.dump(), R"({"alpha":{"x":3,"y":2},"mid":[],"zeta":1})");
+  EXPECT_EQ(Json::parse(R"({"b":0,"a":0,"c":0,"a":9})").dump(),
+            R"({"a":0,"b":0,"c":0})");
 }
 
 TEST(JsonParse, ArraysAndObjects) {
@@ -71,6 +148,21 @@ TEST(JsonParse, ErrorsCarryPositions) {
   } catch (const Error& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("2:"), std::string::npos) << msg;  // line 2
+  }
+  // A control character right after a plain run, and a string cut short.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[\"abc\x01" "def\"]",
+       "1:6: unescaped control character in string"},
+      {"{\"k\":\n\"ab\ncd\"}", "2:4: unescaped control character in string"},
+      {"\"abc", "1:5: unexpected end of input"},
+  };
+  for (const auto& [text, what] : cases) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "Json parse error at " + what);
+    }
   }
 }
 
@@ -330,6 +422,25 @@ TEST(JsonParse, NestingPastTheLimitThrows) {
 TEST(JsonDump, StringEscaping) {
   const Json j(std::string("a\"b\\c\nd"));
   EXPECT_EQ(Json::parse(j.dump()).as_string(), "a\"b\\c\nd");
+  // Runs that need no escape are written whole, around escapes at their
+  // start, middle and end.
+  EXPECT_EQ(Json(std::string("\nabc")).dump(), R"("\nabc")");
+  EXPECT_EQ(Json(std::string("ab\tcd")).dump(), R"("ab\tcd")");
+  EXPECT_EQ(Json(std::string("abc\\")).dump(), R"("abc\\")");
+  EXPECT_EQ(Json(std::string("\"\"")).dump(), R"("\"\"")");
+  EXPECT_EQ(Json(std::string("a\x01" "b\x1f")).dump(), R"("a\u0001b\u001f")");
+  EXPECT_EQ(Json(std::string("\b\f\r")).dump(), R"("\b\f\r")");
+  EXPECT_EQ(Json(std::string("a/b")).dump(), R"("a/b")");
+  EXPECT_EQ(Json(std::string()).dump(), R"("")");
+  EXPECT_EQ(Json(std::string(1, '\0')).dump(), R"("\u0000")");
+  const std::string hex =
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+  EXPECT_EQ(Json(hex).dump(), "\"" + hex + "\"");
+  const std::string utf8 = "\xc3\xa9t\xc3\xa9 \xf0\x9f\x98\x80";
+  EXPECT_EQ(Json(utf8 + "\n" + utf8).dump(), "\"" + utf8 + "\\n" + utf8 + "\"");
+  JsonObject obj;
+  obj["k\"ey"] = "v\\al";
+  EXPECT_EQ(Json(std::move(obj)).dump(), R"({"k\"ey":"v\\al"})");
 }
 
 TEST(JsonFuzz, RandomMutationsNeverCrash) {

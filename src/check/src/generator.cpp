@@ -50,7 +50,10 @@ core::ClusterModel random_model(Rng& rng, const GeneratorOptions& options) {
   tiers.reserve(n_tiers);
   for (std::size_t i = 0; i < n_tiers; ++i) {
     core::Tier t;
-    t.name = "t" + std::to_string(i);
+    // Names are built a character at a time: GCC 12's -Wrestrict misreads
+    // both `"t" + std::to_string(i)` and assigning "t" inside libstdc++.
+    t.name.push_back('t');
+    t.name += std::to_string(i);
     t.servers = draw_int(rng, options.min_servers, options.max_servers);
     t.discipline = options.disciplines[rng.below(options.disciplines.size())];
     t.server_cost = rng.uniform(options.min_server_cost, options.max_server_cost);
@@ -61,7 +64,8 @@ core::ClusterModel random_model(Rng& rng, const GeneratorOptions& options) {
   classes.reserve(n_classes);
   for (std::size_t k = 0; k < n_classes; ++k) {
     core::WorkloadClass c;
-    c.name = "c" + std::to_string(k);
+    c.name.push_back('c');
+    c.name += std::to_string(k);
     c.rate = units::per_second(
         rng.uniform(options.min_rate.value(), options.max_rate.value()));
     for (std::size_t i = 0; i < n_tiers; ++i) {

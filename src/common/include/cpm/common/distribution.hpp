@@ -76,6 +76,8 @@ class Distribution {
   /// Returns a copy rescaled to `new_mean` with the same shape (same SCV).
   /// Optimisers use this when they retune a tier's service rate: the law's
   /// variability is a workload property and must survive the retuning.
+  /// `new_mean` must be > 0, except that a law with mean 0 (a point mass at
+  /// 0) rescales to itself at mean 0.
   [[nodiscard]] Distribution scaled_to_mean(double new_mean) const;
 
   /// Draws one variate.

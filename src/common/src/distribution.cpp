@@ -123,6 +123,9 @@ double Distribution::scv() const {
 }
 
 Distribution Distribution::scaled_to_mean(double new_mean) const {
+  // A law with mean 0 is a point mass at 0 (deterministic(0) or
+  // uniform(0, 0)): rescaling leaves it as it is.
+  if (mean_ == 0.0 && new_mean == 0.0) return *this;
   require(new_mean > 0.0, "scaled_to_mean: new mean must be > 0");
   switch (kind_) {
     case DistKind::kDeterministic:

@@ -88,17 +88,23 @@ struct Evaluation {
 };
 
 /// Buffers the in-place ClusterModel::evaluate reuses from call to call:
-/// the queueing network at the probed frequencies, each tier's power
-/// operating point and the per-station flow buffers. A workspace is not
-/// tied to one model; once it has evaluated a model of some shape,
-/// evaluating any model of that shape through it allocates nothing.
+/// each tier's speedup and power operating point at the probed
+/// frequencies, each class's route with its service laws rescaled to them,
+/// and the network analysis buffers. Class names are not copied. A
+/// workspace is not tied to one model; once it has evaluated a model of
+/// some shape, evaluating any model of that shape through it allocates
+/// nothing.
 struct EvaluationWorkspace {
-  std::vector<queueing::NetworkStation> stations;
+  std::vector<double> speedups;
   std::vector<queueing::CustomerClass> classes;
   std::vector<power::TierPower> tiers;
   queueing::NetworkWorkspace network;
 };
 
+/// A model checks its structure (tiers, servers, rates, routes) once, when
+/// it is built, and binds its queueing network's skeleton then: the
+/// stations and which route steps feed which station flows. Evaluating it
+/// at a frequency vector only rescales service laws and runs the analysis.
 class ClusterModel {
  public:
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes);
@@ -134,8 +140,11 @@ class ClusterModel {
   [[nodiscard]] std::vector<double> min_stable_frequencies(
       double margin = 1e-3) const;
 
-  /// The queueing network at frequencies `f` (demands rescaled by speedup).
-  [[nodiscard]] std::vector<queueing::NetworkStation> network_stations() const;
+  /// The queueing network: its stations, and its classes at frequencies
+  /// `f` (demands rescaled by speedup).
+  [[nodiscard]] std::vector<queueing::NetworkStation> network_stations() const {
+    return skeleton_.stations;
+  }
   [[nodiscard]] std::vector<queueing::CustomerClass> network_classes(
       const std::vector<double>& frequencies) const;
 
@@ -158,9 +167,12 @@ class ClusterModel {
   [[nodiscard]] Evaluation evaluate(const std::vector<double>& frequencies) const;
 
   /// In-place form of evaluate(): writes into `out`, reusing its vectors
-  /// and the buffers of `ws`, bit for bit what evaluate() returns. On an
+  /// and the buffers of `ws`, bit for bit what evaluate() returns. It
+  /// computes each tier's speedup once, rescales every visit's service law
+  /// in `ws` and runs the network analysis on the model's skeleton. On an
   /// unstable point it sets only out.stable = false; the metrics keep
-  /// whatever `out` held.
+  /// whatever `out` held. Throws, before writing to `out`, unless there is
+  /// one frequency per tier, each inside its tier's DVFS range.
   void evaluate(const std::vector<double>& frequencies, Evaluation& out,
                 EvaluationWorkspace& ws) const;
 
@@ -192,13 +204,25 @@ class ClusterModel {
       const std::vector<double>& frequencies) const;
 
  private:
+  // Copies that keep the routes: checks tiers and rates, and reuses
+  // `skeleton` with each station's servers and discipline refreshed.
+  ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
+               queueing::NetworkSkeleton skeleton);
+  // The constructor's checks; copies that keep the routes skip the route
+  // checks.
+  void check(bool routes) const;
   void check_frequencies(const std::vector<double>& frequencies) const;
-  void network_stations(std::vector<queueing::NetworkStation>& out) const;
-  void network_classes(const std::vector<double>& frequencies,
-                       std::vector<queueing::CustomerClass>& out) const;
+  // Each tier's speedup at `frequencies` into `speedups` (throwing outside
+  // a tier's DVFS range) and each class's rate and route, every visit's
+  // law rescaled, into `classes`, reusing both. Names are left alone.
+  void scale_classes(const std::vector<double>& frequencies, std::vector<double>& speedups,
+                     std::vector<queueing::CustomerClass>& classes) const;
+  void tier_power(const std::vector<double>& frequencies,
+                  std::vector<power::TierPower>& out) const;
 
   std::vector<Tier> tiers_;
   std::vector<WorkloadClass> classes_;
+  queueing::NetworkSkeleton skeleton_;
 };
 
 /// A ready-made 3-tier (web / application / database), 3-class

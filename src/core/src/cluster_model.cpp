@@ -10,6 +10,32 @@ namespace cpm::core {
 
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes)
     : tiers_(std::move(tiers)), classes_(std::move(classes)) {
+  check(/*routes=*/true);
+  std::vector<queueing::NetworkStation> stations;
+  stations.reserve(tiers_.size());
+  for (const auto& t : tiers_)
+    stations.push_back(queueing::NetworkStation{t.name, t.servers, t.discipline});
+  // The skeleton reads only the routes' stations, so the base laws serve.
+  std::vector<queueing::CustomerClass> routes(classes_.size());
+  for (std::size_t k = 0; k < classes_.size(); ++k) {
+    routes[k].rate = classes_[k].rate;
+    for (const auto& d : classes_[k].route)
+      routes[k].route.push_back(queueing::Visit{d.tier, d.base_service});
+  }
+  skeleton_ = queueing::network_skeleton(std::move(stations), routes);
+}
+
+ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
+                           queueing::NetworkSkeleton skeleton)
+    : tiers_(std::move(tiers)), classes_(std::move(classes)), skeleton_(std::move(skeleton)) {
+  check(/*routes=*/false);
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    skeleton_.stations[i].servers = tiers_[i].servers;
+    skeleton_.stations[i].discipline = tiers_[i].discipline;
+  }
+}
+
+void ClusterModel::check(bool routes) const {
   require(!tiers_.empty(), "ClusterModel: need at least one tier");
   require(!classes_.empty(), "ClusterModel: need at least one class");
   for (const auto& t : tiers_) {
@@ -21,6 +47,7 @@ ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> c
   for (const auto& c : classes_) {
     if (!(c.rate >= units::per_second(0.0)))
       throw Error("ClusterModel: class '" + c.name + "' has negative rate");
+    if (!routes) continue;
     if (c.route.empty())
       throw Error("ClusterModel: class '" + c.name + "' has empty route");
     for (const auto& d : c.route)
@@ -40,21 +67,21 @@ ClusterModel ClusterModel::with_servers(const std::vector<int>& servers) const {
   require(servers.size() == tiers_.size(), "with_servers: size mismatch");
   std::vector<Tier> tiers = tiers_;
   for (std::size_t i = 0; i < tiers.size(); ++i) tiers[i].servers = servers[i];
-  return ClusterModel(std::move(tiers), classes_);
+  return ClusterModel(std::move(tiers), classes_, skeleton_);
 }
 
 ClusterModel ClusterModel::with_rate_scale(double factor) const {
   require(factor >= 0.0, "with_rate_scale: factor must be >= 0");
   std::vector<WorkloadClass> classes = classes_;
   for (auto& c : classes) c.rate *= factor;
-  return ClusterModel(tiers_, std::move(classes));
+  return ClusterModel(tiers_, std::move(classes), skeleton_);
 }
 
 ClusterModel ClusterModel::with_rates(const std::vector<units::Rate>& rates) const {
   require(rates.size() == classes_.size(), "with_rates: one rate per class");
   std::vector<WorkloadClass> classes = classes_;
   for (std::size_t k = 0; k < classes.size(); ++k) classes[k].rate = rates[k];
-  return ClusterModel(tiers_, std::move(classes));
+  return ClusterModel(tiers_, std::move(classes), skeleton_);
 }
 
 std::vector<double> ClusterModel::max_frequencies() const {
@@ -93,46 +120,46 @@ void ClusterModel::check_frequencies(const std::vector<double>& frequencies) con
     tiers_[i].power.check_frequency(units::hertz(frequencies[i]));
 }
 
-std::vector<queueing::NetworkStation> ClusterModel::network_stations() const {
-  std::vector<queueing::NetworkStation> stations;
-  network_stations(stations);
-  return stations;
-}
-
-void ClusterModel::network_stations(std::vector<queueing::NetworkStation>& out) const {
-  out.resize(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    out[i].name = tiers_[i].name;
-    out[i].servers = tiers_[i].servers;
-    out[i].discipline = tiers_[i].discipline;
+void ClusterModel::scale_classes(const std::vector<double>& frequencies,
+                                 std::vector<double>& speedups,
+                                 std::vector<queueing::CustomerClass>& out) const {
+  require(frequencies.size() == tiers_.size(),
+          "ClusterModel: one frequency per tier required");
+  speedups.resize(tiers_.size());
+  for (std::size_t i = 0; i < tiers_.size(); ++i)
+    speedups[i] = tiers_[i].power.speedup(units::hertz(frequencies[i]));
+  out.resize(classes_.size());
+  for (std::size_t k = 0; k < classes_.size(); ++k) {
+    const auto& c = classes_[k];
+    queueing::CustomerClass& qc = out[k];
+    qc.rate = c.rate;
+    qc.route.resize(c.route.size());
+    for (std::size_t j = 0; j < c.route.size(); ++j) {
+      const Demand& d = c.route[j];
+      queueing::Visit& v = qc.route[j];
+      v.station = d.tier;
+      v.service = d.base_service.scaled_to_mean(
+          d.base_service.mean() / speedups[static_cast<std::size_t>(d.tier)]);
+    }
   }
 }
 
 std::vector<queueing::CustomerClass> ClusterModel::network_classes(
     const std::vector<double>& frequencies) const {
+  std::vector<double> speedups;
   std::vector<queueing::CustomerClass> classes;
-  network_classes(frequencies, classes);
+  scale_classes(frequencies, speedups, classes);
+  for (std::size_t k = 0; k < classes.size(); ++k) classes[k].name = classes_[k].name;
   return classes;
 }
 
-void ClusterModel::network_classes(const std::vector<double>& frequencies,
-                                   std::vector<queueing::CustomerClass>& out) const {
-  check_frequencies(frequencies);
-  out.resize(classes_.size());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    const auto& c = classes_[k];
-    queueing::CustomerClass& qc = out[k];
-    qc.name = c.name;
-    qc.rate = c.rate;
-    qc.route.clear();
-    qc.route.reserve(c.route.size());
-    for (const auto& d : c.route) {
-      const auto tier = static_cast<std::size_t>(d.tier);
-      const double speedup =
-          tiers_[tier].power.speedup(units::hertz(frequencies[tier]));
-      qc.route.push_back(queueing::Visit{
-          d.tier, d.base_service.scaled_to_mean(d.base_service.mean() / speedup)});
-    }
+void ClusterModel::tier_power(const std::vector<double>& frequencies,
+                              std::vector<power::TierPower>& out) const {
+  out.resize(tiers_.size());
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    out[i].server = tiers_[i].power;
+    out[i].frequency = units::hertz(frequencies[i]);
+    out[i].servers = tiers_[i].servers;
   }
 }
 
@@ -140,17 +167,14 @@ std::vector<power::TierPower> ClusterModel::tier_power(
     const std::vector<double>& frequencies) const {
   check_frequencies(frequencies);
   std::vector<power::TierPower> tp;
-  tp.reserve(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    tp.push_back(power::TierPower{tiers_[i].power, units::hertz(frequencies[i]),
-                                  tiers_[i].servers});
+  tier_power(frequencies, tp);
   return tp;
 }
 
 ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) const {
   std::vector<Tier> tiers = tiers_;
   for (auto& t : tiers) t.discipline = discipline;
-  return ClusterModel(std::move(tiers), classes_);
+  return ClusterModel(std::move(tiers), classes_, skeleton_);
 }
 
 bool ClusterModel::stable_at(const std::vector<double>& frequencies) const {
@@ -166,16 +190,10 @@ Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const 
 
 void ClusterModel::evaluate(const std::vector<double>& frequencies, Evaluation& out,
                             EvaluationWorkspace& ws) const {
-  network_classes(frequencies, ws.classes);
-  network_stations(ws.stations);
-  out.stable = queueing::analyze_network(ws.stations, ws.classes, out.net, ws.network);
+  scale_classes(frequencies, ws.speedups, ws.classes);
+  out.stable = queueing::analyze_network(skeleton_, ws.classes, out.net, ws.network);
   if (!out.stable) return;
-
-  ws.tiers.clear();
-  ws.tiers.reserve(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    ws.tiers.push_back(power::TierPower{tiers_[i].power, units::hertz(frequencies[i]),
-                                        tiers_[i].servers});
+  tier_power(frequencies, ws.tiers);
   power::compute_energy(ws.tiers, ws.classes, out.net, out.energy);
 }
 

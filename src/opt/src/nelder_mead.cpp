@@ -21,27 +21,38 @@ VectorResult nelder_mead(const Objective& f, const Box& box,
   constexpr double kContract = 0.5;
   constexpr double kShrink = 0.5;
 
+  // Every vertex and trial point owns a vector of n coordinates, allocated
+  // once per run: an accepted trial point swaps buffers with the vertex it
+  // replaces, and a shrink overwrites the vertices in place.
   struct Vertex {
     std::vector<double> x;
-    double fx;
+    double fx = 0.0;
   };
-  std::vector<Vertex> simplex;
-  simplex.reserve(n + 1);
+  std::vector<Vertex> simplex(n + 1, Vertex{std::vector<double>(n), 0.0});
+  Vertex reflected{std::vector<double>(n), 0.0};
+  Vertex expanded = reflected;
+  Vertex contracted = reflected;
+  std::vector<double> centroid(n);
 
-  auto eval = [&](std::vector<double> x) {
-    x = box.project(std::move(x));
-    const double fx = f(x);
-    return Vertex{std::move(x), fx};
+  // Projects v.x into the box, as Box::project does, and evaluates it.
+  auto eval = [&](Vertex& v) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (v.x[i] < box.lo[i]) v.x[i] = box.lo[i];
+      if (v.x[i] > box.hi[i]) v.x[i] = box.hi[i];
+    }
+    v.fx = f(v.x);
   };
 
-  simplex.push_back(eval(x0));
+  simplex[0].x = x0;
+  eval(simplex[0]);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> xi = simplex[0].x;
+    std::vector<double>& xi = simplex[i + 1].x;
+    xi = simplex[0].x;
     const double span = box.hi[i] - box.lo[i];
     double step = options.initial_step * (span > 0.0 ? span : 1.0);
     if (xi[i] + step > box.hi[i]) step = -step;  // step inward at the edge
     xi[i] += step;
-    simplex.push_back(eval(std::move(xi)));
+    eval(simplex[i + 1]);
   }
 
   auto order = [&] {
@@ -70,38 +81,36 @@ VectorResult nelder_mead(const Objective& f, const Box& box,
     }
 
     // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t v = 0; v < n; ++v)
       for (std::size_t i = 0; i < n; ++i) centroid[i] += simplex[v].x[i];
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    auto along = [&](double t) {
-      std::vector<double> x(n);
+    auto along = [&](double t, Vertex& out) {
       for (std::size_t i = 0; i < n; ++i)
-        x[i] = centroid[i] + t * (centroid[i] - simplex.back().x[i]);
-      return eval(std::move(x));
+        out.x[i] = centroid[i] + t * (centroid[i] - simplex.back().x[i]);
+      eval(out);
     };
 
-    Vertex reflected = along(kReflect);
+    along(kReflect, reflected);
     if (reflected.fx < simplex.front().fx) {
-      Vertex expanded = along(kExpand);
-      simplex.back() = (expanded.fx < reflected.fx) ? std::move(expanded)
-                                                    : std::move(reflected);
+      along(kExpand, expanded);
+      std::swap(simplex.back(), expanded.fx < reflected.fx ? expanded : reflected);
     } else if (reflected.fx < simplex[n - 1].fx) {
-      simplex.back() = std::move(reflected);
+      std::swap(simplex.back(), reflected);
     } else {
       const bool outside = reflected.fx < simplex.back().fx;
-      Vertex contracted = along(outside ? kContract : -kContract);
+      along(outside ? kContract : -kContract, contracted);
       const double bar = outside ? reflected.fx : simplex.back().fx;
       if (contracted.fx < bar) {
-        simplex.back() = std::move(contracted);
+        std::swap(simplex.back(), contracted);
       } else {
         // Shrink toward the best vertex.
         for (std::size_t v = 1; v <= n; ++v) {
-          std::vector<double> x(n);
           for (std::size_t i = 0; i < n; ++i)
-            x[i] = simplex[0].x[i] + kShrink * (simplex[v].x[i] - simplex[0].x[i]);
-          simplex[v] = eval(std::move(x));
+            simplex[v].x[i] =
+                simplex[0].x[i] + kShrink * (simplex[v].x[i] - simplex[0].x[i]);
+          eval(simplex[v]);
         }
       }
     }

@@ -75,6 +75,28 @@ struct NetworkMetrics {
 void validate_network(const std::vector<NetworkStation>& stations,
                       const std::vector<CustomerClass>& classes);
 
+/// What the analysis needs of a network beyond its rates and service laws:
+/// the stations and, per station, which class flows visit it and from
+/// which route steps. Rescaling service laws or arrival rates leaves it
+/// as it is, so a caller that analyses one network at many service rates
+/// builds it once.
+struct NetworkSkeleton {
+  /// One class's flow at a station: a single route step, whose service
+  /// law the flow keeps, or several, which merge into one flow.
+  struct Flow {
+    std::size_t cls = 0;     ///< class index (priority)
+    std::size_t step = 0;    ///< the class's first route step at the station
+    std::size_t visits = 0;  ///< route steps of the class at the station
+  };
+  std::vector<NetworkStation> stations;
+  std::vector<std::vector<Flow>> flows;  ///< per station, ordered by class
+  std::size_t classes = 0;               ///< number of classes
+};
+
+/// Validates the network (see validate_network) and builds its skeleton.
+NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
+                                 const std::vector<CustomerClass>& classes);
+
 /// True iff every station is stable under the offered per-class flows,
 /// that is iff analyze_network succeeds.
 bool network_stable(const std::vector<NetworkStation>& stations,
@@ -95,19 +117,27 @@ NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
 struct NetworkWorkspace {
   /// One station's merged per-class flows and their analysis.
   struct Station {
-    std::vector<ClassFlow> flows;         ///< ordered by class index (priority)
-    std::vector<std::size_t> flow_class;  ///< class index of each flow
-    StationMetrics metrics;               ///< analyze_station of `flows`
+    std::vector<ClassFlow> flows;  ///< the skeleton's flows at this station
+    StationMetrics metrics;        ///< analyze_station of `flows`
   };
   /// Grows to the largest network seen; never shrinks.
   std::vector<Station> stations;
 };
 
-/// In-place form of analyze_network: builds each station's flows once in
-/// `ws`, decides every station's stability from them, analyses the stable
-/// network and writes the result into `out`, reusing its vectors. Returns
+/// The analysis kernel: builds each station's flows in `ws` from the
+/// skeleton and the classes' rates and service laws, decides every
+/// station's stability from them, analyses the stable network and writes
+/// the result into `out`, reusing its vectors. `classes` must have the
+/// routes `skeleton` was built from, and only their rates and service laws
+/// may differ; beyond their number, nothing of them is checked. Returns
 /// false, leaving `out` untouched, when some station is unstable (see the
-/// in-place analyze_station). Throws cpm::Error on an invalid network.
+/// in-place analyze_station).
+[[nodiscard]] bool analyze_network(const NetworkSkeleton& skeleton,
+                                   const std::vector<CustomerClass>& classes,
+                                   NetworkMetrics& out, NetworkWorkspace& ws);
+
+/// The kernel on a network given whole: validates it and builds its
+/// skeleton first. Throws cpm::Error on an invalid network.
 [[nodiscard]] bool analyze_network(const std::vector<NetworkStation>& stations,
                                    const std::vector<CustomerClass>& classes,
                                    NetworkMetrics& out, NetworkWorkspace& ws);

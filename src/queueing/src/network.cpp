@@ -28,47 +28,65 @@ void validate_network(const std::vector<NetworkStation>& stations,
   }
 }
 
+NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
+                                 const std::vector<CustomerClass>& classes) {
+  validate_network(stations, classes);
+  NetworkSkeleton sk;
+  sk.flows.resize(stations.size());
+  sk.stations = std::move(stations);
+  sk.classes = classes.size();
+  for (std::size_t k = 0; k < classes.size(); ++k) {
+    const auto& route = classes[k].route;
+    for (std::size_t j = 0; j < route.size(); ++j) {
+      auto& flows = sk.flows[static_cast<std::size_t>(route[j].station)];
+      if (flows.empty() || flows.back().cls != k)
+        flows.push_back(NetworkSkeleton::Flow{k, j, 0});
+      ++flows.back().visits;
+    }
+  }
+  return sk;
+}
+
 namespace {
 
-// Per-station flow build into `out`: one merged flow per class that visits
-// the station, two-moment matched over its visits, plus the flow->class map.
-void flows_at_station(std::size_t station, const std::vector<CustomerClass>& classes,
-                      NetworkWorkspace::Station& out) {
-  out.flows.clear();
-  out.flow_class.clear();
-  out.flows.reserve(classes.size());
-  out.flow_class.reserve(classes.size());
-  for (std::size_t k = 0; k < classes.size(); ++k) {
-    const auto& cls = classes[k];
+// Station `station`'s flows, one per entry of its skeleton `flows`, at the
+// classes' current rates and service laws.
+void flows_at_station(std::size_t station,
+                      const std::vector<NetworkSkeleton::Flow>& flows,
+                      const std::vector<CustomerClass>& classes,
+                      std::vector<ClassFlow>& out) {
+  out.resize(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const NetworkSkeleton::Flow& flow = flows[i];
+    const CustomerClass& cls = classes[flow.cls];
+    if (flow.visits == 1) {
+      // Single visit: keep the exact service law (preserves the third
+      // moment, which the Takács wait-m2 formula consumes).
+      out[i] = ClassFlow{cls.rate, cls.route[flow.step].service};
+      continue;
+    }
+    // Multiple visits merge into one flow with a two-moment-matched
+    // mixture proxy.
     double visits = 0.0;
     double sum_mean = 0.0;
     double sum_m2 = 0.0;
-    const Visit* only_visit = nullptr;
-    for (const auto& v : cls.route) {
+    for (std::size_t j = flow.step; j < cls.route.size(); ++j) {
+      const Visit& v = cls.route[j];
       if (static_cast<std::size_t>(v.station) != station) continue;
       visits += 1.0;
       sum_mean += v.service.mean();
       sum_m2 += v.service.second_moment();
-      only_visit = &v;
     }
-    if (visits == 0.0) continue;
-    if (visits == 1.0) {  // conv-ok: CONV-5 (visits counts whole route steps)
-      // Single visit: keep the exact service law (preserves the third
-      // moment, which the Takács wait-m2 formula consumes).
-      out.flows.push_back(ClassFlow{cls.rate, only_visit->service});
-    } else {
-      // Multiple visits merge into one flow with a two-moment-matched
-      // mixture proxy.
-      const double mix_mean = sum_mean / visits;
-      const double mix_m2 = sum_m2 / visits;
-      const double var = mix_m2 - mix_mean * mix_mean;
-      const double scv =
-          mix_mean > 0.0 ? std::max(0.0, var) / (mix_mean * mix_mean) : 0.0;
-      out.flows.push_back(ClassFlow{
-          cls.rate * visits,
-          Distribution::from_mean_scv(std::max(mix_mean, 1e-300), scv)});
-    }
-    out.flow_class.push_back(k);
+    const double mix_mean = sum_mean / visits;
+    const double mix_m2 = sum_m2 / visits;
+    const double var = mix_m2 - mix_mean * mix_mean;
+    const double scv =
+        mix_mean > 0.0 ? std::max(0.0, var) / (mix_mean * mix_mean) : 0.0;
+    // Visits that all take no time merge into a point mass at 0.
+    out[i] = ClassFlow{cls.rate * visits,
+                       mix_mean == 0.0
+                           ? Distribution::deterministic(0.0)
+                           : Distribution::from_mean_scv(std::max(mix_mean, 1e-300), scv)};
   }
 }
 
@@ -76,12 +94,12 @@ void flows_at_station(std::size_t station, const std::vector<CustomerClass>& cla
 
 std::vector<double> network_utilizations(const std::vector<NetworkStation>& stations,
                                          const std::vector<CustomerClass>& classes) {
-  validate_network(stations, classes);
+  const NetworkSkeleton sk = network_skeleton(stations, classes);
   std::vector<double> util(stations.size(), 0.0);
-  NetworkWorkspace::Station sf;
+  std::vector<ClassFlow> flows;
   for (std::size_t s = 0; s < stations.size(); ++s) {
-    flows_at_station(s, classes, sf);
-    if (!sf.flows.empty()) util[s] = station_utilization(stations[s].servers, sf.flows);
+    flows_at_station(s, sk.flows[s], classes, flows);
+    if (!flows.empty()) util[s] = station_utilization(stations[s].servers, flows);
   }
   return util;
 }
@@ -105,25 +123,29 @@ NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
 bool analyze_network(const std::vector<NetworkStation>& stations,
                      const std::vector<CustomerClass>& classes, NetworkMetrics& m,
                      NetworkWorkspace& ws) {
-  validate_network(stations, classes);
-  const std::size_t n_stations = stations.size();
+  return analyze_network(network_skeleton(stations, classes), classes, m, ws);
+}
+
+bool analyze_network(const NetworkSkeleton& sk, const std::vector<CustomerClass>& classes,
+                     NetworkMetrics& m, NetworkWorkspace& ws) {
+  require(classes.size() == sk.classes, "analyze_network: classes do not match the skeleton");
+  const std::size_t n_stations = sk.stations.size();
   const std::size_t n_classes = classes.size();
   if (ws.stations.size() < n_stations) ws.stations.resize(n_stations);
 
   // Build every station's flows once. A station loaded to 1 or beyond
   // makes the network unstable before any station is analysed.
   for (std::size_t s = 0; s < n_stations; ++s) {
-    NetworkWorkspace::Station& st = ws.stations[s];
-    flows_at_station(s, classes, st);
-    if (!st.flows.empty() && !station_stable(stations[s].servers, st.flows))
-      return false;
+    std::vector<ClassFlow>& flows = ws.stations[s].flows;
+    flows_at_station(s, sk.flows[s], classes, flows);
+    if (!flows.empty() && !station_stable(sk.stations[s].servers, flows)) return false;
   }
   // Analyse each station from the same flows; within rounding of
   // utilisation 1 the analysis can still find a station unstable.
   for (std::size_t s = 0; s < n_stations; ++s) {
     NetworkWorkspace::Station& st = ws.stations[s];
     if (!st.flows.empty() &&
-        !analyze_station(stations[s].servers, stations[s].discipline, st.flows,
+        !analyze_station(sk.stations[s].servers, sk.stations[s].discipline, st.flows,
                          st.metrics))
       return false;
   }
@@ -142,14 +164,14 @@ bool analyze_network(const std::vector<NetworkStation>& stations,
     m.station_wait[s].assign(n_classes, 0.0);
     m.station_wait_m2[s].assign(n_classes, 0.0);
     m.station_rho[s].assign(n_classes, 0.0);
-    const NetworkWorkspace::Station& st = ws.stations[s];
-    if (st.flows.empty()) continue;
-    const StationMetrics& sm = st.metrics;
+    const std::vector<NetworkSkeleton::Flow>& flows = sk.flows[s];
+    if (flows.empty()) continue;
+    const StationMetrics& sm = ws.stations[s].metrics;
     m.station_utilization[s] = sm.total_utilization;
-    for (std::size_t i = 0; i < st.flows.size(); ++i) {
-      m.station_wait[s][st.flow_class[i]] = sm.mean_wait[i];
-      m.station_wait_m2[s][st.flow_class[i]] = sm.wait_m2[i];
-      m.station_rho[s][st.flow_class[i]] = sm.rho[i];
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      m.station_wait[s][flows[i].cls] = sm.mean_wait[i];
+      m.station_wait_m2[s][flows[i].cls] = sm.wait_m2[i];
+      m.station_rho[s][flows[i].cls] = sm.rho[i];
     }
   }
 

@@ -36,6 +36,14 @@ bool station_stable(int servers, const std::vector<ClassFlow>& flows) {
 
 namespace {
 
+// The two moments of a service law the single-server formulas read.
+struct Moments {
+  double m1;
+  double m2;
+  [[nodiscard]] double mean() const { return m1; }
+  [[nodiscard]] double second_moment() const { return m2; }
+};
+
 struct Aggregate {
   double lambda = 0.0;  // total arrival rate
   double es = 0.0;      // mixture E[S]
@@ -44,13 +52,13 @@ struct Aggregate {
 };
 
 // Totals over the flows, class k served by the law `service(k)`: the
-// flow's own law, or its Bondi–Buzen reference law.
+// flow's own law, or the moments of its Bondi–Buzen reference law.
 template <class Service>
 Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows,
                           const Service& service) {
   Aggregate a;
   for (std::size_t k = 0; k < flows.size(); ++k) {
-    const Distribution& s = service(k);
+    const auto& s = service(k);
     a.lambda += flows[k].rate.value();
     a.es += flows[k].rate.value() * s.mean();
     a.es2 += flows[k].rate.value() * s.second_moment();
@@ -109,7 +117,7 @@ bool single_server_delays(Discipline d, const std::vector<ClassFlow>& flows,
       double r_upto = 0.0;  // residual work of classes 0..k only
       double sigma_prev = 0.0;
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const Distribution& s = service(k);
+        const auto& s = service(k);
         const double es_k = s.mean();
         const double sigma_k = sigma_prev + flows[k].rate.value() * es_k;
         if (!(sigma_k < 1.0)) return false;  // priority levels saturate
@@ -140,9 +148,10 @@ std::optional<double> mmc_wait(int servers, double lambda, double mu) {
 }
 
 // M/G/c FCFS mean wait via Lee-Longton: (1 + SCV)/2 times the M/M/c wait at
-// the same mean service time; nullopt when that M/M/c queue saturates.
+// the same mean service time; nullopt when that M/M/c queue saturates. No
+// work arrives when no class arrives or every service takes no time.
 std::optional<double> mgc_fcfs_wait(int servers, const Aggregate& agg) {
-  if (agg.lambda == 0.0) return 0.0;
+  if (agg.lambda == 0.0 || agg.es == 0.0) return 0.0;
   const double mu = 1.0 / agg.es;
   const double scv = agg.es2 / (agg.es * agg.es) - 1.0;
   const std::optional<double> wq = mmc_wait(servers, agg.lambda, mu);
@@ -196,7 +205,7 @@ bool analyze_station(int servers, Discipline discipline,
       // M/M/c congestion term, matching the single-class M/M/c in the
       // exponential case reasonably.
       double wq_factor = 0.0;
-      if (agg.lambda > 0.0) {
+      if (agg.lambda > 0.0 && agg.es > 0.0) {
         const std::optional<double> wq = mmc_wait(servers, agg.lambda, 1.0 / agg.es);
         if (!wq) return false;
         wq_factor = *wq / agg.es;
@@ -212,10 +221,18 @@ bool analyze_station(int servers, Discipline discipline,
       // (single-server priority delay / single-server FCFS delay) x
       // (M/G/c FCFS delay). The single-server reference system divides
       // every service time by c so that it is stable whenever the real
-      // station is, up to rounding.
+      // station is, up to rounding. Each reference law is built once; its
+      // moments wait in mean_sojourn and mean_in_system, which are written
+      // last.
       const double inv_c = 1.0 / static_cast<double>(servers);
-      const auto reference = [&flows, inv_c](std::size_t k) {
-        return flows[k].service.scaled_to_mean(flows[k].service.mean() * inv_c);
+      for (std::size_t k = 0; k < k_classes; ++k) {
+        const Distribution law =
+            flows[k].service.scaled_to_mean(flows[k].service.mean() * inv_c);
+        m.mean_sojourn[k] = law.mean();
+        m.mean_in_system[k] = law.second_moment();
+      }
+      const auto reference = [&m](std::size_t k) {
+        return Moments{m.mean_sojourn[k], m.mean_in_system[k]};
       };
       const Aggregate ref = aggregate_flows(1, flows, reference);
       if (!single_server_delays(discipline, flows, reference, ref, delay)) return false;

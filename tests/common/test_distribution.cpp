@@ -88,6 +88,22 @@ TEST(Distribution, FactoryValidation) {
   EXPECT_THROW(Distribution::from_mean_scv(1.0, -0.5), Error);
 }
 
+TEST(Distribution, PointMassAtZeroRescalesToItself) {
+  // A zero-demand route step: rescaling it to any speed leaves it at 0.
+  for (const Distribution& zero :
+       {Distribution::deterministic(0.0), Distribution::uniform(0.0, 0.0)}) {
+    const Distribution scaled = zero.scaled_to_mean(zero.mean() / 0.6);
+    EXPECT_EQ(scaled.kind(), zero.kind());
+    EXPECT_EQ(scaled.mean(), 0.0);
+    EXPECT_EQ(scaled.second_moment(), 0.0);
+    EXPECT_EQ(scaled.third_moment(), 0.0);
+  }
+  // A law with a positive mean still cannot be scaled to mean 0.
+  EXPECT_THROW((void)Distribution::deterministic(1.0).scaled_to_mean(0.0), Error);
+  EXPECT_THROW((void)Distribution::exponential(1.0).scaled_to_mean(0.0), Error);
+  EXPECT_THROW((void)Distribution::uniform(0.0, 2.0).scaled_to_mean(0.0), Error);
+}
+
 // ---- property-style sweep: sampling reproduces the analytic moments -----
 
 struct FamilyCase {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "cpm/common/error.hpp"
+#include "cpm/core/optimizers.hpp"
 #include "cpm/queueing/basic.hpp"
 
 namespace cpm::core {
@@ -159,6 +162,118 @@ TEST(ClusterModelRates, TierSettingsMapFrequencies) {
   EXPECT_NEAR(s[1].speed, 1.0, 1e-12);
   EXPECT_NEAR(s[2].dynamic_watts.value(),
               model.tiers()[2].power.dynamic_power(units::hertz(0.6)).value(), 1e-12);
+}
+
+// ---- zero-demand route steps ---------------------------------------------
+
+// Two loaded tiers (web: 1 server, db: 2 servers) and two classes, plus,
+// when `gateway` is set, a first tier that every class visits with zero
+// demand: once as a point mass at 0 and once as uniform(0, 0).
+ClusterModel zero_demand_model(bool gateway, Discipline discipline, int gateway_servers) {
+  const int web = gateway ? 1 : 0;
+  const int db = web + 1;
+  std::vector<Tier> tiers = {Tier{"web", 1, discipline}, Tier{"db", 2, discipline}};
+  std::vector<WorkloadClass> classes = {
+      WorkloadClass{"gold", units::per_second(4.0),
+                    {Demand{web, Distribution::exponential(0.03)},
+                     Demand{db, Distribution::hyper_exp2(0.04, 2.0)}},
+                    Sla{}},
+      WorkloadClass{"bronze", units::per_second(9.0),
+                    {Demand{web, Distribution::exponential(0.02)},
+                     Demand{db, Distribution::exponential(0.05)}},
+                    Sla{}},
+  };
+  if (gateway) {
+    tiers.insert(tiers.begin(), Tier{"gateway", gateway_servers, discipline});
+    for (auto& c : classes) {
+      c.route.insert(c.route.begin(), Demand{0, Distribution::deterministic(0.0)});
+      c.route.push_back(Demand{0, Distribution::uniform(0.0, 0.0)});
+    }
+  }
+  return ClusterModel(std::move(tiers), std::move(classes));
+}
+
+TEST(ZeroDemand, TierReachedOnlyByZeroDemandIsStableAndFree) {
+  // The zero-demand gateway adds no wait and no per-request energy: every
+  // class's delay and energy match the model without it, bit for bit, and
+  // the cluster draws only the gateway servers' idle power more.
+  for (const Discipline d : {Discipline::kFcfs, Discipline::kNonPreemptivePriority,
+                             Discipline::kPreemptiveResume,
+                             Discipline::kProcessorSharing}) {
+    for (const int servers : {1, 3}) {
+      SCOPED_TRACE(std::string(queueing::discipline_name(d)) + " x" +
+                   std::to_string(servers));
+      const ClusterModel plain = zero_demand_model(false, d, servers);
+      const ClusterModel gated = zero_demand_model(true, d, servers);
+      for (const double f : {0.6, 0.8, 1.0}) {
+        const Evaluation a = plain.evaluate({f, f});
+        Evaluation b;
+        ASSERT_NO_THROW(b = gated.evaluate({0.6 + 0.4 * (1.0 - f), f, f}));
+        ASSERT_TRUE(a.stable);
+        ASSERT_TRUE(b.stable);
+        EXPECT_EQ(b.net.station_utilization[0], 0.0);
+        for (std::size_t k = 0; k < 2; ++k) {
+          EXPECT_EQ(b.net.station_wait[0][k], 0.0);
+          EXPECT_EQ(b.net.station_wait_m2[0][k], 0.0);
+          EXPECT_EQ(b.net.e2e_delay[k], a.net.e2e_delay[k]);
+          EXPECT_EQ(b.net.e2e_delay_variance[k], a.net.e2e_delay_variance[k]);
+          EXPECT_EQ(b.energy.per_request_energy[k], a.energy.per_request_energy[k]);
+          EXPECT_EQ(b.net.visit_sojourn[k].front(), 0.0);
+          EXPECT_EQ(b.net.visit_sojourn[k].back(), 0.0);
+        }
+        EXPECT_EQ(b.energy.cluster_avg_power,
+                  a.energy.cluster_avg_power +
+                      gated.tiers()[0].power.idle_power() * static_cast<double>(servers));
+      }
+    }
+  }
+}
+
+TEST(ZeroDemand, SharedTierVisitIsFinite) {
+  // A zero-demand step at a loaded tier waits there like any request and
+  // adds no load and no energy of its own.
+  for (const Discipline d : {Discipline::kFcfs, Discipline::kNonPreemptivePriority,
+                             Discipline::kPreemptiveResume,
+                             Discipline::kProcessorSharing}) {
+    SCOPED_TRACE(queueing::discipline_name(d));
+    const ClusterModel plain = zero_demand_model(false, d, 1);
+    std::vector<WorkloadClass> classes = plain.classes();
+    classes[0].route.push_back(Demand{1, Distribution::deterministic(0.0)});
+    const ClusterModel extra(plain.tiers(), classes);
+    const auto f = extra.max_frequencies();
+    const Evaluation a = plain.evaluate(f);
+    Evaluation b;
+    ASSERT_NO_THROW(b = extra.evaluate(f));
+    ASSERT_TRUE(b.stable);
+    EXPECT_EQ(b.net.station_utilization, a.net.station_utilization);
+    EXPECT_EQ(b.energy.cluster_avg_power, a.energy.cluster_avg_power);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_TRUE(std::isfinite(b.net.e2e_delay[k].value()));
+      EXPECT_TRUE(std::isfinite(b.net.e2e_delay_variance[k].value()));
+      EXPECT_DOUBLE_EQ(b.energy.per_request_energy[k].value(),
+                       a.energy.per_request_energy[k].value());
+    }
+    // The step's sojourn is its wait at the db tier, where gold's own
+    // visit merged with it.
+    EXPECT_EQ(b.net.visit_sojourn[0].back(), b.net.station_wait[1][0]);
+  }
+}
+
+TEST(ZeroDemand, SimulationAndOptimisersAcceptZeroDemand) {
+  const ClusterModel gated = zero_demand_model(true, Discipline::kNonPreemptivePriority, 2);
+  const auto f = gated.max_frequencies();
+  sim::SimConfig cfg;
+  ASSERT_NO_THROW(cfg = gated.to_sim_config(f, 0.0, 10.0, 1));
+  EXPECT_EQ(cfg.classes[0].route.front().service.mean(), 0.0);
+  const Evaluation at_max = gated.evaluate(f);
+  ASSERT_TRUE(at_max.stable);
+  FrequencyOptResult r;
+  ASSERT_NO_THROW(r = minimize_power_with_delay_bound(gated, at_max.mean_delay() * 2.0));
+  EXPECT_TRUE(r.feasible);
+  EXPECT_TRUE(std::isfinite(r.power.value()));
+  // Within the solver's scaled constraint tolerance.
+  EXPECT_LE(r.mean_delay,
+            at_max.mean_delay() * 2.0 * (1.0 + FrequencyOptOptions{}.constraint_scale_tol));
 }
 
 }  // namespace

@@ -169,8 +169,14 @@ TEST_F(JournalTest, DeeplyNestedLineIsDropped) {
   RunJournal journal(fs_, path_);
   journal.begin(header());
   const std::string payload(100'000, '[');
-  fs_.append(path_, "\n" + sha256_hex(payload).substr(0, 16) + " " +
-                        payload + "\n");
+  // Built in steps: GCC 12's -Wrestrict misreads the one-expression
+  // concatenation inside libstdc++.
+  std::string line = "\n";
+  line += sha256_hex(payload).substr(0, 16);
+  line += ' ';
+  line += payload;
+  line += '\n';
+  fs_.append(path_, line);
   journal.append(point(0, 1.0));
 
   const auto replay = RunJournal::replay(fs_, path_);

@@ -79,7 +79,7 @@ TEST(Replicate, TenThousandReplicationsNeverExceedHardwareConcurrency) {
   tiny.stations.push_back(
       sim::SimStation{"s", 1, queueing::Discipline::kFcfs, units::watts(1.0), units::watts(2.0), 1.0, -1});
   sim::SimClass c;
-  c.name = "c";
+  c.name.push_back('c');  // not `= "c"`: GCC 12's -Wrestrict misreads it
   c.rate = units::per_second(2.0);
   c.route = {queueing::Visit{0, Distribution::exponential(0.2)}};
   tiny.classes.push_back(c);

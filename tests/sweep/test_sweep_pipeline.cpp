@@ -13,7 +13,7 @@ namespace {
 
 SweepSpec spec_with(Json pipeline) {
   SweepSpec spec;
-  spec.name = "t";
+  spec.name.push_back('t');  // not `= "t"`: GCC 12's -Wrestrict misreads it
   spec.model = core::model_to_json(core::make_enterprise_model(0.6));
   spec.pipeline = std::move(pipeline);
   return spec;

@@ -31,13 +31,10 @@ struct Certificate {
 
 /// Certifies a P-C server-sizing result: the model resized to
 /// solution.servers must prove every property over `box` at the sizing
-/// frequencies (solution frequencies = f_max when the optimizer ran with
-/// defaults — pass the same `frequencies` the optimizer used, or empty
-/// for f_max). An infeasible solution yields an uncertified certificate
-/// without running the prover.
+/// frequencies, every tier at f_max. An infeasible solution yields an
+/// uncertified certificate without running the prover.
 Certificate certify_cost_solution(const core::ClusterModel& model,
                                   const core::CostOptResult& solution,
-                                  const std::vector<double>& frequencies,
                                   const BoxSpec& box,
                                   const CertifyOptions& options = {});
 

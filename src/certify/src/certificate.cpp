@@ -43,14 +43,12 @@ Certificate run_certificate(std::string solution_kind, bool feasible,
 
 Certificate certify_cost_solution(const core::ClusterModel& model,
                                   const core::CostOptResult& solution,
-                                  const std::vector<double>& frequencies,
                                   const BoxSpec& box,
                                   const CertifyOptions& options) {
-  // P-C sizes servers at fixed frequencies, so the certificate pins the
-  // box's frequency dimensions to that operating point.
+  // P-C sizes servers at f_max, so the certificate pins the box's
+  // frequency dimensions to that operating point.
   BoxSpec pinned = box;
-  const std::vector<double> freqs =
-      frequencies.empty() ? model.max_frequencies() : frequencies;
+  const std::vector<double> freqs = model.max_frequencies();
   for (std::size_t i = 0; i < pinned.frequencies.size(); ++i)
     pinned.frequencies[i] = core::Interval::point(freqs[i]);
 

@@ -21,15 +21,14 @@ struct CrossValidateOptions {
   double power_tolerance = 0.03;  // relative envelope // conv-ok: UNIT-2
   double utilization_tolerance = 0.06;
   double delay_tolerance = 0.25;  // relative envelope // conv-ok: UNIT-2
-  /// Run the simulator's internal audit hooks during the differential run.
-  bool audit = true;
 };
 
 /// Analytic-vs-simulation differential on one operating point, plus every
-/// simulation-side invariant oracle on the run's output. Reported
+/// simulation-side invariant oracle on the run's output. The simulation
+/// runs with the simulator's internal audit hooks on. Reported
 /// invariants: "diff-delay", "diff-power", "diff-utilization" and the
-/// check_simulation set. Throws cpm::Error when the model is unstable at
-/// `frequencies`.
+/// check_simulation set. Throws cpm::Error "[CPM-L001] ..." (see
+/// core::evaluate_stable) when the model is unstable at `frequencies`.
 Report cross_validate(const core::ClusterModel& model,
                       const std::vector<double>& frequencies,
                       const CrossValidateOptions& options = {});

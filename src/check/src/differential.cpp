@@ -33,12 +33,11 @@ void observe(CheckResult& r, double res, const std::string& site) {
 Report cross_validate(const core::ClusterModel& model,
                       const std::vector<double>& frequencies,
                       const CrossValidateOptions& options) {
-  core::require_stable(model, frequencies, "cross_validate");
-  const auto ev = model.evaluate(frequencies);
+  const auto ev = core::evaluate_stable(model, frequencies, "cross_validate");
 
   auto cfg = model.to_sim_config(frequencies, options.sim.warmup_time,
                                  options.sim.end_time, options.sim.seed);
-  cfg.audit = options.audit;
+  cfg.audit = true;
 
   sim::ReplicationOptions rep;
   rep.replications = options.sim.replications;

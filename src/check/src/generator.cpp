@@ -4,7 +4,7 @@
 #include <string>
 
 #include "cpm/common/error.hpp"
-#include "cpm/queueing/network.hpp"
+#include "cpm/core/preconditions.hpp"
 
 namespace cpm::check {
 
@@ -82,8 +82,7 @@ core::ClusterModel random_model(Rng& rng, const GeneratorOptions& options) {
   core::ClusterModel model(std::move(tiers), std::move(classes));
   // Rescale total demand so the busiest tier sits exactly at util_cap —
   // every generated model is stable at f_max by construction.
-  const auto utils = queueing::network_utilizations(
-      model.network_stations(), model.network_classes(model.max_frequencies()));
+  const auto utils = core::tier_utilizations(model, model.max_frequencies());
   double peak = 0.0;
   for (double u : utils) peak = std::max(peak, u);
   return model.with_rate_scale(options.util_cap / peak);

@@ -178,8 +178,7 @@ CheckResult check_energy_balance(const core::ClusterModel& model,
 
 Report check_analytic(const core::ClusterModel& model,
                       const std::vector<double>& frequencies) {
-  core::require_stable(model, frequencies, "check_analytic");
-  const auto ev = model.evaluate(frequencies);
+  const auto ev = core::evaluate_stable(model, frequencies, "check_analytic");
   Report report;
   report.add(check_utilization_law(model, frequencies, ev));
   report.add(check_conservation_law(model, frequencies, ev));

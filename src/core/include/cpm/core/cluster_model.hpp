@@ -12,6 +12,10 @@
 // of cpm::queueing / cpm::power. The same model compiles to a simulator
 // configuration (to_sim_config) so every analytical number can be checked
 // against discrete-event simulation — the paper's validation methodology.
+//
+// evaluate() is the one way into the analysis: delays, power, both
+// per-request energies and the stability verdict come from one pass over
+// the skeleton the model binds when it is built.
 #pragma once
 
 #include <string>
@@ -136,30 +140,22 @@ class ClusterModel {
   /// point attains the minimum feasible power — the reference point for
   /// P-D feasibility checks and the energy-optimisation floor. The point
   /// may still be unstable when even f_max cannot carry a tier's load;
-  /// callers must check stable_at().
+  /// callers must check evaluate(f).stable.
   [[nodiscard]] std::vector<double> min_stable_frequencies(
       double margin = 1e-3) const;
 
-  /// The queueing network: its stations, and its classes at frequencies
-  /// `f` (demands rescaled by speedup).
-  [[nodiscard]] std::vector<queueing::NetworkStation> network_stations() const {
-    return skeleton_.stations;
-  }
-  [[nodiscard]] std::vector<queueing::CustomerClass> network_classes(
-      const std::vector<double>& frequencies) const;
+  /// The queueing network's skeleton, bound at construction: the model's
+  /// only network.
+  [[nodiscard]] const queueing::NetworkSkeleton& skeleton() const { return skeleton_; }
 
-  /// Per-tier power operating points at frequencies `f` (inputs to
-  /// power::compute_energy for callers wanting a non-default attribution).
-  [[nodiscard]] std::vector<power::TierPower> tier_power(
+  /// The network's classes at frequencies `f` (demands rescaled by
+  /// speedup), in the skeleton's order.
+  [[nodiscard]] std::vector<queueing::CustomerClass> network_classes(
       const std::vector<double>& frequencies) const;
 
   /// Returns a copy with every tier switched to `discipline` (the
   /// priority-vs-FCFS comparisons of E6/E7 use this).
   [[nodiscard]] ClusterModel with_discipline(queueing::Discipline discipline) const;
-
-  /// True iff every tier is stable at frequencies `f`, that is iff
-  /// evaluate(f).stable.
-  [[nodiscard]] bool stable_at(const std::vector<double>& frequencies) const;
 
   /// Analytic per-class delays, power and energy at an operating point.
   /// Returns stable=false (and no metrics) instead of throwing when some

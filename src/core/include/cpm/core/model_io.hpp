@@ -48,6 +48,10 @@ ClusterModel model_from_json_text(const std::string& text);
 /// Serialises a model to the schema above (always by-name tier refs).
 Json model_to_json(const ClusterModel& model);
 
+/// A tier's "power" block as power::ServerPower::typical_2011_server()
+/// writes it: the value of each field the document leaves out.
+Json power_field_defaults();
+
 /// Distribution <-> JSON (exposed for tests and tooling).
 Distribution distribution_from_json(const Json& json);
 Json distribution_to_json(const Distribution& dist);

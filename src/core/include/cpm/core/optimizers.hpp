@@ -78,15 +78,14 @@ struct CostOptResult {
 
 struct CostOptOptions {
   int max_servers_per_tier = 24;
-  /// Frequencies used while sizing; empty = every tier at f_max.
-  std::vector<double> frequencies;
   /// Use the greedy heuristic instead of exact branch-and-bound.
   bool greedy_only = false;
 };
 
 /// P-C: cheapest integer server allocation meeting every class's SLA
-/// (classes with an unbounded SLA impose no constraint). feasible=false
-/// when even max_servers_per_tier everywhere cannot meet the SLAs.
+/// (classes with an unbounded SLA impose no constraint), sized with every
+/// tier at f_max. feasible=false when even max_servers_per_tier everywhere
+/// cannot meet the SLAs.
 CostOptResult minimize_cost_for_slas(const ClusterModel& model,
                                      const CostOptOptions& options = {});
 

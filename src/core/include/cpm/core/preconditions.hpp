@@ -1,8 +1,9 @@
 // Preconditions of a ClusterModel: tier stability and per-class SLA floors.
 //
 // These facts are shared by the runtime checks (validate_model, the cost
-// optimiser), cpm::lint and cpm::certify, so all of them describe a defect
-// with the same text.
+// optimiser, the cpm::check oracles), cpm::lint and cpm::certify, so all of
+// them describe a defect with the same text. Runtime checks take stability
+// from the model's one evaluation; lint and certify from utilisation.
 #pragma once
 
 #include <cstddef>
@@ -29,21 +30,23 @@ struct StabilityFinding {
 /// frequency f iff load_i * f_base / f < 1).
 std::vector<double> tier_base_loads(const ClusterModel& model);
 
-/// Per-tier utilisation at `frequencies`.
+/// Per-tier utilisation at `frequencies`, over the model's skeleton.
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies);
 
 StabilityFinding probe_stability(const ClusterModel& model,
                                  const std::vector<double>& frequencies);
 
-/// "tier 'db' has no steady state (rho = 1.04 >= 1)".
+/// "tier 'db' has no steady state (rho = 1.04 >= 1)"; below 1 (an analysis
+/// that diverges within rounding of 1) it shows every digit of rho.
 std::string overload_description(const ClusterModel& model,
                                  const StabilityFinding& finding);
 
-/// Throws cpm::Error "<where>: [CPM-L001] <overload_description>" when a
-/// tier is overloaded at `frequencies`.
-void require_stable(const ClusterModel& model,
-                    const std::vector<double>& frequencies, const char* where);
+/// The model's evaluation at `frequencies`. Throws cpm::Error "<where>:
+/// [CPM-L001] <overload_description>" when it is unstable, naming the
+/// first tier with rho >= 1, or else the busiest tier.
+Evaluation evaluate_stable(const ClusterModel& model,
+                           const std::vector<double>& frequencies, const char* where);
 
 /// Class k's no-queueing end-to-end delay: its route's service demands at
 /// `frequencies`, with zero waiting.

@@ -44,8 +44,8 @@ struct ValidationReport {
 
 /// Compares per-class E2E delay, traffic-weighted mean delay, per-class
 /// marginal E2E energy, cluster average power and per-tier utilisation.
-/// Throws cpm::Error when the operating point is analytically unstable
-/// (there is no steady state to validate).
+/// Throws cpm::Error [CPM-L001] (evaluate_stable) when the operating point
+/// is analytically unstable (there is no steady state to validate).
 ValidationReport validate_model(const ClusterModel& model,
                                 const std::vector<double>& frequencies,
                                 const SimSettings& settings = {});

@@ -163,22 +163,10 @@ void ClusterModel::tier_power(const std::vector<double>& frequencies,
   }
 }
 
-std::vector<power::TierPower> ClusterModel::tier_power(
-    const std::vector<double>& frequencies) const {
-  check_frequencies(frequencies);
-  std::vector<power::TierPower> tp;
-  tier_power(frequencies, tp);
-  return tp;
-}
-
 ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) const {
   std::vector<Tier> tiers = tiers_;
   for (auto& t : tiers) t.discipline = discipline;
   return ClusterModel(std::move(tiers), classes_, skeleton_);
-}
-
-bool ClusterModel::stable_at(const std::vector<double>& frequencies) const {
-  return evaluate(frequencies).stable;
 }
 
 Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const {

@@ -112,13 +112,16 @@ namespace {
 power::ServerPower power_from_json(const Json& tier) {
   if (!tier.contains("power")) return power::ServerPower::typical_2011_server();
   const Json& p = tier.at("power");
+  const Json defaults = power_field_defaults();
+  const auto field = [&](const char* key) {
+    return p.number_or(key, defaults.at(key).as_number());
+  };
   power::DvfsRange dvfs;
-  dvfs.f_min = units::hertz(p.number_or("f_min", 0.6));
-  dvfs.f_max = units::hertz(p.number_or("f_max", 1.0));
-  dvfs.f_base = units::hertz(p.number_or("f_base", 1.0));
-  return power::ServerPower(units::watts(p.number_or("idle_watts", 150.0)),
-                            units::watts(p.number_or("busy_watts", 250.0)),
-                            p.number_or("alpha", 3.0), dvfs);
+  dvfs.f_min = units::hertz(field("f_min"));
+  dvfs.f_max = units::hertz(field("f_max"));
+  dvfs.f_base = units::hertz(field("f_base"));
+  return power::ServerPower(units::watts(field("idle_watts")),
+                            units::watts(field("busy_watts")), field("alpha"), dvfs);
 }
 
 Json power_to_json(const power::ServerPower& sp) {
@@ -150,6 +153,10 @@ int tier_index(const Json& ref, const std::vector<Tier>& tiers,
 }
 
 }  // namespace
+
+Json power_field_defaults() {
+  return power_to_json(power::ServerPower::typical_2011_server());
+}
 
 ClusterModel model_from_json(const Json& json) {
   require(json.is_object(), "model_io: document must be an object");

@@ -238,9 +238,7 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
   require(options.max_servers_per_tier >= 1,
           "P-C: max_servers_per_tier must be >= 1");
   const std::size_t n_tiers = model.num_tiers();
-  std::vector<double> freqs = options.frequencies.empty() ? model.max_frequencies()
-                                                          : options.frequencies;
-  require(freqs.size() == n_tiers, "P-C: one frequency per tier required");
+  const std::vector<double> freqs = model.max_frequencies();
 
   // Statically infeasible mean-SLA targets (at or below the no-queueing
   // service-demand floor, lint rule CPM-L003) do not depend on server

@@ -1,5 +1,8 @@
 #include "cpm/core/preconditions.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "cpm/common/error.hpp"
 #include "cpm/common/table.hpp"
 #include "cpm/queueing/network.hpp"
@@ -19,7 +22,7 @@ std::vector<double> tier_base_loads(const ClusterModel& model) {
 
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies) {
-  return queueing::network_utilizations(model.network_stations(),
+  return queueing::network_utilizations(model.skeleton(),
                                         model.network_classes(frequencies));
 }
 
@@ -33,16 +36,26 @@ StabilityFinding probe_stability(const ClusterModel& model,
 
 std::string overload_description(const ClusterModel& model,
                                  const StabilityFinding& finding) {
-  return "tier '" + model.tiers()[finding.tier].name + "' has no steady state (rho = " +
-         format_double(finding.rho, 4) + " >= 1)";
+  const std::string head =
+      "tier '" + model.tiers()[finding.tier].name + "' has no steady state (rho = ";
+  if (finding.rho >= 1.0) return head + format_double(finding.rho, 4) + " >= 1)";
+  char buf[32];  // shortest round-trip text: every digit below 1
+  const auto res = std::to_chars(buf, buf + sizeof buf, finding.rho);
+  return head + std::string(buf, res.ptr) + " < 1, yet the analysis diverges)";
 }
 
-void require_stable(const ClusterModel& model,
-                    const std::vector<double>& frequencies, const char* where) {
-  const StabilityFinding finding = probe_stability(model, frequencies);
-  if (!finding.stable)
-    throw Error(std::string(where) + ": [CPM-L001] " +
-                overload_description(model, finding));
+Evaluation evaluate_stable(const ClusterModel& model,
+                           const std::vector<double>& frequencies, const char* where) {
+  Evaluation ev = model.evaluate(frequencies);
+  if (ev.stable) return ev;
+  StabilityFinding finding = probe_stability(model, frequencies);
+  if (finding.stable) {  // every rho < 1: the analysis diverged within rounding
+    const std::vector<double> rho = tier_utilizations(model, frequencies);
+    const auto busiest = std::max_element(rho.begin(), rho.end());
+    finding.tier = static_cast<std::size_t>(busiest - rho.begin());
+    finding.rho = rho[finding.tier];
+  }
+  throw Error(std::string(where) + ": [CPM-L001] " + overload_description(model, finding));
 }
 
 units::Seconds class_delay_floor(const ClusterModel& model, std::size_t k,

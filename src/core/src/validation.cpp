@@ -28,15 +28,7 @@ ValidationRow make_row(std::string metric, double analytic,
 ValidationReport validate_model(const ClusterModel& model,
                                 const std::vector<double>& frequencies,
                                 const SimSettings& settings) {
-  require_stable(model, frequencies, "validate_model");
-  const Evaluation ev = model.evaluate(frequencies);
-
-  // Marginal (dynamic-only) energy matches what the simulator accounts per
-  // request; the proportional-idle variant is validated via average power.
-  const power::EnergyMetrics marginal =
-      power::compute_energy(model.tier_power(frequencies),
-                            model.network_classes(frequencies), ev.net,
-                            power::IdleAttribution::kMarginalOnly);
+  const Evaluation ev = evaluate_stable(model, frequencies, "validate_model");
 
   sim::ReplicationOptions rep;
   rep.replications = settings.replications;
@@ -53,9 +45,11 @@ ValidationReport validate_model(const ClusterModel& model,
   }
   report.rows.push_back(make_row("delay[mean]", ev.net.mean_e2e_delay.value(),
                                  sim.mean_e2e_delay));
+  // Marginal (dynamic-only) energy is what the simulator accounts per
+  // request; the idle shares are validated through average power.
   for (std::size_t k = 0; k < model.num_classes(); ++k) {
     report.rows.push_back(make_row("energy[" + model.classes()[k].name + "]",
-                                   marginal.per_request_energy[k].value(),
+                                   ev.energy.marginal_energy[k].value(),
                                    sim.classes[k].mean_e2e_energy));
   }
   report.rows.push_back(make_row("power[cluster]",

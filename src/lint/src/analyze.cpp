@@ -135,8 +135,8 @@ void rule_priority_sla_order(const core::ClusterModel& model, const RuleSet& rul
 
 // ---- document-scope rules --------------------------------------------------
 
-/// Mirrors the power_from_json defaults of model_io so the checks judge
-/// exactly what the loader would construct.
+/// Reads absent fields as the loader does (core::power_field_defaults) so
+/// the checks judge exactly what the loader would construct.
 void check_power_block(const Json& tier, std::size_t index, const RuleSet& rules,
                        LintReport& report) {
   if (!tier.contains("power")) return;  // typical-2011 defaults are valid
@@ -146,12 +146,16 @@ void check_power_block(const Json& tier, std::size_t index, const RuleSet& rules
          "'power' must be an object");
     return;
   }
-  const double idle = p.number_or("idle_watts", 150.0);
-  const double busy = p.number_or("busy_watts", 250.0);
-  const double alpha = p.number_or("alpha", 3.0);
-  const double f_min = p.number_or("f_min", 0.6);
-  const double f_max = p.number_or("f_max", 1.0);
-  const double f_base = p.number_or("f_base", 1.0);
+  const Json defaults = core::power_field_defaults();
+  const auto field = [&](const char* key) {
+    return p.number_or(key, defaults.at(key).as_number());
+  };
+  const double idle = field("idle_watts");
+  const double busy = field("busy_watts");
+  const double alpha = field("alpha");
+  const double f_min = field("f_min");
+  const double f_max = field("f_max");
+  const double f_base = field("f_base");
   if (idle < 0.0) {
     emit(report, rules, "CPM-L008", at("tiers", index, "power.idle_watts"),
          "idle power is negative (" + format_double(idle, 1) + " W)",

@@ -11,10 +11,13 @@
 // Objectives/constraints may return +infinity outside their domain (e.g.
 // delay of an unstable allocation); the default Nelder–Mead inner solver
 // handles that gracefully, which is why it is the default.
+//
+// The schedule is fixed (at most 40 rounds; penalty weight 10, grown 4x
+// when a round cuts the violation by less than 4x; Nelder–Mead from the
+// incumbent plus 4 quasi-random starts): callers pick the inner solver and
+// the feasibility tolerance.
 #pragma once
 
-#include "cpm/opt/gradient.hpp"
-#include "cpm/opt/nelder_mead.hpp"
 #include "cpm/opt/types.hpp"
 
 namespace cpm::opt {
@@ -22,15 +25,8 @@ namespace cpm::opt {
 enum class InnerSolver { kNelderMead, kProjectedGradient };
 
 struct AugLagOptions {
-  int max_outer = 40;
-  double mu0 = 10.0;             ///< initial penalty weight
-  double mu_growth = 4.0;        ///< growth factor when violation stalls
-  double violation_tol = 1e-7;   ///< feasibility tolerance on max_j g_j(x)
-  double stall_factor = 0.25;    ///< violation must shrink by this per round
+  double violation_tol = 1e-7;  ///< feasibility tolerance on max_j g_j(x)
   InnerSolver inner = InnerSolver::kNelderMead;
-  int nm_starts = 4;             ///< multistarts of the inner Nelder–Mead
-  NelderMeadOptions nm;
-  GradientOptions pg;
 };
 
 struct ConstrainedResult {

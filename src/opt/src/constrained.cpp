@@ -5,8 +5,16 @@
 #include <limits>
 
 #include "cpm/common/error.hpp"
+#include "cpm/opt/gradient.hpp"
+#include "cpm/opt/nelder_mead.hpp"
 
 namespace cpm::opt {
+
+constexpr int kMaxOuter = 40;
+constexpr double kMu0 = 10.0;          // initial penalty weight
+constexpr double kMuGrowth = 4.0;      // growth factor when violation stalls
+constexpr double kStallFactor = 0.25;  // violation must shrink by this per round
+constexpr int kNelderMeadStarts = 4;   // multistarts of the inner Nelder–Mead
 
 ConstrainedResult augmented_lagrangian(const Objective& f,
                                        const std::vector<Objective>& inequalities,
@@ -17,7 +25,7 @@ ConstrainedResult augmented_lagrangian(const Objective& f,
 
   const std::size_t m = inequalities.size();
   std::vector<double> lambda(m, 0.0);
-  double mu = options.mu0;
+  double mu = kMu0;
 
   auto violations = [&](const std::vector<double>& x) {
     std::vector<double> g(m);
@@ -48,19 +56,18 @@ ConstrainedResult augmented_lagrangian(const Objective& f,
   double prev_violation = std::numeric_limits<double>::infinity();
 
   ConstrainedResult result;
-  for (result.outer_iterations = 0; result.outer_iterations < options.max_outer;
+  for (result.outer_iterations = 0; result.outer_iterations < kMaxOuter;
        ++result.outer_iterations) {
     VectorResult inner;
     if (options.inner == InnerSolver::kNelderMead) {
       // Seed one run at the incumbent, then multistart for global reach.
-      VectorResult seeded = nelder_mead(augmented, box, x, options.nm);
+      VectorResult seeded = nelder_mead(augmented, box, x);
       inner = multistart_nelder_mead(
-          augmented, box, options.nm_starts,
-          /*seed=*/1234u + static_cast<unsigned>(result.outer_iterations),
-          options.nm);
+          augmented, box, kNelderMeadStarts,
+          /*seed=*/1234u + static_cast<unsigned>(result.outer_iterations));
       if (seeded.value < inner.value) inner = std::move(seeded);
     } else {
-      inner = projected_gradient(augmented, box, x, options.pg);
+      inner = projected_gradient(augmented, box, x);
     }
     x = std::move(inner.x);
 
@@ -78,7 +85,7 @@ ConstrainedResult augmented_lagrangian(const Objective& f,
       // feasible-and-converged is the stopping contract.
       break;
     }
-    if (viol > options.stall_factor * prev_violation) mu *= options.mu_growth;
+    if (viol > kStallFactor * prev_violation) mu *= kMuGrowth;
     prev_violation = viol;
   }
 

@@ -6,14 +6,12 @@
 //   * per-class end-to-end energy per request (joules) — "average energy
 //     consumption for multiple class customers".
 //
-// Idle power has no unambiguous owner, so per-request energy supports two
-// attribution policies:
-//   kMarginalOnly        only the dynamic energy drawn while the request
-//                        holds servers (the request's causal footprint);
-//   kProportionalToLoad  additionally splits each station's full idle power
-//                        across classes in proportion to their utilisation
-//                        share, so that sum_k lambda_k E_k equals total
-//                        cluster power (full cost recovery).
+// Idle power has no unambiguous owner, so one pass yields two per-request
+// figures: marginal_energy, the dynamic energy drawn while the request
+// holds servers (its causal footprint, which the simulator measures), and
+// per_request_energy, which adds each station's full idle power split
+// across classes by utilisation share, so that sum_k lambda_k E_k equals
+// total cluster power (full cost recovery).
 #pragma once
 
 #include <vector>
@@ -22,8 +20,6 @@
 #include "cpm/queueing/network.hpp"
 
 namespace cpm::power {
-
-enum class IdleAttribution { kMarginalOnly, kProportionalToLoad };
 
 /// Operating point of one tier: its power curve, chosen frequency and
 /// server count (must match the NetworkStation it describes).
@@ -41,27 +37,22 @@ struct EnergyMetrics {
   std::vector<units::Watts> station_dynamic_power;
   /// Per-station average power.
   std::vector<units::Watts> station_avg_power;
-  /// Per-class mean end-to-end energy per request.
+  /// Per-class mean end-to-end energy per request, idle shares included.
   std::vector<units::Joules> per_request_energy;
+  /// Its dynamic part, drawn while the request holds servers.
+  std::vector<units::Joules> marginal_energy;
   /// Traffic-weighted mean of per_request_energy.
   units::Joules mean_per_request_energy = units::joules(0.0);
 };
 
-/// Computes energy metrics for an analysed network. `tiers[i]` describes
-/// stations[i]; `net` must come from analyze_network on the same inputs
-/// (class service times already expressed at the tier frequencies).
-EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
-                             const std::vector<queueing::CustomerClass>& classes,
-                             const queueing::NetworkMetrics& net,
-                             IdleAttribution attribution =
-                                 IdleAttribution::kProportionalToLoad);
-
-/// In-place form of compute_energy: writes into `out`, reusing its
-/// vectors. Each tier's dynamic power is computed once and serves both its
-/// average power and every visit's marginal energy.
+/// Computes energy metrics for an analysed network into `out`, reusing its
+/// vectors. `tiers[i]` describes station i; `net` must come from
+/// analyze_network on the same inputs (class service times already
+/// expressed at the tier frequencies). Each tier's dynamic power is
+/// computed once and serves its average power and every visit's marginal
+/// energy.
 void compute_energy(const std::vector<TierPower>& tiers,
                     const std::vector<queueing::CustomerClass>& classes,
-                    const queueing::NetworkMetrics& net, EnergyMetrics& out,
-                    IdleAttribution attribution = IdleAttribution::kProportionalToLoad);
+                    const queueing::NetworkMetrics& net, EnergyMetrics& out);
 
 }  // namespace cpm::power

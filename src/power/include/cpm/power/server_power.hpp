@@ -16,6 +16,9 @@
 // utilisation rho(f) is proportional to 1/f, so the dynamic energy term
 // scales as f^(alpha-1) — slowing down saves energy but inflates delay.
 //
+// Figures at an operating point take dynamic_power(f) = c f^alpha, which a
+// caller computes once per tier; busy power is idle_power() + dynamic_power(f).
+//
 // Dimensions are compile-time checked (cpm/common/units.hpp): frequencies
 // are units::Hertz, powers units::Watts, per-request energies
 // units::Joules. alpha, rho and speedup are genuinely dimensionless and
@@ -60,14 +63,8 @@ class ServerPower {
   /// [f_min, f_max].
   void check_frequency(units::Hertz f) const;
 
-  /// Instantaneous power while serving at frequency f.
-  [[nodiscard]] units::Watts busy_power(units::Hertz f) const;
-
-  /// Average power at frequency f and utilisation rho in [0, 1).
-  [[nodiscard]] units::Watts average_power(units::Hertz f, double rho) const;
-
-  /// Average power at utilisation rho, given `dynamic` = dynamic_power(f)
-  /// of the operating frequency: a caller that holds it skips its pow().
+  /// Average power at utilisation rho in [0, 1], given `dynamic` =
+  /// dynamic_power(f) of the operating frequency f.
   [[nodiscard]] units::Watts average_power(units::Watts dynamic, double rho) const;
 
   /// Service-capacity multiplier mu(f)/mu_base = f / f_base.
@@ -77,11 +74,8 @@ class ServerPower {
   [[nodiscard]] units::Watts dynamic_power(units::Hertz f) const;
 
   /// Energy drawn beyond idle to serve one request of mean duration
-  /// `mean_service` (already expressed at frequency f).
-  [[nodiscard]] units::Joules marginal_energy_per_request(
-      units::Hertz f, units::Seconds mean_service) const;
-
-  /// The same, given `dynamic` = dynamic_power(f).
+  /// `mean_service` (already expressed at frequency f), given `dynamic` =
+  /// dynamic_power(f).
   [[nodiscard]] units::Joules marginal_energy_per_request(
       units::Watts dynamic, units::Seconds mean_service) const;
 

@@ -4,19 +4,9 @@
 
 namespace cpm::power {
 
-EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
-                             const std::vector<queueing::CustomerClass>& classes,
-                             const queueing::NetworkMetrics& net,
-                             IdleAttribution attribution) {
-  EnergyMetrics em;
-  compute_energy(tiers, classes, net, em, attribution);
-  return em;
-}
-
 void compute_energy(const std::vector<TierPower>& tiers,
                     const std::vector<queueing::CustomerClass>& classes,
-                    const queueing::NetworkMetrics& net, EnergyMetrics& em,
-                    IdleAttribution attribution) {
+                    const queueing::NetworkMetrics& net, EnergyMetrics& em) {
   const std::size_t n_stations = net.station_utilization.size();
   const std::size_t n_classes = classes.size();
   require(tiers.size() == n_stations, "compute_energy: tiers/stations size mismatch");
@@ -47,23 +37,24 @@ void compute_energy(const std::vector<TierPower>& tiers,
     }
   }
 
-  if (attribution == IdleAttribution::kProportionalToLoad) {
-    // Split each station's idle power across classes by utilisation share;
-    // a class's per-request share is its power share divided by its rate.
-    for (std::size_t s = 0; s < n_stations; ++s) {
-      const units::Watts idle_total =
-          tiers[s].server.idle_power() * static_cast<double>(tiers[s].servers);
-      double rho_sum = 0.0;
-      for (std::size_t k = 0; k < n_classes; ++k) rho_sum += net.station_rho[s][k];
-      if (rho_sum <= 0.0) continue;  // nobody to attribute to
-      for (std::size_t k = 0; k < n_classes; ++k) {
-        if (classes[k].rate <= units::per_second(0.0)) continue;
-        const double share = net.station_rho[s][k] / rho_sum;
-        // W / (jobs/s) = J per job: the class's idle-power share spread
-        // over its request stream.
-        em.per_request_energy[k] +=
-            units::joules((idle_total * share).value() / classes[k].rate.value());
-      }
+  // That is the marginal energy; the idle shares come on top of it.
+  em.marginal_energy = em.per_request_energy;
+
+  // Split each station's idle power across classes by utilisation share;
+  // a class's per-request share is its power share divided by its rate.
+  for (std::size_t s = 0; s < n_stations; ++s) {
+    const units::Watts idle_total =
+        tiers[s].server.idle_power() * static_cast<double>(tiers[s].servers);
+    double rho_sum = 0.0;
+    for (std::size_t k = 0; k < n_classes; ++k) rho_sum += net.station_rho[s][k];
+    if (rho_sum <= 0.0) continue;  // nobody to attribute to
+    for (std::size_t k = 0; k < n_classes; ++k) {
+      if (classes[k].rate <= units::per_second(0.0)) continue;
+      const double share = net.station_rho[s][k] / rho_sum;
+      // W / (jobs/s) = J per job: the class's idle-power share spread
+      // over its request stream.
+      em.per_request_energy[k] +=
+          units::joules((idle_total * share).value() / classes[k].rate.value());
     }
   }
 

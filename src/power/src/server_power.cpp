@@ -36,15 +36,6 @@ void ServerPower::check_frequency(units::Hertz f) const {
           "ServerPower: frequency outside DVFS range");
 }
 
-units::Watts ServerPower::busy_power(units::Hertz f) const {
-  check_frequency(f);
-  return idle_ + watts(dyn_coeff_ * std::pow(f.value(), alpha_));
-}
-
-units::Watts ServerPower::average_power(units::Hertz f, double rho) const {
-  return average_power(dynamic_power(f), rho);
-}
-
 units::Watts ServerPower::average_power(units::Watts dynamic, double rho) const {
   require(rho >= 0.0 && rho <= 1.0, "ServerPower: utilisation outside [0,1]");
   return idle_ + dynamic * rho;
@@ -58,11 +49,6 @@ double ServerPower::speedup(units::Hertz f) const {
 units::Watts ServerPower::dynamic_power(units::Hertz f) const {
   check_frequency(f);
   return watts(dyn_coeff_ * std::pow(f.value(), alpha_));
-}
-
-units::Joules ServerPower::marginal_energy_per_request(
-    units::Hertz f, units::Seconds mean_service) const {
-  return marginal_energy_per_request(dynamic_power(f), mean_service);
 }
 
 units::Joules ServerPower::marginal_energy_per_request(

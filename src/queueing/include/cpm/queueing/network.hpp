@@ -13,6 +13,10 @@
 // station on a route and approximate downstream (departures of priority
 // queues are not Poisson); experiment E1 quantifies the resulting error
 // against simulation.
+//
+// Both entry points take the network's skeleton (network_skeleton), which
+// checks the description once and binds which route steps feed which
+// station flows; none takes a bare list of stations.
 #pragma once
 
 #include <string>
@@ -70,11 +74,6 @@ struct NetworkMetrics {
   units::Rate total_rate = units::per_second(0.0);
 };
 
-/// Validates a network description: station indices in range, rates
-/// non-negative, routes non-empty. Throws cpm::Error on violation.
-void validate_network(const std::vector<NetworkStation>& stations,
-                      const std::vector<CustomerClass>& classes);
-
 /// What the analysis needs of a network beyond its rates and service laws:
 /// the stations and, per station, which class flows visit it and from
 /// which route steps. Rescaling service laws or arrival rates leaves it
@@ -93,23 +92,15 @@ struct NetworkSkeleton {
   std::size_t classes = 0;               ///< number of classes
 };
 
-/// Validates the network (see validate_network) and builds its skeleton.
+/// Builds the skeleton after checking the description (stations with >= 1
+/// server, rates >= 0, non-empty routes on known stations; cpm::Error).
 NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
                                  const std::vector<CustomerClass>& classes);
 
-/// True iff every station is stable under the offered per-class flows,
-/// that is iff analyze_network succeeds.
-bool network_stable(const std::vector<NetworkStation>& stations,
-                    const std::vector<CustomerClass>& classes);
-
-/// Per-station utilisation (length = stations.size()).
-std::vector<double> network_utilizations(const std::vector<NetworkStation>& stations,
+/// Per-station utilisation (length = skeleton.stations.size()) of the
+/// classes, which must have the routes `skeleton` was built from.
+std::vector<double> network_utilizations(const NetworkSkeleton& skeleton,
                                          const std::vector<CustomerClass>& classes);
-
-/// Full decomposition analysis. Throws cpm::Error when any station is
-/// unstable.
-NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
-                               const std::vector<CustomerClass>& classes);
 
 /// Buffers the in-place analyze_network reuses from call to call. One
 /// workspace serves networks of any shape; once it has analysed a network
@@ -124,7 +115,7 @@ struct NetworkWorkspace {
   std::vector<Station> stations;
 };
 
-/// The analysis kernel: builds each station's flows in `ws` from the
+/// The analysis: builds each station's flows in `ws` from the
 /// skeleton and the classes' rates and service laws, decides every
 /// station's stability from them, analyses the stable network and writes
 /// the result into `out`, reusing its vectors. `classes` must have the
@@ -133,12 +124,6 @@ struct NetworkWorkspace {
 /// false, leaving `out` untouched, when some station is unstable (see the
 /// in-place analyze_station).
 [[nodiscard]] bool analyze_network(const NetworkSkeleton& skeleton,
-                                   const std::vector<CustomerClass>& classes,
-                                   NetworkMetrics& out, NetworkWorkspace& ws);
-
-/// The kernel on a network given whole: validates it and builds its
-/// skeleton first. Throws cpm::Error on an invalid network.
-[[nodiscard]] bool analyze_network(const std::vector<NetworkStation>& stations,
                                    const std::vector<CustomerClass>& classes,
                                    NetworkMetrics& out, NetworkWorkspace& ws);
 

@@ -8,8 +8,8 @@
 
 namespace cpm::queueing {
 
-void validate_network(const std::vector<NetworkStation>& stations,
-                      const std::vector<CustomerClass>& classes) {
+NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
+                                 const std::vector<CustomerClass>& classes) {
   require(!stations.empty(), "network: need at least one station");
   require(!classes.empty(), "network: need at least one class");
   for (const auto& s : stations)
@@ -26,11 +26,6 @@ void validate_network(const std::vector<NetworkStation>& stations,
         throw Error("network: class '" + c.name + "' visits unknown station");
     }
   }
-}
-
-NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
-                                 const std::vector<CustomerClass>& classes) {
-  validate_network(stations, classes);
   NetworkSkeleton sk;
   sk.flows.resize(stations.size());
   sk.stations = std::move(stations);
@@ -92,38 +87,17 @@ void flows_at_station(std::size_t station,
 
 }  // namespace
 
-std::vector<double> network_utilizations(const std::vector<NetworkStation>& stations,
+std::vector<double> network_utilizations(const NetworkSkeleton& sk,
                                          const std::vector<CustomerClass>& classes) {
-  const NetworkSkeleton sk = network_skeleton(stations, classes);
-  std::vector<double> util(stations.size(), 0.0);
+  require(classes.size() == sk.classes,
+          "network_utilizations: classes do not match the skeleton");
+  std::vector<double> util(sk.stations.size(), 0.0);
   std::vector<ClassFlow> flows;
-  for (std::size_t s = 0; s < stations.size(); ++s) {
+  for (std::size_t s = 0; s < sk.stations.size(); ++s) {
     flows_at_station(s, sk.flows[s], classes, flows);
-    if (!flows.empty()) util[s] = station_utilization(stations[s].servers, flows);
+    if (!flows.empty()) util[s] = station_utilization(sk.stations[s].servers, flows);
   }
   return util;
-}
-
-bool network_stable(const std::vector<NetworkStation>& stations,
-                    const std::vector<CustomerClass>& classes) {
-  NetworkMetrics m;
-  NetworkWorkspace ws;
-  return analyze_network(stations, classes, m, ws);
-}
-
-NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
-                               const std::vector<CustomerClass>& classes) {
-  NetworkMetrics m;
-  NetworkWorkspace ws;
-  require(analyze_network(stations, classes, m, ws),
-          "analyze_network: unstable station (rho >= 1)");
-  return m;
-}
-
-bool analyze_network(const std::vector<NetworkStation>& stations,
-                     const std::vector<CustomerClass>& classes, NetworkMetrics& m,
-                     NetworkWorkspace& ws) {
-  return analyze_network(network_skeleton(stations, classes), classes, m, ws);
 }
 
 bool analyze_network(const NetworkSkeleton& sk, const std::vector<CustomerClass>& classes,

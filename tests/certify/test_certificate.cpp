@@ -19,7 +19,7 @@ TEST(Certificate, FeasibleSizingCertifiesOnTheNominalBox) {
   ASSERT_TRUE(solution.feasible);
 
   const Certificate cert =
-      certify_cost_solution(model, solution, {}, default_box(model));
+      certify_cost_solution(model, solution, default_box(model));
   EXPECT_EQ(cert.solution, "server-sizing");
   EXPECT_TRUE(cert.optimizer_feasible);
   EXPECT_TRUE(cert.certified);
@@ -35,7 +35,7 @@ TEST(Certificate, SizingSurvivesModestRateUncertainty) {
 
   BoxSpec box = default_box(model);
   for (auto& r : box.rates) r = core::Interval{r.lo * 0.95, r.hi * 1.02};
-  const Certificate cert = certify_cost_solution(model, solution, {}, box);
+  const Certificate cert = certify_cost_solution(model, solution, box);
   // The certified claim is about the RESIZED model: stability and SLAs
   // hold for every rate choice in the box.
   for (const auto& p : cert.report.properties)
@@ -53,7 +53,7 @@ TEST(Certificate, InfeasibleSolutionIsUncertifiedWithC010) {
   ASSERT_FALSE(solution.feasible);
 
   const Certificate cert =
-      certify_cost_solution(doomed, solution, {}, default_box(doomed));
+      certify_cost_solution(doomed, solution, default_box(doomed));
   EXPECT_FALSE(cert.certified);
   EXPECT_FALSE(cert.optimizer_feasible);
   ASSERT_EQ(cert.report.diagnostics.diagnostics().size(), 1u);
@@ -73,7 +73,7 @@ TEST(Certificate, RefutedBoxUncertifiesAFeasibleSolution) {
   BoxSpec box = default_box(model);
   box.rates[0] = core::Interval{model.classes()[0].rate.value(),
                                 model.classes()[0].rate.value() * 200.0};
-  const Certificate cert = certify_cost_solution(model, solution, {}, box);
+  const Certificate cert = certify_cost_solution(model, solution, box);
   EXPECT_TRUE(cert.optimizer_feasible);
   EXPECT_FALSE(cert.certified);
   EXPECT_GT(cert.report.count(Verdict::kRefuted), 0u);
@@ -98,7 +98,7 @@ TEST(Certificate, JsonShape) {
   const auto model = core::make_enterprise_model(0.6);
   const auto solution = core::minimize_cost_for_slas(model, {});
   const BoxSpec box = default_box(model);
-  const Certificate cert = certify_cost_solution(model, solution, {}, box);
+  const Certificate cert = certify_cost_solution(model, solution, box);
 
   const Json doc = Json::parse(certificate_to_json(cert, model, box).dump(2));
   EXPECT_EQ(doc.at("format").as_string(), "cpm-certificate/v1");

@@ -118,7 +118,7 @@ TEST(Certify, WideBoxRefutesWithConcreteWitness) {
   const core::ClusterModel at = model_at(model, stab->witness.point);
   EXPECT_GE(core::tier_utilizations(at, stab->witness.point.frequencies)[0],
             1.0);
-  EXPECT_FALSE(at.stable_at(stab->witness.point.frequencies));
+  EXPECT_FALSE(at.evaluate(stab->witness.point.frequencies).stable);
 }
 
 TEST(Certify, ModestBoxProvesEverySla) {
@@ -328,7 +328,6 @@ TEST(CertifyBoundary, RhoExactlyOneAgreesAcrossLintCertifyAndRuntime) {
   ASSERT_EQ(core::tier_utilizations(model, f)[0], 1.0);
 
   // Runtime: the boundary is unstable (steady state needs rho < 1).
-  EXPECT_FALSE(model.stable_at(f));
   EXPECT_FALSE(model.evaluate(f).stable);
   EXPECT_EQ(model.power_at(f).value(), kInf);
 

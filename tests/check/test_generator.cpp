@@ -9,6 +9,7 @@
 #include "cpm/check/generator.hpp"
 #include "cpm/common/error.hpp"
 #include "cpm/core/model_io.hpp"
+#include "cpm/core/preconditions.hpp"
 
 namespace cpm {
 namespace {
@@ -60,8 +61,7 @@ TEST(ModelGenerator, RespectsEnvelopes) {
       EXPECT_EQ(t.discipline, queueing::Discipline::kFcfs);
     }
     // Rescaling pins the bottleneck exactly at the cap.
-    const auto utils = queueing::network_utilizations(
-        m.network_stations(), m.network_classes(m.max_frequencies()));
+    const auto utils = core::tier_utilizations(m, m.max_frequencies());
     EXPECT_NEAR(*std::max_element(utils.begin(), utils.end()), 0.5, 1e-12);
   }
 }
@@ -70,7 +70,7 @@ TEST(ModelGenerator, EveryGeneratedModelIsStable) {
   check::ModelGenerator gen(2026);
   for (int i = 0; i < 100; ++i) {
     const auto m = gen.next();
-    EXPECT_TRUE(m.stable_at(m.max_frequencies())) << "model " << i;
+    EXPECT_TRUE(m.evaluate(m.max_frequencies()).stable) << "model " << i;
   }
 }
 

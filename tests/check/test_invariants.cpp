@@ -38,7 +38,7 @@ TEST_P(AnalyticOracleSweep, HoldAtReducedFrequencies) {
   auto f = model.max_frequencies();
   const auto f_min = model.min_stable_frequencies(0.05);
   for (std::size_t i = 0; i < f.size(); ++i) f[i] = 0.5 * (f[i] + f_min[i]);
-  if (!model.stable_at(f)) return;
+  if (!model.evaluate(f).stable) return;
   const auto report = check::check_analytic(model, f);
   EXPECT_TRUE(report.all_passed())
       << "load " << GetParam() << ": worst " << report.worst_violation();

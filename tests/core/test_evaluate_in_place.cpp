@@ -21,6 +21,7 @@
 #include "cpm/common/error.hpp"
 #include "cpm/common/rng.hpp"
 #include "cpm/core/cluster_model.hpp"
+#include "cpm/core/preconditions.hpp"
 
 namespace cpm::core {
 namespace {
@@ -210,8 +211,29 @@ TEST(EvaluateNearSaturation, TwoServerPsTierReportsUnstable) {
   Evaluation ev;
   ASSERT_NO_THROW(ev = model.evaluate(f));
   EXPECT_FALSE(ev.stable);
-  EXPECT_FALSE(model.stable_at(f));
   EXPECT_EQ(ev.mean_delay(), units::Seconds::infinity());
+}
+
+TEST(EvaluateNearSaturation, EvaluateStableNamesTheTierWithoutClaimingRhoOne) {
+  // The same tier: its utilisation is below 1, so the [CPM-L001] message
+  // names it with that utilisation rather than claiming rho >= 1.
+  const auto model = one_tier(2, Discipline::kProcessorSharing,
+                              {0.66741526793360417, 0.95785626854405581,
+                               0.89427392667202565},
+                              {0.62606458013776223, 1.6186736013097127,
+                               0.035445833560515852});
+  const auto f = model.max_frequencies();
+  ASSERT_LT(tier_utilizations(model, f)[0], 1.0);
+  try {
+    static_cast<void>(evaluate_stable(model, f, "here"));
+    FAIL() << "an unstable evaluation must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("here: [CPM-L001] ", 0), 0U) << what;
+    EXPECT_NE(what.find("'t0'"), std::string::npos) << what;
+    EXPECT_NE(what.find("< 1"), std::string::npos) << what;
+    EXPECT_EQ(what.find(">= 1"), std::string::npos) << what;
+  }
 }
 
 TEST(EvaluateNearSaturation, SeededScanNeverThrowsAndStableMeansFinite) {
@@ -253,8 +275,7 @@ TEST(EvaluateNearSaturation, SeededScanNeverThrowsAndStableMeansFinite) {
       ASSERT_TRUE(std::isfinite(ev.mean_delay().value()));
       ASSERT_TRUE(std::isfinite(ev.power().value()));
     } else {
-      const auto util = queueing::network_utilizations(model.network_stations(),
-                                                       model.network_classes(f));
+      const auto util = tier_utilizations(model, f);
       if (util[0] < 1.0) ++load_below_one_yet_unstable;
     }
   }

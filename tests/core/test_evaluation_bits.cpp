@@ -158,7 +158,26 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
+const char* const kGroups[] = {"generated",       "with_servers",    "with_rates",
+                               "with_rate_scale", "with_discipline", "rerouted",
+                               "rerouted_copies"};
+constexpr std::size_t kNumGroups = std::size(kGroups);
+
+// What the sweep reaches, checked by the tests so that a narrower sweep
+// fails rather than passing vacuously.
+struct Reach {
+  std::set<Discipline> loaded_disciplines;
+  bool merged_visit = false;
+  bool multi_server = false;
+  bool idle_class = false;
+};
+
+// The seeded sweep: 120 generated models and, per group of kGroups, one
+// variant of each, evaluated at every probe point through one reused
+// workspace. Calls visit(g, model, frequencies, evaluation) for each
+// evaluation of group g's variant.
+template <class Visit>
+Reach run_sweep(const Visit& visit) {
   check::GeneratorOptions wide;
   wide.max_tiers = 4;
   wide.max_classes = 4;
@@ -169,21 +188,10 @@ TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
   check::ModelGenerator near_models(19002, near);
   Rng rng(19003);
 
-  std::vector<Group> groups = {{"generated"},       {"with_servers"},
-                               {"with_rates"},      {"with_rate_scale"},
-                               {"with_discipline"}, {"rerouted"},
-                               {"rerouted_copies"}};
   const Discipline disciplines[] = {Discipline::kFcfs, Discipline::kNonPreemptivePriority,
                                     Discipline::kPreemptiveResume,
                                     Discipline::kProcessorSharing};
-
-  // What the sweep reaches, checked below so that a narrower sweep fails
-  // rather than passing vacuously.
-  std::set<Discipline> loaded_disciplines;
-  bool merged_visit = false;
-  bool multi_server = false;
-  bool idle_class = false;
-
+  Reach reach;
   EvaluationWorkspace ws;
   Evaluation ev;
   for (int i = 0; i < 120; ++i) {
@@ -199,30 +207,45 @@ TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
         rerouted.with_servers(random_servers(rerouted, rng))
             .with_rates(random_rates(rerouted, rng, i % 3 == 1)),
     };
-    for (std::size_t g = 0; g < groups.size(); ++g) {
+    static_assert(std::size(variants) == kNumGroups);
+    for (std::size_t g = 0; g < kNumGroups; ++g) {
       const ClusterModel& m = variants[g];
       for (const auto& c : m.classes()) {
         std::set<int> seen;
         for (const auto& d : c.route) {
-          if (!seen.insert(d.tier).second) merged_visit = true;
+          if (!seen.insert(d.tier).second) reach.merged_visit = true;
           if (c.rate > units::per_second(0.0))
-            loaded_disciplines.insert(m.tiers()[static_cast<std::size_t>(d.tier)].discipline);
+            reach.loaded_disciplines.insert(
+                m.tiers()[static_cast<std::size_t>(d.tier)].discipline);
         }
-        if (c.rate == units::per_second(0.0)) idle_class = true;
+        if (c.rate == units::per_second(0.0)) reach.idle_class = true;
       }
-      for (const auto& t : m.tiers()) multi_server = multi_server || t.servers > 1;
+      for (const auto& t : m.tiers()) reach.multi_server = reach.multi_server || t.servers > 1;
       for (const auto& f : probe_points(m, rng)) {
         m.evaluate(f, ev, ws);
-        fold(groups[g].digest, ev);
-        (ev.stable ? groups[g].stable : groups[g].unstable) += 1;
+        visit(g, m, f, ev);
       }
     }
   }
+  return reach;
+}
 
-  EXPECT_EQ(loaded_disciplines.size(), 4U);
-  EXPECT_TRUE(merged_visit);
-  EXPECT_TRUE(multi_server);
-  EXPECT_TRUE(idle_class);
+void expect_full_reach(const Reach& reach) {
+  EXPECT_EQ(reach.loaded_disciplines.size(), 4U);
+  EXPECT_TRUE(reach.merged_visit);
+  EXPECT_TRUE(reach.multi_server);
+  EXPECT_TRUE(reach.idle_class);
+}
+
+TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
+  std::vector<Group> groups;
+  for (const char* name : kGroups) groups.push_back(Group{name});
+  const Reach reach = run_sweep([&groups](std::size_t g, const ClusterModel&,
+                                          const std::vector<double>&, const Evaluation& ev) {
+    fold(groups[g].digest, ev);
+    (ev.stable ? groups[g].stable : groups[g].unstable) += 1;
+  });
+  expect_full_reach(reach);
 
   // Recorded from the evaluator before the network skeleton was bound
   // once per model.
@@ -244,6 +267,30 @@ TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
     EXPECT_EQ(groups[g].stable, recorded[g].stable);
     EXPECT_EQ(groups[g].unstable, recorded[g].unstable);
     EXPECT_EQ(hex(groups[g].digest.value()), hex(recorded[g].digest));
+  }
+}
+
+// The marginal (dynamic-only) per-request energy of every stable
+// evaluation, which validation compares with the simulator's.
+TEST(EvaluationBits, MarginalEnergyMatchesRecordedDigests) {
+  std::vector<Digest> digests(kNumGroups);
+  const Reach reach = run_sweep([&digests](std::size_t g, const ClusterModel&,
+                                           const std::vector<double>&, const Evaluation& ev) {
+    if (ev.stable) digests[g].add(ev.energy.marginal_energy);
+  });
+  expect_full_reach(reach);
+
+  // Recorded from a separate marginal-only compute_energy pass on each
+  // evaluation's network, before EnergyMetrics carried marginal_energy.
+  const std::uint64_t recorded[] = {
+      0xd7b9749d67e278c8ULL, 0x52179d365685f6ddULL, 0xd0834bfa973f78c6ULL,
+      0x63406428220eaca9ULL, 0x27b1dd3c6d57b75fULL, 0xdbcfe326b8b1881eULL,
+      0xfa642603f6943c0eULL,
+  };
+  ASSERT_EQ(std::size(recorded), kNumGroups);
+  for (std::size_t g = 0; g < kNumGroups; ++g) {
+    SCOPED_TRACE(kGroups[g]);
+    EXPECT_EQ(hex(digests[g].value()), hex(recorded[g]));
   }
 }
 

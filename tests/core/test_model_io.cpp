@@ -57,6 +57,24 @@ TEST(ModelIo, ParsesMinimalModel) {
   EXPECT_NEAR(bronze.route[0].base_service.scv(), 0.5, 1e-9);
 }
 
+TEST(ModelIo, AbsentPowerFieldsTakeTheTypicalServersValues) {
+  // ServerPower::typical_2011_server(): 150 W idle, 250 W busy at f_base,
+  // alpha 3, DVFS 0.6-1.0; here only the idle power is given.
+  const auto model = model_from_json_text(R"({
+    "tiers": [{"name": "t", "power": {"idle_watts": 100}}],
+    "classes": [{"name": "c", "rate": 1.0,
+                 "route": [{"tier": "t",
+                            "service": {"dist": "exponential", "mean": 0.1}}]}]
+  })");
+  const power::ServerPower& p = model.tiers()[0].power;
+  EXPECT_EQ(p.idle_power().value(), 100.0);
+  EXPECT_EQ((p.idle_power() + p.dynamic_power(p.dvfs().f_base)).value(), 250.0);
+  EXPECT_EQ(p.alpha(), 3.0);
+  EXPECT_EQ(p.dvfs().f_min.value(), 0.6);
+  EXPECT_EQ(p.dvfs().f_max.value(), 1.0);
+  EXPECT_EQ(p.dvfs().f_base.value(), 1.0);
+}
+
 TEST(ModelIo, ParsedModelEvaluates) {
   const auto model = model_from_json_text(kMinimalModel);
   const auto ev = model.evaluate(model.max_frequencies());

@@ -61,11 +61,11 @@ TEST(Preconditions, ProbeStabilityReportsTheFirstSaturatedTier) {
 
 TEST(Preconditions, RequireStableNamesTheCallerAndTheTier) {
   const auto model = make_enterprise_model(0.6);
-  EXPECT_NO_THROW(require_stable(model, model.max_frequencies(), "here"));
+  EXPECT_TRUE(evaluate_stable(model, model.max_frequencies(), "here").stable);
 
   const auto overloaded = model.with_rate_scale(1.8);
   try {
-    require_stable(overloaded, overloaded.max_frequencies(), "here");
+    static_cast<void>(evaluate_stable(overloaded, overloaded.max_frequencies(), "here"));
     FAIL() << "an overloaded tier must throw";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()),

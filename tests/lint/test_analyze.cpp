@@ -242,6 +242,20 @@ TEST(LintDocument, L008FiresWhenBusyDoesNotExceedIdle) {
   EXPECT_EQ(count_rule(report, "CPM-L016"), 0u);
 }
 
+TEST(LintDocument, L008ReadsAnAbsentBusyPowerAsTheLoaderDoes) {
+  // Without busy_watts the loader takes the typical 2011 server's 250 W.
+  const auto idle_at = [](double idle) {
+    return edit_power(base_doc(), 0, [idle](JsonObject& p) {
+      p.erase("busy_watts");
+      p["idle_watts"] = idle;
+    });
+  };
+  EXPECT_EQ(count_rule(lint::lint_document(idle_at(250.0)), "CPM-L008"), 1u);
+  EXPECT_EQ(count_rule(lint::lint_document(idle_at(249.0)), "CPM-L008"), 0u);
+  EXPECT_NO_THROW(static_cast<void>(core::model_from_json(idle_at(249.0))));
+  EXPECT_THROW(static_cast<void>(core::model_from_json(idle_at(250.0))), Error);
+}
+
 TEST(LintDocument, L008NearMissBusyJustAboveIdle) {
   const Json doc =
       edit_power(base_doc(), 0, [](JsonObject& p) { p["busy_watts"] = 151.0; });

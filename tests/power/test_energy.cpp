@@ -13,6 +13,24 @@ using queueing::Discipline;
 using queueing::NetworkStation;
 using queueing::Visit;
 
+// The network analysis and the energy metrics of a stable network.
+queueing::NetworkMetrics analyze(const std::vector<NetworkStation>& stations,
+                                 const std::vector<CustomerClass>& classes) {
+  queueing::NetworkMetrics m;
+  queueing::NetworkWorkspace ws;
+  EXPECT_TRUE(
+      queueing::analyze_network(queueing::network_skeleton(stations, classes), classes, m, ws));
+  return m;
+}
+
+EnergyMetrics energy(const std::vector<TierPower>& tiers,
+                     const std::vector<CustomerClass>& classes,
+                     const queueing::NetworkMetrics& net) {
+  EnergyMetrics em;
+  compute_energy(tiers, classes, net, em);
+  return em;
+}
+
 struct EnergyCase {
   std::vector<NetworkStation> stations;
   std::vector<CustomerClass> classes;
@@ -36,13 +54,13 @@ EnergyCase make_two_tier() {
   s.tiers = {TierPower{sp, units::hertz(1.0), 1}, TierPower{sp, units::hertz(0.8), 2}};
   // Note: the frequencies here only affect power curves; the service times
   // in `classes` are taken as already expressed at these frequencies.
-  s.net = queueing::analyze_network(s.stations, s.classes);
+  s.net = analyze(s.stations, s.classes);
   return s;
 }
 
 TEST(ComputeEnergy, ClusterPowerMatchesHandComputation) {
   const EnergyCase s = make_two_tier();
-  const auto em = compute_energy(s.tiers, s.classes, s.net);
+  const auto em = energy(s.tiers, s.classes, s.net);
   // Station a: rho = 2*0.1 + 3*0.12 = 0.56; power = 100 + 150*0.56.
   const double pa = 100.0 + 150.0 * 0.56;
   // Station b: per-server rho = (2*0.15 + 3*0.2)/2 = 0.45;
@@ -55,18 +73,16 @@ TEST(ComputeEnergy, ClusterPowerMatchesHandComputation) {
 
 TEST(ComputeEnergy, MarginalEnergyIsRouteSum) {
   const EnergyCase s = make_two_tier();
-  const auto em =
-      compute_energy(s.tiers, s.classes, s.net, IdleAttribution::kMarginalOnly);
+  const auto em = energy(s.tiers, s.classes, s.net);
   // hi: 150*0.10 at tier a + 76.8*0.15 at tier b.
-  EXPECT_NEAR(em.per_request_energy[0].value(), 150.0 * 0.10 + 76.8 * 0.15, 1e-9);
-  EXPECT_NEAR(em.per_request_energy[1].value(), 150.0 * 0.12 + 76.8 * 0.20, 1e-9);
+  EXPECT_NEAR(em.marginal_energy[0].value(), 150.0 * 0.10 + 76.8 * 0.15, 1e-9);
+  EXPECT_NEAR(em.marginal_energy[1].value(), 150.0 * 0.12 + 76.8 * 0.20, 1e-9);
 }
 
 TEST(ComputeEnergy, ProportionalAttributionRecoversFullPower) {
   // Full cost recovery: sum_k lambda_k * E_k == cluster average power.
   const EnergyCase s = make_two_tier();
-  const auto em = compute_energy(s.tiers, s.classes, s.net,
-                                 IdleAttribution::kProportionalToLoad);
+  const auto em = energy(s.tiers, s.classes, s.net);
   const double recovered =
       2.0 * em.per_request_energy[0].value() + 3.0 * em.per_request_energy[1].value();
   EXPECT_NEAR(recovered, em.cluster_avg_power.value(), 1e-9);
@@ -74,17 +90,14 @@ TEST(ComputeEnergy, ProportionalAttributionRecoversFullPower) {
 
 TEST(ComputeEnergy, ProportionalExceedsMarginal) {
   const EnergyCase s = make_two_tier();
-  const auto marginal =
-      compute_energy(s.tiers, s.classes, s.net, IdleAttribution::kMarginalOnly);
-  const auto proportional = compute_energy(s.tiers, s.classes, s.net,
-                                           IdleAttribution::kProportionalToLoad);
+  const auto em = energy(s.tiers, s.classes, s.net);
   for (std::size_t k = 0; k < 2; ++k)
-    EXPECT_GT(proportional.per_request_energy[k], marginal.per_request_energy[k]);
+    EXPECT_GT(em.per_request_energy[k], em.marginal_energy[k]);
 }
 
 TEST(ComputeEnergy, MeanEnergyIsTrafficWeighted) {
   const EnergyCase s = make_two_tier();
-  const auto em = compute_energy(s.tiers, s.classes, s.net);
+  const auto em = energy(s.tiers, s.classes, s.net);
   const double expected =
       (2.0 * em.per_request_energy[0].value() + 3.0 * em.per_request_energy[1].value()) / 5.0;
   EXPECT_NEAR(em.mean_per_request_energy.value(), expected, 1e-12);
@@ -93,7 +106,7 @@ TEST(ComputeEnergy, MeanEnergyIsTrafficWeighted) {
 TEST(ComputeEnergy, SizeMismatchThrows) {
   const EnergyCase s = make_two_tier();
   std::vector<TierPower> too_few = {s.tiers[0]};
-  EXPECT_THROW(compute_energy(too_few, s.classes, s.net), Error);
+  EXPECT_THROW(energy(too_few, s.classes, s.net), Error);
 }
 
 TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
@@ -102,12 +115,12 @@ TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
       NetworkStation{"spare", 3, Discipline::kFcfs}};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(1.0), {Visit{0, Distribution::exponential(0.3)}}}};
-  const auto net = queueing::analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 1.0,
                        DvfsRange{units::hertz(0.5), units::hertz(1.0),
                                  units::hertz(1.0)});
   const std::vector<TierPower> tiers = {TierPower{sp, units::hertz(1.0), 1}, TierPower{sp, units::hertz(1.0), 3}};
-  const auto em = compute_energy(tiers, classes, net);
+  const auto em = energy(tiers, classes, net);
   EXPECT_NEAR(em.station_avg_power[1].value(), 300.0, 1e-9);  // 3 idle servers
   // Idle power of the unvisited station is attributed to nobody.
   const double recovered = 1.0 * em.per_request_energy[0].value();
@@ -119,12 +132,12 @@ TEST(ComputeEnergy, ZeroRateClassGetsNoIdleShare) {
   std::vector<CustomerClass> classes = {
       CustomerClass{"busy", units::per_second(1.0), {Visit{0, Distribution::exponential(0.4)}}},
       CustomerClass{"probe", units::per_second(0.0), {Visit{0, Distribution::exponential(0.4)}}}};
-  const auto net = queueing::analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 1.0,
                        DvfsRange{units::hertz(0.5), units::hertz(1.0),
                                  units::hertz(1.0)});
   const std::vector<TierPower> tiers = {TierPower{sp, units::hertz(1.0), 1}};
-  const auto em = compute_energy(tiers, classes, net);
+  const auto em = energy(tiers, classes, net);
   // The probe still has a defined marginal energy but no idle share.
   EXPECT_NEAR(em.per_request_energy[1].value(), 100.0 * 0.4, 1e-9);
 }

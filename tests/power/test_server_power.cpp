@@ -11,7 +11,7 @@ namespace {
 
 TEST(ServerPower, BusyPowerAtBaseMatchesSpec) {
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 3.0, DvfsRange{units::hertz(0.5), units::hertz(1.2), units::hertz(1.0)});
-  EXPECT_NEAR(sp.busy_power(units::hertz(1.0)).value(), 200.0, 1e-12);
+  EXPECT_NEAR((sp.idle_power() + sp.dynamic_power(units::hertz(1.0))).value(), 200.0, 1e-12);
   EXPECT_DOUBLE_EQ(sp.idle_power().value(), 100.0);
 }
 
@@ -24,9 +24,10 @@ TEST(ServerPower, DynamicPowerFollowsAlpha) {
 
 TEST(ServerPower, AveragePowerInterpolatesWithUtilization) {
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 1.0, DvfsRange{units::hertz(0.5), units::hertz(1.0), units::hertz(1.0)});
-  EXPECT_NEAR(sp.average_power(units::hertz(1.0), 0.0).value(), 100.0, 1e-12);
-  EXPECT_NEAR(sp.average_power(units::hertz(1.0), 1.0).value(), 200.0, 1e-12);
-  EXPECT_NEAR(sp.average_power(units::hertz(1.0), 0.25).value(), 125.0, 1e-12);
+  const units::Watts dynamic = sp.dynamic_power(units::hertz(1.0));
+  EXPECT_NEAR(sp.average_power(dynamic, 0.0).value(), 100.0, 1e-12);
+  EXPECT_NEAR(sp.average_power(dynamic, 1.0).value(), 200.0, 1e-12);
+  EXPECT_NEAR(sp.average_power(dynamic, 0.25).value(), 125.0, 1e-12);
 }
 
 TEST(ServerPower, SpeedupLinearInFrequency) {
@@ -37,18 +38,23 @@ TEST(ServerPower, SpeedupLinearInFrequency) {
 
 TEST(ServerPower, MarginalEnergyIsDynamicTimesService) {
   const ServerPower sp(units::watts(100.0), units::watts(250.0), 3.0, DvfsRange{units::hertz(0.5), units::hertz(1.0), units::hertz(1.0)});
-  EXPECT_NEAR(sp.marginal_energy_per_request(units::hertz(1.0), units::seconds(0.02)).value(), 150.0 * 0.02, 1e-12);
-  EXPECT_NEAR(sp.marginal_energy_per_request(units::hertz(0.8), units::seconds(0.02)).value(),
+  EXPECT_NEAR(sp.marginal_energy_per_request(sp.dynamic_power(units::hertz(1.0)),
+                                             units::seconds(0.02))
+                  .value(),
+              150.0 * 0.02, 1e-12);
+  EXPECT_NEAR(sp.marginal_energy_per_request(sp.dynamic_power(units::hertz(0.8)),
+                                             units::seconds(0.02))
+                  .value(),
               150.0 * std::pow(0.8, 3.0) * 0.02, 1e-12);
 }
 
 TEST(ServerPower, FrequencyRangeEnforced) {
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 3.0, DvfsRange{units::hertz(0.6), units::hertz(1.0), units::hertz(1.0)});
-  EXPECT_THROW(static_cast<void>(sp.busy_power(units::hertz(0.5))), Error);
-  EXPECT_THROW(static_cast<void>(sp.busy_power(units::hertz(1.1))), Error);
+  EXPECT_THROW(static_cast<void>(sp.dynamic_power(units::hertz(0.5))), Error);
+  EXPECT_THROW(static_cast<void>(sp.dynamic_power(units::hertz(1.1))), Error);
   EXPECT_THROW(static_cast<void>(sp.speedup(units::hertz(0.59))), Error);
-  EXPECT_NO_THROW(static_cast<void>(sp.busy_power(units::hertz(0.6))));
-  EXPECT_NO_THROW(static_cast<void>(sp.busy_power(units::hertz(1.0))));
+  EXPECT_NO_THROW(static_cast<void>(sp.dynamic_power(units::hertz(0.6))));
+  EXPECT_NO_THROW(static_cast<void>(sp.dynamic_power(units::hertz(1.0))));
 }
 
 TEST(ServerPower, ConstructorValidation) {
@@ -62,14 +68,15 @@ TEST(ServerPower, ConstructorValidation) {
 
 TEST(ServerPower, UtilizationValidation) {
   const ServerPower sp = ServerPower::typical_2011_server();
-  EXPECT_THROW(static_cast<void>(sp.average_power(units::hertz(1.0), -0.1).value()), Error);
-  EXPECT_THROW(static_cast<void>(sp.average_power(units::hertz(1.0), 1.1).value()), Error);
+  const units::Watts dynamic = sp.dynamic_power(units::hertz(1.0));
+  EXPECT_THROW(static_cast<void>(sp.average_power(dynamic, -0.1).value()), Error);
+  EXPECT_THROW(static_cast<void>(sp.average_power(dynamic, 1.1).value()), Error);
 }
 
 TEST(ServerPower, Typical2011Preset) {
   const ServerPower sp = ServerPower::typical_2011_server();
   EXPECT_NEAR(sp.idle_power().value(), 150.0, 1e-12);
-  EXPECT_NEAR(sp.busy_power(units::hertz(1.0)).value(), 250.0, 1e-12);
+  EXPECT_NEAR((sp.idle_power() + sp.dynamic_power(units::hertz(1.0))).value(), 250.0, 1e-12);
   EXPECT_NEAR(sp.alpha(), 3.0, 1e-12);
   EXPECT_NEAR(sp.dvfs().f_min.value(), 0.6, 1e-12);
 }

@@ -14,32 +14,41 @@ NetworkStation fcfs_station(const std::string& name, int servers = 1) {
   return NetworkStation{name, servers, Discipline::kFcfs};
 }
 
+// The analysis of a stable network given whole, through its skeleton.
+NetworkMetrics analyze(const std::vector<NetworkStation>& stations,
+                       const std::vector<CustomerClass>& classes) {
+  NetworkMetrics m;
+  NetworkWorkspace ws;
+  EXPECT_TRUE(analyze_network(network_skeleton(stations, classes), classes, m, ws));
+  return m;
+}
+
 TEST(ValidateNetwork, CatchesMalformedInput) {
   std::vector<NetworkStation> stations = {fcfs_station("s0")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(1.0), {Visit{0, Distribution::exponential(0.1)}}}};
-  EXPECT_NO_THROW(validate_network(stations, classes));
+  EXPECT_NO_THROW(network_skeleton(stations, classes));
 
   std::vector<CustomerClass> bad_route = {
       CustomerClass{"c", units::per_second(1.0), {Visit{5, Distribution::exponential(0.1)}}}};
-  EXPECT_THROW(validate_network(stations, bad_route), Error);
+  EXPECT_THROW(network_skeleton(stations, bad_route), Error);
 
   std::vector<CustomerClass> empty_route = {CustomerClass{"c", units::per_second(1.0), {}}};
-  EXPECT_THROW(validate_network(stations, empty_route), Error);
+  EXPECT_THROW(network_skeleton(stations, empty_route), Error);
 
   std::vector<CustomerClass> negative = {
       CustomerClass{"c", units::per_second(-1.0), {Visit{0, Distribution::exponential(0.1)}}}};
-  EXPECT_THROW(validate_network(stations, negative), Error);
+  EXPECT_THROW(network_skeleton(stations, negative), Error);
 
-  EXPECT_THROW(validate_network({}, classes), Error);
-  EXPECT_THROW(validate_network(stations, {}), Error);
+  EXPECT_THROW(network_skeleton({}, classes), Error);
+  EXPECT_THROW(network_skeleton(stations, {}), Error);
 }
 
 TEST(AnalyzeNetwork, SingleStationMatchesMm1) {
   std::vector<NetworkStation> stations = {fcfs_station("only")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   const auto ref = mm1(0.5, 1.0);
   EXPECT_NEAR(net.e2e_delay[0].value(), ref.mean_sojourn, 1e-12);
   EXPECT_NEAR(net.mean_e2e_delay.value(), ref.mean_sojourn, 1e-12);
@@ -58,7 +67,7 @@ TEST(AnalyzeNetwork, TandemMm1SumsSojourns) {
                     {Visit{0, Distribution::exponential(1.0)},
                      Visit{1, Distribution::exponential(0.5)},
                      Visit{2, Distribution::exponential(2.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   const double expected = mm1(lambda, 1.0).mean_sojourn +
                           mm1(lambda, 2.0).mean_sojourn +
                           mm1(lambda, 0.5).mean_sojourn;
@@ -75,7 +84,7 @@ TEST(AnalyzeNetwork, RevisitsAggregateLoad) {
                     units::per_second(0.3),
                     {Visit{0, Distribution::exponential(1.0)},
                      Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_NEAR(net.station_utilization[0], 0.6, 1e-12);
   // Station behaves as M/M/1 with lambda = 0.6; the class passes twice.
   const auto ref = mm1(0.6, 1.0);
@@ -87,7 +96,7 @@ TEST(AnalyzeNetwork, ClassesOnlyLoadTheirOwnRoute) {
   std::vector<CustomerClass> classes = {
       CustomerClass{"left", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}},
       CustomerClass{"right", units::per_second(0.25), {Visit{1, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_NEAR(net.station_utilization[0], 0.5, 1e-12);
   EXPECT_NEAR(net.station_utilization[1], 0.25, 1e-12);
   EXPECT_NEAR(net.e2e_delay[0].value(), mm1(0.5, 1.0).mean_sojourn, 1e-12);
@@ -102,7 +111,7 @@ TEST(AnalyzeNetwork, TrafficWeightedMeanDelay) {
   std::vector<CustomerClass> classes = {
       CustomerClass{"fast", units::per_second(0.1), {Visit{0, Distribution::exponential(0.5)}}},
       CustomerClass{"slow", units::per_second(0.3), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   const double expected =
       (0.1 * net.e2e_delay[0].value() + 0.3 * net.e2e_delay[1].value()) / 0.4;
   EXPECT_NEAR(net.mean_e2e_delay.value(), expected, 1e-12);
@@ -119,23 +128,24 @@ TEST(AnalyzeNetwork, PriorityOrderingAcrossNetwork) {
   };
   std::vector<CustomerClass> classes = {CustomerClass{"hi", units::per_second(0.3), route(1.0)},
                                         CustomerClass{"lo", units::per_second(0.3), route(1.0)}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_LT(net.e2e_delay[0], net.e2e_delay[1]);
 }
 
-TEST(AnalyzeNetwork, ThrowsOnUnstableStation) {
+TEST(AnalyzeNetwork, ReportsUnstableStation) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(2.0), {Visit{0, Distribution::exponential(1.0)}}}};
-  EXPECT_FALSE(network_stable(stations, classes));
-  EXPECT_THROW(analyze_network(stations, classes), Error);
+  NetworkMetrics m;
+  NetworkWorkspace ws;
+  EXPECT_FALSE(analyze_network(network_skeleton(stations, classes), classes, m, ws));
 }
 
 TEST(NetworkUtilizations, MultiServerDividesLoad) {
   std::vector<NetworkStation> stations = {fcfs_station("s", 4)};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(2.0), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto util = network_utilizations(stations, classes);
+  const auto util = network_utilizations(network_skeleton(stations, classes), classes);
   EXPECT_NEAR(util[0], 0.5, 1e-12);
 }
 
@@ -143,7 +153,7 @@ TEST(AnalyzeNetwork, StationWithNoVisitorsIsIdle) {
   std::vector<NetworkStation> stations = {fcfs_station("used"), fcfs_station("idle")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_DOUBLE_EQ(net.station_utilization[1], 0.0);
 }
 
@@ -153,7 +163,7 @@ TEST(PercentileDelay, Mm1SojournIsExactlyExponential) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   // Mean 2, variance 4 (Exp(0.5)).
   EXPECT_NEAR(net.e2e_delay[0].value(), 2.0, 1e-12);
   EXPECT_NEAR(net.e2e_delay_variance[0].value(), 4.0, 1e-9);
@@ -168,7 +178,7 @@ TEST(PercentileDelay, TakacsSecondMomentMm1) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_NEAR(net.station_wait_m2[0][0], 4.0, 1e-9);
 }
 
@@ -178,7 +188,7 @@ TEST(PercentileDelay, DeterministicRouteHasServiceVarianceOnly) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(1e-9), {Visit{0, Distribution::deterministic(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_NEAR(net.e2e_delay_variance[0].value(), 0.0, 1e-8);
   // Near-degenerate variance: percentile collapses to (almost) the mean.
   EXPECT_NEAR(percentile_e2e_delay(net, 0, 0.95).value(), net.e2e_delay[0].value(), 1e-3);
@@ -191,7 +201,7 @@ TEST(PercentileDelay, TandemVarianceAdds) {
                     units::per_second(0.5),
                     {Visit{0, Distribution::exponential(1.0)},
                      Visit{1, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   // Two independent Exp(0.5) sojourns: variance 4 + 4.
   EXPECT_NEAR(net.e2e_delay_variance[0].value(), 8.0, 1e-9);
   // Sum of two iid exponentials is Erlang-2: p95 quantile known via the
@@ -207,7 +217,7 @@ TEST(PercentileDelay, HigherPercentileIsLarger) {
   std::vector<CustomerClass> classes = {
       CustomerClass{"hi", units::per_second(0.3), {Visit{0, Distribution::exponential(1.0)}}},
       CustomerClass{"lo", units::per_second(0.4), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_GT(percentile_e2e_delay(net, k, 0.95), percentile_e2e_delay(net, k, 0.5));
     EXPECT_GT(percentile_e2e_delay(net, k, 0.95), net.e2e_delay[k]);
@@ -220,7 +230,7 @@ TEST(PercentileDelay, InfiniteVarianceHeavyTail) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::pareto(2.5, 1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_TRUE(std::isinf(net.e2e_delay_variance[0].value()));
   EXPECT_TRUE(std::isinf(percentile_e2e_delay(net, 0, 0.95).value()));
 }
@@ -229,7 +239,7 @@ TEST(PercentileDelay, Validation) {
   std::vector<NetworkStation> stations = {fcfs_station("s")};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(0.5), {Visit{0, Distribution::exponential(1.0)}}}};
-  const auto net = analyze_network(stations, classes);
+  const auto net = analyze(stations, classes);
   EXPECT_THROW(percentile_e2e_delay(net, 5, 0.9), Error);
   EXPECT_THROW(percentile_e2e_delay(net, 0, 0.0), Error);
   EXPECT_THROW(percentile_e2e_delay(net, 0, 1.0), Error);
@@ -248,8 +258,8 @@ TEST_P(NetworkLoadSweep, DelayMonotoneInLoad) {
         CustomerClass{"hi", units::per_second(load / 2.0), {Visit{0, Distribution::exponential(1.0)}}},
         CustomerClass{"lo", units::per_second(load / 2.0), {Visit{0, Distribution::exponential(1.0)}}}};
   };
-  const auto at = analyze_network(stations, classes_at(rho));
-  const auto above = analyze_network(stations, classes_at(rho + 0.02));
+  const auto at = analyze(stations, classes_at(rho));
+  const auto above = analyze(stations, classes_at(rho + 0.02));
   EXPECT_GT(above.mean_e2e_delay, at.mean_e2e_delay);
 }
 

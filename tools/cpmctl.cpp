@@ -46,8 +46,15 @@
 //      EACCES, ENOSPC)
 //   6  corrupt input (IoErrorKind::kCorrupt: unparseable JSON input,
 //      resume journal from a different run)
+//
+// Every numeric flag goes through one checked conversion (Args): a value
+// that is not a finite number, or for a count or seed not an integer in
+// the flag's range, is a usage error (1) that names the flag.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -138,13 +145,24 @@ void write_text_file(const std::string& path, const std::string& text) {
                          [&] { real_filesystem().write_atomic(path, text); });
 }
 
-std::vector<double> parse_csv_doubles(const std::string& text) {
+/// `text`, given for `flag`, as a finite number; anything else is a usage
+/// error naming the flag.
+double parse_number(const std::string& flag, const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v))
+    usage(flag + " needs a number, not '" + text + "'");
+  return v;
+}
+
+std::vector<double> parse_csv_doubles(const std::string& flag, const std::string& text) {
   std::vector<double> out;
   std::stringstream ss(text);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    out.push_back(std::stod(item));
+    out.push_back(parse_number(flag, item));
   }
   return out;
 }
@@ -170,7 +188,23 @@ class Args {
 
   [[nodiscard]] double number(const std::string& flag, double fallback) const {
     const auto v = value(flag);
-    return v ? std::stod(*v) : fallback;
+    return v ? parse_number(flag, *v) : fallback;
+  }
+
+  /// The flag's value as an integer in [lo, hi], or `fallback` when the
+  /// flag is absent. The range check is Json::as_integer's, which model and
+  /// sweep documents pass the same counts and seeds through.
+  template <class T>
+  [[nodiscard]] T integer(const std::string& flag, T fallback, T lo,
+                          T hi = std::numeric_limits<T>::max()) const {
+    const auto v = value(flag);
+    if (!v) return fallback;
+    try {
+      return Json(parse_number(flag, *v)).as_integer(lo, hi);
+    } catch (const Error&) {
+      usage(flag + " needs an integer in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], not '" + *v + "'");
+    }
   }
 
  private:
@@ -185,7 +219,7 @@ std::vector<double> frequencies_for(const core::ClusterModel& model,
                                     const Args& args) {
   const auto flag = args.value("--freq");
   if (!flag) return model.max_frequencies();
-  auto f = parse_csv_doubles(*flag);
+  auto f = parse_csv_doubles("--freq", *flag);
   if (f.size() != model.num_tiers())
     throw Error("--freq needs one value per tier (" +
                 std::to_string(model.num_tiers()) + ")");
@@ -280,8 +314,8 @@ int cmd_optimize_delay(const std::string& path, const Args& args) {
   const auto model = load_model(path);
   const auto budget = args.value("--budget");
   if (!budget) usage("optimize-delay requires --budget WATTS");
-  const double watts = std::stod(*budget);
-  const int levels = static_cast<int>(args.number("--levels", 0));
+  const double watts = parse_number("--budget", *budget);
+  const int levels = args.integer("--levels", 0, 0);
   const auto r = levels > 0
                      ? core::minimize_delay_with_power_budget_discrete(model, units::watts(watts),
                                                                        levels)
@@ -299,10 +333,10 @@ int cmd_optimize_delay(const std::string& path, const Args& args) {
 
 int cmd_optimize_power(const std::string& path, const Args& args) {
   const auto model = load_model(path);
-  const int levels = static_cast<int>(args.number("--levels", 0));
+  const int levels = args.integer("--levels", 0, 0);
   core::FrequencyOptResult r;
   if (const auto per_class = args.value("--per-class")) {
-    const auto raw_bounds = parse_csv_doubles(*per_class);
+    const auto raw_bounds = parse_csv_doubles("--per-class", *per_class);
     if (raw_bounds.size() != model.num_classes())
       throw Error("--per-class needs one bound per class");
     std::vector<units::Seconds> bounds;
@@ -313,7 +347,7 @@ int cmd_optimize_power(const std::string& path, const Args& args) {
   } else {
     const auto bound = args.value("--bound");
     if (!bound) usage("optimize-power requires --bound SECONDS (or --per-class)");
-    const double secs = std::stod(*bound);
+    const double secs = parse_number("--bound", *bound);
     r = levels > 0
             ? core::minimize_power_with_delay_bound_discrete(model, units::seconds(secs), levels)
             : core::minimize_power_with_delay_bound(model, units::seconds(secs));
@@ -334,7 +368,7 @@ int cmd_optimize_power(const std::string& path, const Args& args) {
 int cmd_size(const std::string& path, const Args& args) {
   const auto model = load_model(path);
   core::CostOptOptions opts;
-  opts.max_servers_per_tier = static_cast<int>(args.number("--max-servers", 24));
+  opts.max_servers_per_tier = args.integer("--max-servers", 24, 1);
   opts.greedy_only = args.has("--greedy");
   const auto r = core::minimize_cost_for_slas(model, opts);
   if (!r.feasible) {
@@ -414,12 +448,12 @@ int cmd_simulate(const std::string& path, const Args& args) {
   const auto model = load_model(path);
   const auto f = frequencies_for(model, args);
   const double end_time = args.number("--time", 1000.0);
-  const auto seed = static_cast<std::uint64_t>(args.number("--seed", 20110516.0));
-  const int reps = static_cast<int>(args.number("--reps", 8));
+  const auto seed = args.integer<std::uint64_t>("--seed", 20110516, 0);
+  const int reps = args.integer("--reps", 8, 2);
 
   const auto warmup_flag = args.value("--warmup");
   double warmup = end_time * 0.1;
-  if (warmup_flag && *warmup_flag != "auto") warmup = std::stod(*warmup_flag);
+  if (warmup_flag && *warmup_flag != "auto") warmup = parse_number("--warmup", *warmup_flag);
   if (warmup_flag && *warmup_flag == "auto") {
     const auto pilot = model.to_sim_config(f, 0.0, end_time, seed);
     const auto est = sim::pilot_warmup(pilot);
@@ -543,7 +577,7 @@ int cmd_simulate(const std::string& path, const Args& args) {
 int cmd_validate(const std::string& path, const Args& args) {
   const auto model = load_model(path);
   core::SimSettings settings;
-  settings.replications = static_cast<int>(args.number("--reps", 8));
+  settings.replications = args.integer("--reps", 8, 2);
   const auto report =
       core::validate_model(model, model.max_frequencies(), settings);
   Table t({"metric", "analytic", "simulated", "+-CI", "err %", "in CI"});
@@ -569,15 +603,13 @@ int cmd_check(const std::string& path, const Args& args) {
   report.merge(check::check_reductions());
   if (!args.has("--analytic-only")) {
     check::CrossValidateOptions options;
-    options.sim.replications = static_cast<int>(args.number("--reps", 8));
-    options.sim.seed =
-        static_cast<std::uint64_t>(args.number("--seed", 20110516));
+    options.sim.replications = args.integer("--reps", 8, 2);
+    options.sim.seed = args.integer<std::uint64_t>("--seed", 20110516, 0);
     report.merge(check::cross_validate(model, frequencies, options));
   }
-  const int random_models = static_cast<int>(args.number("--random", 0));
+  const int random_models = args.integer("--random", 0, 0);
   if (random_models > 0) {
-    const auto seed =
-        static_cast<std::uint64_t>(args.number("--seed", 20110516));
+    const auto seed = args.integer<std::uint64_t>("--seed", 20110516, 0);
     report.merge(check::sweep_random_models(seed, random_models));
   }
 
@@ -616,8 +648,7 @@ int cmd_online(const std::string& path, const Args& args) {
   if (!scenario_path) usage("online requires --scenario <scenario.json>");
   const auto model = load_model(path);
   auto scenario = online::scenario_from_json(parse_json_file(*scenario_path));
-  if (const auto seed = args.value("--seed"))
-    scenario.seed = static_cast<std::uint64_t>(std::stoull(*seed));
+  scenario.seed = args.integer<std::uint64_t>("--seed", scenario.seed, 0);
 
   const auto result = online::run_online(model, scenario);
   const std::string doc = result.timeline.dump(2);
@@ -666,8 +697,7 @@ int cmd_lint(const std::string& path, const Args& args) {
     core::SimSettings settings;
     settings.warmup_time = args.number("--warmup", settings.warmup_time);
     settings.end_time = args.number("--time", settings.end_time);
-    settings.replications = static_cast<int>(
-        args.number("--reps", static_cast<double>(settings.replications)));
+    settings.replications = args.integer("--reps", settings.replications, 0);
     report.merge(lint::lint_sim_settings(settings, rules));
   }
 
@@ -702,10 +732,8 @@ int cmd_certify(const std::string& path, const Args& args) {
     box = certify::default_box(model);
 
   certify::CertifyOptions options;
-  options.bisect_depth = static_cast<int>(
-      args.number("--bisect-depth", options.bisect_depth));
-  options.max_boxes =
-      static_cast<int>(args.number("--max-boxes", options.max_boxes));
+  options.bisect_depth = args.integer("--bisect-depth", options.bisect_depth, 0);
+  options.max_boxes = args.integer("--max-boxes", options.max_boxes, 0);
   if (const auto only = args.value("--rule"))
     options.rules = lint::RuleSet::only(parse_csv_strings(*only));
   if (const auto off = args.value("--no-rule"))
@@ -721,18 +749,16 @@ int cmd_certify(const std::string& path, const Args& args) {
     certify::Certificate cert;
     if (*solution == "size") {
       core::CostOptOptions opts;
-      opts.max_servers_per_tier =
-          static_cast<int>(args.number("--max-servers", 24));
+      opts.max_servers_per_tier = args.integer("--max-servers", 24, 1);
       opts.greedy_only = args.has("--greedy");
       const auto r = core::minimize_cost_for_slas(model, opts);
-      cert = certify::certify_cost_solution(model, r, opts.frequencies, box,
-                                            options);
+      cert = certify::certify_cost_solution(model, r, box, options);
     } else if (*solution == "power") {
       const auto bound = args.value("--bound");
       if (!bound) usage("certify --solution power requires --bound SECONDS");
       const auto r =
           core::minimize_power_with_delay_bound(model,
-                                                units::seconds(std::stod(*bound)));
+                                                units::seconds(parse_number("--bound", *bound)));
       cert = certify::certify_frequency_solution(model, r, box, options);
     } else {
       usage("unknown --solution '" + *solution + "' (expected size | power)");
@@ -779,8 +805,8 @@ int cmd_bench(const Args& args) {
   bench::BenchOptions opt;
   opt.quick = args.has("--quick");
   if (opt.quick) opt.repeats = 3;  // CI smoke default; --repeats overrides
-  opt.repeats = static_cast<int>(args.number("--repeats", opt.repeats));
-  opt.warmup = static_cast<int>(args.number("--warmup", opt.warmup));
+  opt.repeats = args.integer("--repeats", opt.repeats, 1);
+  opt.warmup = args.integer("--warmup", opt.warmup, 0);
   const std::string out_path =
       args.value("--out").value_or("BENCH_" + suite + ".json");
 
@@ -834,7 +860,7 @@ int cmd_sweep_run(const std::string& spec_path, const Args& args) {
 
   sweep::RunOptions options;
   options.cache = sweep_cache_options(args);
-  options.threads = static_cast<unsigned>(args.number("--threads", 0));
+  options.threads = args.integer("--threads", 0U, 0U);
   if (const auto shard = args.value("--shard"))
     options.shard = sweep::shard_from_string(*shard);
 

@@ -15,18 +15,15 @@ struct CrossValidateOptions {
   /// Simulation effort for the differential run. The defaults are the
   /// repo's standard validation settings (8 replications of 500 s).
   core::SimSettings sim;
-  /// Agreement envelopes (relative, with a small absolute floor): power
-  /// and utilisation depend on no queueing approximation, delays carry the
-  /// decomposition error quantified by experiment E1.
-  double power_tolerance = 0.03;  // relative envelope // conv-ok: UNIT-2
-  double utilization_tolerance = 0.06;
-  double delay_tolerance = 0.25;  // relative envelope // conv-ok: UNIT-2
 };
 
 /// Analytic-vs-simulation differential on one operating point, plus every
-/// simulation-side invariant oracle on the run's output. The simulation
-/// runs with the simulator's internal audit hooks on. Reported
-/// invariants: "diff-delay", "diff-power", "diff-utilization" and the
+/// simulation-side invariant oracle on the run's output. The agreement
+/// envelopes are relative, with a small absolute floor: 3% on power and
+/// 6% on utilisation, which depend on no queueing approximation, and 25%
+/// on delays, which carry the decomposition error experiment E1 measures.
+/// The simulation runs with the simulator's internal audit hooks on.
+/// Reported invariants: "diff-delay", "diff-power", "diff-utilization" and the
 /// check_simulation set. Throws cpm::Error "[CPM-L001] ..." (see
 /// core::evaluate_stable) when the model is unstable at `frequencies`.
 Report cross_validate(const core::ClusterModel& model,

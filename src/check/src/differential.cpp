@@ -16,6 +16,11 @@ namespace cpm::check {
 
 namespace {
 
+// cross_validate's agreement envelopes (relative).
+constexpr double kDelayTolerance = 0.25;
+constexpr double kPowerTolerance = 0.03;
+constexpr double kUtilizationTolerance = 0.06;
+
 double residual(double a, double b, double floor = 1e-12) {
   return std::abs(a - b) / std::max({std::abs(a), std::abs(b), floor});
 }
@@ -46,7 +51,7 @@ Report cross_validate(const core::ClusterModel& model,
 
   Report report;
 
-  CheckResult delay{"diff-delay", true, 0.0, options.delay_tolerance, ""};
+  CheckResult delay{"diff-delay", true, 0.0, kDelayTolerance, ""};
   for (std::size_t k = 0; k < model.num_classes(); ++k)
     observe(delay,
             residual(sr.classes[k].mean_e2e_delay.mean,
@@ -54,15 +59,14 @@ Report cross_validate(const core::ClusterModel& model,
             "class '" + model.classes()[k].name + "' E2E delay");
   report.add(std::move(delay));
 
-  CheckResult power{"diff-power", true, 0.0, options.power_tolerance, ""};
+  CheckResult power{"diff-power", true, 0.0, kPowerTolerance, ""};
   observe(power,
           residual(sr.cluster_avg_power.mean,
                    ev.energy.cluster_avg_power.value(), 1.0),
           "cluster average power");
   report.add(std::move(power));
 
-  CheckResult util{"diff-utilization", true, 0.0,
-                   options.utilization_tolerance, ""};
+  CheckResult util{"diff-utilization", true, 0.0, kUtilizationTolerance, ""};
   for (std::size_t s = 0; s < model.num_tiers(); ++s)
     observe(util,
             residual(sr.station_utilization[s].mean,

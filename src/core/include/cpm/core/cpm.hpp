@@ -18,7 +18,6 @@
 #include "cpm/core/cluster_model.hpp"
 #include "cpm/core/optimizers.hpp"
 #include "cpm/core/validation.hpp"
-#include "cpm/opt/constrained.hpp"
 #include "cpm/opt/integer.hpp"
 #include "cpm/power/energy.hpp"
 #include "cpm/power/server_power.hpp"

@@ -11,16 +11,21 @@
 //        min_n  sum_i cost_i n_i  s.t.  per-class SLA mean-delay bounds,
 //        n_i integer servers per tier (frequencies held fixed).
 //
-// The continuous programs run the augmented-Lagrangian solver over the
-// DVFS box; the integer program runs monotone branch-and-bound (adding a
-// server can only reduce delays). Baseline policies the paper compares
-// against (uniform frequency, no DVFS) are provided alongside.
+// The continuous programs separate by tier: power and every delay are sums
+// of per-tier terms, each a function of that tier's frequency alone. They
+// are solved on the dual: for multipliers nu every tier minimises
+// P_i + sum_c nu_c D_ci over its own stable DVFS range (all tiers in
+// lockstep, one evaluation serving every tier), and a safeguarded outer
+// iteration moves nu until the constraint sits on its bound, which the
+// answer meets with no overshoot (docs/model.md §4). The integer program
+// runs monotone branch-and-bound (adding a server can only reduce delays).
+// Baseline policies the paper compares against (uniform frequency, no DVFS)
+// are provided alongside.
 #pragma once
 
 #include <vector>
 
 #include "cpm/core/cluster_model.hpp"
-#include "cpm/opt/constrained.hpp"
 #include "cpm/opt/integer.hpp"
 
 namespace cpm::core {
@@ -34,33 +39,37 @@ struct FrequencyOptResult {
   units::Watts power = units::watts(0.0);
   bool feasible = false;
   Evaluation evaluation;       ///< full analytic metrics at the optimum
+  /// Every ClusterModel::evaluate the solve made, the final one included:
+  /// a work count for tests and benchmarks, in no output document.
+  long evaluations = 0;
 };
 
 struct FrequencyOptOptions {
-  opt::AugLagOptions solver;
-  /// Relative feasibility slack applied to the constraint scale (the raw
-  /// solver tolerance is absolute; constraints here are normalised).
-  double constraint_scale_tol = 1e-4;
+  /// Relative constraint slack a caller may grant an optimum. The
+  /// continuous programs land on or below their bounds, so they need none.
+  static constexpr double constraint_scale_tol = 1e-4;
 };
 
 /// P-D: minimise mean E2E delay subject to cluster power <= power_budget.
-/// feasible=false when even the all-min-frequency point (lowest possible
-/// power) exceeds the budget or no stable point fits it.
-FrequencyOptResult minimize_delay_with_power_budget(
-    const ClusterModel& model, units::Watts power_budget,
-    const FrequencyOptOptions& options = {});
+/// feasible=false when even the min-stable point (lowest possible power)
+/// exceeds the budget or is unstable.
+FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
+                                                   units::Watts power_budget);
 
 /// P-E (all classes): minimise cluster power subject to the traffic-
-/// weighted mean E2E delay <= max_mean_delay.
-FrequencyOptResult minimize_power_with_delay_bound(
-    const ClusterModel& model, units::Seconds max_mean_delay,
-    const FrequencyOptOptions& options = {});
+/// weighted mean E2E delay <= max_mean_delay. feasible=false when even
+/// f_max misses the bound.
+FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
+                                                   units::Seconds max_mean_delay);
 
 /// P-E (each class): minimise cluster power subject to per-class mean E2E
 /// delay bounds (bounds.size() == num_classes; +infinity = unconstrained).
+/// feasible=false when f_max misses some class's bound. No bound is
+/// exceeded; the tightest binding class lands on its bound, and other
+/// binding classes end at most 1e-10 relative below theirs when the
+/// multiplier iteration converges.
 FrequencyOptResult minimize_power_with_class_delay_bounds(
-    const ClusterModel& model, const std::vector<units::Seconds>& bounds,
-    const FrequencyOptOptions& options = {});
+    const ClusterModel& model, const std::vector<units::Seconds>& bounds);
 
 /// Baseline for P-D: all tiers run at one common frequency, the highest
 /// uniform setting that fits the power budget.

@@ -46,12 +46,12 @@ TEST(GoldenDeterminism, ContinuousDelayOptimizerIsStable) {
 
   const auto pd = core::minimize_delay_with_power_budget(model, units::watts(700.0));
   ASSERT_TRUE(pd.feasible);
-  EXPECT_EQ(pd.mean_delay.value(), 0.1996453567499237);
-  EXPECT_EQ(pd.power.value(), 700.04326444746607);
+  EXPECT_EQ(pd.mean_delay.value(), 0.19973932428779939);
+  EXPECT_EQ(pd.power.value(), 699.99999999997192);
   ASSERT_EQ(pd.frequencies.size(), 3u);
   EXPECT_EQ(pd.frequencies[0], 0.59999999999999998);
-  EXPECT_EQ(pd.frequencies[1], 0.77646192176944495);
-  EXPECT_EQ(pd.frequencies[2], 0.97941875996740291);
+  EXPECT_EQ(pd.frequencies[1], 0.77622265214761965);
+  EXPECT_EQ(pd.frequencies[2], 0.97917498259014235);
 }
 
 TEST(GoldenDeterminism, ContinuousEnergyOptimizerIsStable) {
@@ -59,12 +59,12 @@ TEST(GoldenDeterminism, ContinuousEnergyOptimizerIsStable) {
   const auto pe =
       core::minimize_power_with_delay_bound(model, units::seconds(0.5));
   ASSERT_TRUE(pe.feasible);
-  EXPECT_EQ(pe.mean_delay.value(), 0.50004228300759967);
-  EXPECT_EQ(pe.power.value(), 662.6149404169139);
+  EXPECT_EQ(pe.mean_delay.value(), 0.49999999999999972);
+  EXPECT_EQ(pe.power.value(), 662.61598707053429);
   ASSERT_EQ(pe.frequencies.size(), 3u);
-  EXPECT_EQ(pe.frequencies[0], 0.59999999999999998);
-  EXPECT_EQ(pe.frequencies[1], 0.59999999999999998);
-  EXPECT_EQ(pe.frequencies[2], 0.70337037275215519);
+  EXPECT_EQ(pe.frequencies[0], 0.60000000000000009);
+  EXPECT_EQ(pe.frequencies[1], 0.60000000000000009);
+  EXPECT_EQ(pe.frequencies[2], 0.70338277309905128);
 }
 
 TEST(GoldenDeterminism, ContinuousPerClassEnergyOptimizerIsStable) {
@@ -72,16 +72,16 @@ TEST(GoldenDeterminism, ContinuousPerClassEnergyOptimizerIsStable) {
   const auto pe = core::minimize_power_with_class_delay_bounds(
       model, {units::seconds(0.15), units::seconds(0.3), units::seconds(1.5)});
   ASSERT_TRUE(pe.feasible);
-  EXPECT_EQ(pe.mean_delay.value(), 0.31371062435665115);
-  EXPECT_EQ(pe.power.value(), 674.66177515554045);
+  EXPECT_EQ(pe.mean_delay.value(), 0.31369833509396089);
+  EXPECT_EQ(pe.power.value(), 674.66319904381112);
   ASSERT_EQ(pe.evaluation.net.e2e_delay.size(), 3u);
-  EXPECT_EQ(pe.evaluation.net.e2e_delay[0].value(), 0.15000229475764298);
-  EXPECT_EQ(pe.evaluation.net.e2e_delay[1].value(), 0.20765452468537116);
-  EXPECT_EQ(pe.evaluation.net.e2e_delay[2].value(), 0.44282761599902237);
+  EXPECT_EQ(pe.evaluation.net.e2e_delay[0].value(), 0.14999999999999999);
+  EXPECT_EQ(pe.evaluation.net.e2e_delay[1].value(), 0.20765071917586256);
+  EXPECT_EQ(pe.evaluation.net.e2e_delay[2].value(), 0.44280623868240426);
   ASSERT_EQ(pe.frequencies.size(), 3u);
   EXPECT_EQ(pe.frequencies[0], 0.59999999999999998);
-  EXPECT_EQ(pe.frequencies[1], 0.68957241655555268);
-  EXPECT_EQ(pe.frequencies[2], 0.78725225994218639);
+  EXPECT_EQ(pe.frequencies[1], 0.68958149898729948);
+  EXPECT_EQ(pe.frequencies[2], 0.78726211545965352);
 }
 
 TEST(GoldenDeterminism, DiscreteEnergyOptimizerIsStable) {

@@ -76,11 +76,10 @@ TEST(EvaluateAllocations, InPlaceEvaluationAllocatesNothingOnceWarm) {
 
 TEST(EvaluateAllocations, PowerSolveReusesOneWorkspace) {
   // P-E at rate scale 0.925 with the bound at 3x the f_max mean delay.
-  // When every solver probe evaluated through fresh buffers this solve
-  // made 716,036 allocations, and 11,970 when Nelder-Mead still allocated
-  // a vector per trial point. With the solver's buffers allocated once per
-  // run it makes 607: what is left is per run and per outer iteration, so
-  // one allocation per probe (some 5,000 probes) breaks the budget.
+  // When every solver probe evaluated through fresh buffers the augmented
+  // Lagrangian made 716,036 allocations here, and 607 with its buffers
+  // allocated once per run. The dual solve makes 134, all per solve or per
+  // multiplier step; the budget is the one the augmented Lagrangian had.
   const ClusterModel model = enterprise_load70().with_rate_scale(0.925);
   const units::Seconds bound = model.mean_delay_at(model.max_frequencies()) * 3.0;
   FrequencyOptResult r;

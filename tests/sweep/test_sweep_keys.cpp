@@ -5,6 +5,7 @@
 // exactly the canonical documents the format defines.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -58,12 +59,16 @@ TEST(SweepKeyLiterals, E4EnergyPoints) {
   const PointParams last = grid_point(spec.axes, 6);
   ASSERT_EQ(params_to_json(first).dump(), R"({"delay_bound_factor":1.05})");
   ASSERT_EQ(params_to_json(last).dump(), R"({"delay_bound_factor":10})");
-  EXPECT_EQ(point_key(spec, first, kEngineSalt),
+  // Recorded under the first engine salt: they pin the keying bytes.
+  EXPECT_EQ(point_key(spec, first, "cpm-sweep-engine/1"),
             "4007057640acffb0997c0e89eeb9fa345720260a5611768dcef30d9b4e4d0033");
   EXPECT_EQ(point_seed(spec, first), 8126303430498162u);
-  EXPECT_EQ(point_key(spec, last, kEngineSalt),
+  EXPECT_EQ(point_key(spec, last, "cpm-sweep-engine/1"),
             "70f7b6ac241c0d10f477ce974cef81e3b33cf34551f245ef3a8a3c54c60d7cd7");
   EXPECT_EQ(point_seed(spec, last), 8886999854519710u);
+  // The engine salt the continuous programs' dual solve introduced.
+  EXPECT_EQ(point_key(spec, first, kEngineSalt),
+            "8d4d363952625ae64f591274a45ac43dff658b00687c8075029f60bfe03e10df");
 }
 
 TEST(SweepKeyLiterals, ModelFreeMvaPoint) {
@@ -71,7 +76,7 @@ TEST(SweepKeyLiterals, ModelFreeMvaPoint) {
   ASSERT_TRUE(spec.model.is_null());
   const PointParams point = grid_point(spec.axes, 2);
   ASSERT_EQ(params_to_json(point).dump(), R"({"population":4})");
-  EXPECT_EQ(point_key(spec, point, kEngineSalt),
+  EXPECT_EQ(point_key(spec, point, "cpm-sweep-engine/1"),
             "0db6b39c917fcfb15b9a59f427f3932b6b86300c6ee355175c75e6fcbd612915");
   EXPECT_EQ(point_seed(spec, point), 7973212747336474u);
 }
@@ -182,6 +187,27 @@ TEST(SweepKeyProperty, RunSweepHashesTheCanonicalDocuments) {
     }
   }
   EXPECT_GE(points_checked, 40);
+}
+
+TEST(SweepEngineSalt, EntriesStoredUnderTheOldSaltAreMisses) {
+  // Points the augmented-Lagrangian solver computed were stored under
+  // "cpm-sweep-engine/1"; the dual solve's optima differ in low digits, so
+  // none of them may be served under the current salt.
+  const std::string dir = testing::TempDir() + "/cpm-sweep-old-salt";
+  std::filesystem::remove_all(dir);
+  const SweepSpec spec = example_spec("e4_energy.json");
+  RunOptions old_salt;
+  old_salt.cache.directory = dir;
+  old_salt.cache.engine_salt = "cpm-sweep-engine/1";
+  old_salt.threads = 1;
+  EXPECT_EQ(run_sweep(spec, old_salt).stats.computed, 7u);
+  RunOptions current;
+  current.cache.directory = dir;
+  current.threads = 1;
+  const RunResult r = run_sweep(spec, current);
+  EXPECT_EQ(r.stats.cache_hits, 0u);
+  EXPECT_EQ(r.stats.computed, 7u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // The continuous programs on the dual (docs/model.md §4): exact work
 // counts, bounds met with no overshoot, optima no worse than the lattice's
-// over a seeded alpha envelope, unloaded tiers and infeasible programs.
+// over a seeded alpha envelope, the optimality condition read off the model
+// by finite differences, unloaded tiers and infeasible programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "cpm/check/generator.hpp"
@@ -44,6 +47,49 @@ double halfway_budget(const ClusterModel& model) {
   const double p_min = model.power_at(model.min_stable_frequencies()).value();
   const double p_max = model.power_at(model.max_frequencies()).value();
   return 0.5 * (p_min + p_max);
+}
+
+// Central finite-difference gradient of `f` at `x` inside the box
+// lo <= x <= hi, one-sided at a face of the box: the optimality oracle
+// below reads marginal power and delay off the model with it, apart from
+// the solver's own stencil.
+std::vector<double> numerical_gradient(const std::function<double(const std::vector<double>&)>& f,
+                                       const std::vector<double>& lo,
+                                       const std::vector<double>& hi,
+                                       const std::vector<double>& x, double rel_step = 1e-6) {
+  std::vector<double> g(x.size(), 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double span = hi[i] - lo[i];
+    const double h = rel_step * (span > 0.0 ? span : 1.0);
+    const double xp = std::min(x[i] + h, hi[i]);
+    const double xm = std::max(x[i] - h, lo[i]);
+    if (xp == xm) continue;  // degenerate axis
+    std::vector<double> xx = x;
+    xx[i] = xp;
+    const double fp = f(xx);
+    xx[i] = xm;
+    const double fm = f(xx);
+    g[i] = (fp - fm) / (xp - xm);
+  }
+  return g;
+}
+
+TEST(NumericalGradient, MatchesAnalyticOnQuadratic) {
+  auto f = [](const std::vector<double>& x) {
+    return 2.0 * x[0] * x[0] + 3.0 * x[1] * x[1] + x[0] * x[1];
+  };
+  const auto g = numerical_gradient(f, {-10.0, -10.0}, {10.0, 10.0}, {1.0, -2.0});
+  // df/dx0 = 4 x0 + x1 = 2; df/dx1 = 6 x1 + x0 = -11.
+  EXPECT_NEAR(g[0], 2.0, 1e-4);
+  EXPECT_NEAR(g[1], -11.0, 1e-4);
+}
+
+TEST(NumericalGradient, OneSidedAtBoundary) {
+  auto f = [](const std::vector<double>& x) { return x[0] * x[0]; };
+  const auto g = numerical_gradient(f, {0.0}, {1.0}, {0.0});
+  EXPECT_NEAR(g[0], 0.0, 1e-4);  // derivative at 0 via forward difference
+  const auto g1 = numerical_gradient(f, {0.0}, {1.0}, {1.0});
+  EXPECT_NEAR(g1[0], 2.0, 1e-4);
 }
 
 std::vector<units::Seconds> class_bounds(const ClusterModel& model, double factor) {
@@ -160,6 +206,42 @@ TEST(DualSolve, AlphaAblationOnBothPrograms) {
     for (const double frac : {0.25, 0.5, 0.75})
       expect_on_bound_and_no_worse(model, false, p_min + frac * (p_max - p_min),
                                    a + " P-D " + std::to_string(frac));
+  }
+}
+
+TEST(DualSolve, FreeTiersPayOneMarginalPrice) {
+  // The optimality condition of docs/model.md §4, with the derivatives
+  // taken by central differences on the model rather than from the
+  // solver: at a P-D or P-E optimum every tier strictly inside its range
+  // pays the same marginal power per unit of mean delay saved,
+  // price_i = dP/df_i / (-dD/df_i); a tier at f_max would pay no more
+  // than that price and a tier at its floor no less.
+  const ClusterModel base = enterprise_load70();
+  for (const double scale : {0.7, 0.925, 1.2}) {
+    const ClusterModel model = base.with_rate_scale(scale);
+    const std::vector<double> lo = model.min_stable_frequencies(), hi = model.max_frequencies();
+    auto power = [&model](const std::vector<double>& f) { return model.power_at(f).value(); };
+    auto delay = [&model](const std::vector<double>& f) { return model.mean_delay_at(f).value(); };
+    const FrequencyOptResult runs[2] = {
+        minimize_power_with_delay_bound(model, model.mean_delay_at(hi) * 3.0),
+        minimize_delay_with_power_budget(model, units::watts(halfway_budget(model)))};
+    for (const FrequencyOptResult& r : runs) {
+      ASSERT_TRUE(r.feasible);
+      const std::vector<double>& f = r.frequencies;
+      const std::vector<double> dp = numerical_gradient(power, lo, hi, f);
+      const std::vector<double> dd = numerical_gradient(delay, lo, hi, f);
+      std::vector<double> inside, at_hi, at_lo;
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        const double price = dp[i] / -dd[i], margin = 1e-4 * (hi[i] - lo[i]);
+        (f[i] > hi[i] - margin ? at_hi : f[i] < lo[i] + margin ? at_lo : inside).push_back(price);
+      }
+      SCOPED_TRACE("scale " + std::to_string(scale) + (&r == runs ? " P-E" : " P-D"));
+      ASSERT_FALSE(inside.empty());
+      const double price = inside.front();
+      for (double p : inside) EXPECT_NEAR(p, price, 1e-7 * price);
+      for (double p : at_hi) EXPECT_LE(p, price);
+      for (double p : at_lo) EXPECT_GE(p, price);
+    }
   }
 }
 

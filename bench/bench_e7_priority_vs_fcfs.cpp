@@ -23,23 +23,14 @@ int main() {
     for (auto d : {queueing::Discipline::kNonPreemptivePriority,
                    queueing::Discipline::kFcfs}) {
       const auto model = core::make_enterprise_model(load, d);
-      const auto ev = model.evaluate(model.max_frequencies());
-      if (!ev.stable) continue;
-
-      sim::ReplicationOptions rep;
-      rep.replications = settings.replications;
-      const auto cfg = model.to_sim_config(model.max_frequencies(),
-                                           settings.warmup_time,
-                                           settings.end_time, settings.seed);
-      const auto sr = sim::replicate(cfg, rep);
-
+      const auto v = core::validate_model(model, model.max_frequencies(), settings);
       t.row()
           .add(load, 2)
           .add(queueing::discipline_name(d))
-          .add(ev.net.e2e_delay[0].value())
-          .add(sr.classes[0].mean_e2e_delay.mean)
-          .add(ev.net.e2e_delay[2].value())
-          .add(sr.classes[2].mean_e2e_delay.mean);
+          .add(v.analytic.net.e2e_delay[0].value())
+          .add(v.sim.classes[0].mean_e2e_delay.mean)
+          .add(v.analytic.net.e2e_delay[2].value())
+          .add(v.sim.classes[2].mean_e2e_delay.mean);
     }
   }
   t.print(std::cout);

@@ -17,25 +17,16 @@ int main() {
   print_banner(std::cout, "E8: p95 E2E delay, analytic (gamma fit) vs simulated");
   Table t({"load", "class", "p95 analytic s", "p95 simulated s", "err %"});
 
-  core::SimSettings settings = bench::validation_settings();
+  const core::SimSettings settings = bench::validation_settings();
 
   double worst = 0.0;
   for (double load : {0.3, 0.5, 0.7, 0.8, 0.9}) {
     const auto model = core::make_enterprise_model(load);
-    const auto f = model.max_frequencies();
-    const auto ev = model.evaluate(f);
-    if (!ev.stable) continue;
-
-    sim::ReplicationOptions rep;
-    rep.replications = settings.replications;
-    const auto sr = sim::replicate(
-        model.to_sim_config(f, settings.warmup_time, settings.end_time,
-                            settings.seed),
-        rep);
-
+    const auto v = core::validate_model(model, model.max_frequencies(), settings);
     for (std::size_t k = 0; k < model.num_classes(); ++k) {
-      const double analytic = queueing::percentile_e2e_delay(ev.net, k, 0.95).value();
-      const double simulated = sr.classes[k].p95_e2e_delay.mean;
+      const double analytic =
+          queueing::percentile_e2e_delay(v.analytic.net, k, 0.95).value();
+      const double simulated = v.sim.classes[k].p95_e2e_delay.mean;
       const double err =
           simulated > 0.0 ? 100.0 * std::abs(analytic - simulated) / simulated
                           : 0.0;

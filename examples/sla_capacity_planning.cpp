@@ -63,17 +63,17 @@ int main() {
   const auto plan = core::minimize_cost_for_slas(model);
   if (plan.feasible) {
     const auto sized = model.with_servers(plan.servers);
-    sim::ReplicationOptions rep;
-    rep.replications = 6;
-    const auto sim =
-        sim::replicate(sized.to_sim_config(sized.max_frequencies(), 50, 550, 1), rep);
+    core::SimSettings settings;
+    settings.replications = 6;
+    settings.seed = 1;
+    const auto report = core::validate_model(sized, sized.max_frequencies(), settings);
     Table v({"class", "SLA", "analytic", "simulated"});
     for (std::size_t k = 0; k < model.num_classes(); ++k) {
       v.row()
           .add(model.classes()[k].name)
           .add(model.classes()[k].sla.max_mean_e2e_delay.value(), 2)
-          .add(plan.evaluation.net.e2e_delay[k].value())
-          .add(sim.classes[k].mean_e2e_delay.mean);
+          .add(report.analytic.net.e2e_delay[k].value())
+          .add(report.sim.classes[k].mean_e2e_delay.mean);
     }
     v.print(std::cout);
   }

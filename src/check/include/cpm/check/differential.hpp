@@ -3,6 +3,8 @@
 // and exact special-case reductions between independent analytic code
 // paths. Disagreement beyond the documented envelope means a bug in one
 // side — the workhorse regression gate for every future perf/refactor PR.
+// The analytic-vs-simulation run is core::validate_model's; this layer
+// judges its report.
 #pragma once
 
 #include "cpm/check/generator.hpp"
@@ -11,24 +13,20 @@
 
 namespace cpm::check {
 
-struct CrossValidateOptions {
-  /// Simulation effort for the differential run. The defaults are the
-  /// repo's standard validation settings (8 replications of 500 s).
-  core::SimSettings sim;
-};
-
-/// Analytic-vs-simulation differential on one operating point, plus every
-/// simulation-side invariant oracle on the run's output. The agreement
-/// envelopes are relative, with a small absolute floor: 3% on power and
-/// 6% on utilisation, which depend on no queueing approximation, and 25%
-/// on delays, which carry the decomposition error experiment E1 measures.
-/// The simulation runs with the simulator's internal audit hooks on.
-/// Reported invariants: "diff-delay", "diff-power", "diff-utilization" and the
-/// check_simulation set. Throws cpm::Error "[CPM-L001] ..." (see
-/// core::evaluate_stable) when the model is unstable at `frequencies`.
+/// Analytic-vs-simulation differential on one operating point: judges
+/// core::validate_model's report under `settings` (by default the repo's
+/// standard validation effort, 8 replications of 500 s), then runs one
+/// audited simulation for every simulation-side invariant oracle. The
+/// agreement envelopes are relative, with a small absolute floor: 3% on
+/// power and 6% on utilisation, which depend on no queueing approximation,
+/// and 25% on delays, which carry the decomposition error experiment E1
+/// measures. Reported invariants: "diff-delay", "diff-power",
+/// "diff-utilization" and the check_simulation set. Throws cpm::Error
+/// "validate_model: [CPM-L001] ..." (see core::evaluate_stable) when the
+/// model is unstable at `frequencies`.
 Report cross_validate(const core::ClusterModel& model,
                       const std::vector<double>& frequencies,
-                      const CrossValidateOptions& options = {});
+                      const core::SimSettings& settings = {});
 
 /// Analytic-vs-analytic special-case reductions over a fixed parameter
 /// grid, each pinning one general code path to an independent exact
@@ -40,17 +38,18 @@ Report cross_validate(const core::ClusterModel& model,
 ///                                FCFS at that station
 ///   "reduction-ps-insensitivity" M/G/1-PS sojourn depends on the service
 ///                                law only through its mean
-/// All residuals are arithmetic-exact identities; tolerance is roundoff.
-Report check_reductions(double tolerance = 1e-9);
+/// All residuals are arithmetic-exact identities, judged at 1e-9.
+Report check_reductions();
 
 /// The full oracle battery over `count` generated models: analytic oracles
 /// on every model (at f_max), and the sim differential on every
 /// `sim_every`-th model (0 = never; simulation is ~1000x the cost of the
-/// analytic side). Returns the worst violation per invariant across the
-/// sweep. Deterministic in `seed`.
+/// analytic side), the i-th under `settings` with its seed advanced by i.
+/// Returns the worst violation per invariant across the sweep.
+/// Deterministic in `seed`.
 Report sweep_random_models(std::uint64_t seed, int count,
                            const GeneratorOptions& generator = {},
                            int sim_every = 0,
-                           const CrossValidateOptions& options = {});
+                           const core::SimSettings& settings = {});
 
 }  // namespace cpm::check

@@ -42,6 +42,14 @@ struct CheckResult {
   std::string detail;             ///< where the worst residual occurred
 };
 
+/// |a - b| / max(|a|, |b|, floor): a symmetric relative residual that
+/// judges quantities near zero on absolute error.
+double residual(double a, double b, double floor = 1e-12);
+
+/// Folds residual `res`, observed at `site`, into `r`: keeps the worst
+/// and fails `r` when `res` exceeds its tolerance.
+void observe(CheckResult& r, double res, const std::string& site);
+
 /// Aggregation of checks, possibly across many subjects: merging keeps the
 /// worst violation per invariant so a 200-model sweep reports one row each.
 class Report {
@@ -61,8 +69,9 @@ class Report {
 // ---- analytic-side oracles (model + evaluation) ---------------------------
 
 /// Utilisation law: recomputes rho_i = sum_k lambda_ik E[S_ik]/speedup(f_i)
-/// / n_i straight from the model parameters and compares against the
-/// evaluation's station utilisations. Near-exact: arithmetic noise only.
+/// / n_i straight from the model parameters (core::tier_base_loads, which
+/// shares no code with the analysis) and compares against the evaluation's
+/// station utilisations. Near-exact: arithmetic noise only.
 CheckResult check_utilization_law(const core::ClusterModel& model,
                                   const std::vector<double>& frequencies,
                                   const core::Evaluation& ev,

@@ -1,16 +1,12 @@
 #include "cpm/check/differential.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "cpm/common/error.hpp"
-#include "cpm/core/preconditions.hpp"
 #include "cpm/queueing/basic.hpp"
 #include "cpm/queueing/erlang.hpp"
 #include "cpm/queueing/gg.hpp"
 #include "cpm/queueing/priority.hpp"
-#include "cpm/sim/replication.hpp"
 
 namespace cpm::check {
 
@@ -21,47 +17,29 @@ constexpr double kDelayTolerance = 0.25;
 constexpr double kPowerTolerance = 0.03;
 constexpr double kUtilizationTolerance = 0.06;
 
-double residual(double a, double b, double floor = 1e-12) {
-  return std::abs(a - b) / std::max({std::abs(a), std::abs(b), floor});
-}
-
-void observe(CheckResult& r, double res, const std::string& site) {
-  if (res > r.worst_violation) {
-    r.worst_violation = res;
-    r.detail = site;
-  }
-  if (res > r.tolerance) r.passed = false;
-}
+// check_reductions' tolerance: its identities are exact up to roundoff.
+constexpr double kReductionTolerance = 1e-9;
 
 }  // namespace
 
 Report cross_validate(const core::ClusterModel& model,
                       const std::vector<double>& frequencies,
-                      const CrossValidateOptions& options) {
-  const auto ev = core::evaluate_stable(model, frequencies, "cross_validate");
-
-  auto cfg = model.to_sim_config(frequencies, options.sim.warmup_time,
-                                 options.sim.end_time, options.sim.seed);
-  cfg.audit = true;
-
-  sim::ReplicationOptions rep;
-  rep.replications = options.sim.replications;
-  rep.threads = options.sim.threads;
-  const auto sr = sim::replicate(cfg, rep);
-
+                      const core::SimSettings& settings) {
+  const core::ValidationReport v = core::validate_model(model, frequencies, settings);
+  const core::Evaluation& ev = v.analytic;
   Report report;
 
   CheckResult delay{"diff-delay", true, 0.0, kDelayTolerance, ""};
   for (std::size_t k = 0; k < model.num_classes(); ++k)
     observe(delay,
-            residual(sr.classes[k].mean_e2e_delay.mean,
+            residual(v.sim.classes[k].mean_e2e_delay.mean,
                      ev.net.e2e_delay[k].value(), 0.05),
             "class '" + model.classes()[k].name + "' E2E delay");
   report.add(std::move(delay));
 
   CheckResult power{"diff-power", true, 0.0, kPowerTolerance, ""};
   observe(power,
-          residual(sr.cluster_avg_power.mean,
+          residual(v.sim.cluster_avg_power.mean,
                    ev.energy.cluster_avg_power.value(), 1.0),
           "cluster average power");
   report.add(std::move(power));
@@ -69,19 +47,21 @@ Report cross_validate(const core::ClusterModel& model,
   CheckResult util{"diff-utilization", true, 0.0, kUtilizationTolerance, ""};
   for (std::size_t s = 0; s < model.num_tiers(); ++s)
     observe(util,
-            residual(sr.station_utilization[s].mean,
+            residual(v.sim.station_utilization[s].mean,
                      ev.net.station_utilization[s], 0.5),
             "tier '" + model.tiers()[s].name + "' utilization");
   report.add(std::move(util));
 
   // One audited single run for the exact sim-side oracles (the replicated
   // aggregate does not carry the per-run flow counters).
-  const auto single = sim::simulate(cfg);
-  report.merge(check_simulation(cfg, single));
+  sim::SimConfig cfg = model.to_sim_config(frequencies, settings.warmup_time,
+                                           settings.end_time, settings.seed);
+  cfg.audit = true;
+  report.merge(check_simulation(cfg, sim::simulate(cfg)));
   return report;
 }
 
-Report check_reductions(double tolerance) {
+Report check_reductions() {
   using queueing::ClassFlow;
   using queueing::Discipline;
   Report report;
@@ -92,7 +72,7 @@ Report check_reductions(double tolerance) {
 
   // G/G/c at arrival SCV 1 with exponential service must collapse to the
   // independent Erlang-C M/M/c path.
-  CheckResult ggc_mmc{"reduction-ggc-mmc", true, 0.0, tolerance, ""};
+  CheckResult ggc_mmc{"reduction-ggc-mmc", true, 0.0, kReductionTolerance, ""};
   for (int c : server_counts) {
     for (double rho : loads) {
       const double lambda = rho * c / mean_service;
@@ -107,7 +87,7 @@ Report check_reductions(double tolerance) {
 
   // G/G/1 at arrival SCV 1 must collapse to Pollaczek-Khinchine for any
   // service law (Kingman's correction factor is exactly (1+Cs^2)/2).
-  CheckResult gg1_mg1{"reduction-gg1-mg1", true, 0.0, tolerance, ""};
+  CheckResult gg1_mg1{"reduction-gg1-mg1", true, 0.0, kReductionTolerance, ""};
   for (double scv : {0.5, 1.0, 2.0}) {
     for (double rho : loads) {
       const double lambda = rho / mean_service;
@@ -123,7 +103,7 @@ Report check_reductions(double tolerance) {
   // With a single class there is nobody to prioritise: every priority
   // discipline must degenerate to FCFS at that station. (PS joins only at
   // SCV 1, where the insensitive PS sojourn equals the M/M/c one.)
-  CheckResult prio{"reduction-priority-fcfs", true, 0.0, tolerance, ""};
+  CheckResult prio{"reduction-priority-fcfs", true, 0.0, kReductionTolerance, ""};
   for (int c : server_counts) {
     for (double rho : loads) {
       const double lambda = rho * c / mean_service;
@@ -155,7 +135,7 @@ Report check_reductions(double tolerance) {
 
   // PS insensitivity: the M/G/1-PS sojourn depends on the service law only
   // through its mean.
-  CheckResult ps{"reduction-ps-insensitivity", true, 0.0, tolerance, ""};
+  CheckResult ps{"reduction-ps-insensitivity", true, 0.0, kReductionTolerance, ""};
   for (double rho : loads) {
     const double lambda = rho / mean_service;
     const double reference =
@@ -176,7 +156,7 @@ Report check_reductions(double tolerance) {
 
 Report sweep_random_models(std::uint64_t seed, int count,
                            const GeneratorOptions& generator, int sim_every,
-                           const CrossValidateOptions& options) {
+                           const core::SimSettings& settings) {
   require(count >= 1, "sweep_random_models: count must be >= 1");
   ModelGenerator gen(seed, generator);
   Report aggregate;
@@ -185,9 +165,9 @@ Report sweep_random_models(std::uint64_t seed, int count,
     const auto f = model.max_frequencies();
     aggregate.merge(check_analytic(model, f));
     if (sim_every > 0 && i % sim_every == 0) {
-      CrossValidateOptions cv = options;
-      cv.sim.seed = options.sim.seed + static_cast<std::uint64_t>(i);
-      aggregate.merge(cross_validate(model, f, cv));
+      core::SimSettings run = settings;
+      run.seed = settings.seed + static_cast<std::uint64_t>(i);
+      aggregate.merge(cross_validate(model, f, run));
     }
   }
   return aggregate;

@@ -8,15 +8,10 @@
 
 namespace cpm::check {
 
-namespace {
-
-/// Symmetric relative residual with an absolute floor so near-zero
-/// quantities are judged on absolute error.
-double residual(double a, double b, double floor = 1e-12) {
+double residual(double a, double b, double floor) {
   return std::abs(a - b) / std::max({std::abs(a), std::abs(b), floor});
 }
 
-/// Folds one observation into a result, remembering the worst site.
 void observe(CheckResult& r, double res, const std::string& site) {
   if (res > r.worst_violation) {
     r.worst_violation = res;
@@ -24,8 +19,6 @@ void observe(CheckResult& r, double res, const std::string& site) {
   }
   if (res > r.tolerance) r.passed = false;
 }
-
-}  // namespace
 
 void Report::add(CheckResult result) { checks_.push_back(std::move(result)); }
 
@@ -75,9 +68,10 @@ CheckResult check_utilization_law(const core::ClusterModel& model,
   require(ev.stable, "check_utilization_law: evaluation must be stable");
   CheckResult r{"utilization-law", true, 0.0, tolerance, ""};
   const auto& tiers = model.tiers();
-  const std::vector<double> rho = core::tier_utilizations(model, frequencies);
+  const std::vector<double> load = core::tier_base_loads(model);
   for (std::size_t i = 0; i < tiers.size(); ++i) {
-    observe(r, residual(rho[i], ev.net.station_utilization[i]),
+    const double rho = load[i] / tiers[i].power.speedup(units::hertz(frequencies[i]));
+    observe(r, residual(rho, ev.net.station_utilization[i]),
             "tier '" + tiers[i].name + "'");
   }
   return r;

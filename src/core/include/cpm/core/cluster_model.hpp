@@ -134,15 +134,14 @@ class ClusterModel {
   [[nodiscard]] std::vector<double> max_frequencies() const;
   [[nodiscard]] std::vector<double> min_frequencies() const;
 
-  /// The lowest frequency per tier that keeps it stable with margin
-  /// (rho <= 1 - margin), clamped into the DVFS range. Because cluster
+  /// The lowest frequency per tier that keeps it stable with a margin
+  /// (rho <= 1 - 1e-3), clamped into the DVFS range. Because cluster
   /// power is componentwise increasing in f over the stable region, this
   /// point attains the minimum feasible power — the reference point for
   /// P-D feasibility checks and the energy-optimisation floor. The point
   /// may still be unstable when even f_max cannot carry a tier's load;
   /// callers must check evaluate(f).stable.
-  [[nodiscard]] std::vector<double> min_stable_frequencies(
-      double margin = 1e-3) const;
+  [[nodiscard]] std::vector<double> min_stable_frequencies() const;
 
   /// The queueing network's skeleton, bound at construction: the model's
   /// only network.
@@ -204,8 +203,10 @@ class ClusterModel {
   // `skeleton` with each station's servers and discipline refreshed.
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
                queueing::NetworkSkeleton skeleton);
-  // The constructor's checks; copies that keep the routes skip the route
-  // checks.
+  // The one check of the network's structure: tiers and classes present,
+  // servers >= 1, costs > 0, rates >= 0 and, except in copies that keep
+  // the routes, non-empty routes on known tiers. network_skeleton relies
+  // on it and checks nothing.
   void check(bool routes) const;
   void check_frequencies(const std::vector<double>& frequencies) const;
   // Each tier's speedup at `frequencies` into `speedups` (throwing outside

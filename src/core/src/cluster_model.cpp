@@ -14,7 +14,7 @@ ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> c
   std::vector<queueing::NetworkStation> stations;
   stations.reserve(tiers_.size());
   for (const auto& t : tiers_)
-    stations.push_back(queueing::NetworkStation{t.name, t.servers, t.discipline});
+    stations.push_back(queueing::NetworkStation{t.servers, t.discipline});
   // The skeleton reads only the routes' stations, so the base laws serve.
   std::vector<queueing::CustomerClass> routes(classes_.size());
   for (std::size_t k = 0; k < classes_.size(); ++k) {
@@ -98,16 +98,16 @@ std::vector<double> ClusterModel::min_frequencies() const {
   return f;
 }
 
-std::vector<double> ClusterModel::min_stable_frequencies(double margin) const {
-  require(margin > 0.0 && margin < 1.0, "min_stable_frequencies: margin in (0,1)");
+std::vector<double> ClusterModel::min_stable_frequencies() const {
   // Per-tier offered load per server at f_base; tier i is stable at
   // frequency f iff load_i * f_base / f < 1.
   const std::vector<double> load = tier_base_loads(*this);
+  constexpr double kMargin = 1e-3;
 
   std::vector<double> f(tiers_.size());
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     const auto& dvfs = tiers_[i].power.dvfs();
-    const double f_crit = load[i] * dvfs.f_base.value() / (1.0 - margin);
+    const double f_crit = load[i] * dvfs.f_base.value() / (1.0 - kMargin);
     f[i] = std::clamp(f_crit, dvfs.f_min.value(), dvfs.f_max.value());
   }
   return f;

@@ -9,7 +9,6 @@
 #include "cpm/common/error.hpp"
 #include "cpm/common/math.hpp"
 #include "cpm/core/preconditions.hpp"
-#include "cpm/opt/scalar.hpp"
 
 namespace cpm::core {
 
@@ -678,8 +677,15 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
     return eval.at(freqs_at(t)).power() <= power_budget;
   };
   if (!within_budget(0.0)) return finish(eval, freqs_at(0.0), false);
-  const double t = opt::monotone_threshold(within_budget, 0.0, 1.0, 1e-10);
-  return finish(eval, freqs_at(t), true);
+  // Bisect for the largest in-budget t: within_budget(a) holds throughout,
+  // and within_budget(b) fails unless all of [0, 1] is in budget.
+  double a = 0.0, b = 1.0;
+  if (within_budget(b)) a = b;
+  while (b - a > 1e-10) {
+    const double m = 0.5 * (a + b);
+    if (within_budget(m)) a = m; else b = m;
+  }
+  return finish(eval, freqs_at(a), true);
 }
 
 CostOptResult minimize_cost_for_slas(const ClusterModel& model,

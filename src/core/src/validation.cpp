@@ -28,16 +28,17 @@ ValidationRow make_row(std::string metric, double analytic,
 ValidationReport validate_model(const ClusterModel& model,
                                 const std::vector<double>& frequencies,
                                 const SimSettings& settings) {
-  const Evaluation ev = evaluate_stable(model, frequencies, "validate_model");
-
+  ValidationReport report;
+  report.analytic = evaluate_stable(model, frequencies, "validate_model");
+  sim::SimConfig cfg = model.to_sim_config(frequencies, settings.warmup_time,
+                                           settings.end_time, settings.seed);
+  cfg.audit = true;
   sim::ReplicationOptions rep;
   rep.replications = settings.replications;
-  rep.threads = settings.threads;
-  const sim::SimConfig cfg = model.to_sim_config(
-      frequencies, settings.warmup_time, settings.end_time, settings.seed);
-  sim::ReplicatedResult sim = sim::replicate(cfg, rep);
+  report.sim = sim::replicate(cfg, rep);
+  const Evaluation& ev = report.analytic;
+  const sim::ReplicatedResult& sim = report.sim;
 
-  ValidationReport report;
   for (std::size_t k = 0; k < model.num_classes(); ++k) {
     report.rows.push_back(make_row("delay[" + model.classes()[k].name + "]",
                                    ev.net.e2e_delay[k].value(),
@@ -63,7 +64,6 @@ ValidationReport validate_model(const ClusterModel& model,
 
   for (const auto& row : report.rows)
     report.max_error_pct = std::max(report.max_error_pct, row.error_pct);
-  report.sim = std::move(sim);
   return report;
 }
 

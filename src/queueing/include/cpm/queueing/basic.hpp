@@ -1,4 +1,4 @@
-// Single-class single-station queueing formulas (M/M/1, M/G/1, M/D/1).
+// Single-class single-station queueing formulas (M/M/1, M/G/1, M/G/1-PS).
 //
 // These are the building blocks the priority and network analyses reduce to
 // in degenerate cases, and the reference points the unit tests pin the more
@@ -24,9 +24,6 @@ QueueMetrics mm1(double lambda, double mu);
 
 /// M/G/1 via Pollaczek–Khinchine: Wq = lambda E[S^2] / (2 (1 - rho)).
 QueueMetrics mg1(double lambda, const Distribution& service);
-
-/// M/D/1 convenience: deterministic service of the given duration.
-QueueMetrics md1(double lambda, double service_time);
 
 /// M/G/1 under processor sharing: sojourn E[S]/(1-rho), insensitive to the
 /// service law beyond its mean.

@@ -18,7 +18,4 @@ double erlang_c(int servers, double a);
 /// (lambda < servers * mu); throws cpm::Error otherwise.
 double mmc_mean_wait(int servers, double lambda, double mu);
 
-/// Mean sojourn (wait + service) of M/M/c.
-double mmc_mean_sojourn(int servers, double lambda, double mu);
-
 }  // namespace cpm::queueing

@@ -15,8 +15,8 @@
 // against simulation.
 //
 // Both entry points take the network's skeleton (network_skeleton), which
-// checks the description once and binds which route steps feed which
-// station flows; none takes a bare list of stations.
+// binds which route steps feed which station flows; none takes a bare list
+// of stations.
 #pragma once
 
 #include <string>
@@ -28,7 +28,6 @@ namespace cpm::queueing {
 
 /// A service station (tier) of the network.
 struct NetworkStation {
-  std::string name;
   int servers = 1;
   Discipline discipline = Discipline::kNonPreemptivePriority;
 };
@@ -92,8 +91,10 @@ struct NetworkSkeleton {
   std::size_t classes = 0;               ///< number of classes
 };
 
-/// Builds the skeleton after checking the description (stations with >= 1
-/// server, rates >= 0, non-empty routes on known stations; cpm::Error).
+/// Builds the skeleton. It checks nothing: the description must have at
+/// least one station and one class, every station >= 1 server, and every
+/// route at least one step, each on a known station, as ClusterModel::check
+/// ensures for a model.
 NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
                                  const std::vector<CustomerClass>& classes);
 

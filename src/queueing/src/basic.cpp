@@ -35,10 +35,6 @@ QueueMetrics mg1(double lambda, const Distribution& service) {
   return finish(lambda, es, wq);
 }
 
-QueueMetrics md1(double lambda, double service_time) {
-  return mg1(lambda, Distribution::deterministic(service_time));
-}
-
 QueueMetrics mg1_ps(double lambda, const Distribution& service) {
   require(lambda >= 0.0, "mg1_ps: lambda must be >= 0");
   const double es = service.mean();

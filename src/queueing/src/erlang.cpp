@@ -31,8 +31,4 @@ double mmc_mean_wait(int servers, double lambda, double mu) {
   return erlang_c(servers, a) / (static_cast<double>(servers) * mu - lambda);
 }
 
-double mmc_mean_sojourn(int servers, double lambda, double mu) {
-  return mmc_mean_wait(servers, lambda, mu) + 1.0 / mu;
-}
-
 }  // namespace cpm::queueing

@@ -10,22 +10,6 @@ namespace cpm::queueing {
 
 NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
                                  const std::vector<CustomerClass>& classes) {
-  require(!stations.empty(), "network: need at least one station");
-  require(!classes.empty(), "network: need at least one class");
-  for (const auto& s : stations)
-    if (s.servers < 1)
-      throw Error("network: station '" + s.name + "' needs >= 1 server");
-  for (const auto& c : classes) {
-    if (!(c.rate >= units::per_second(0.0)))
-      throw Error("network: class '" + c.name + "' has negative rate");
-    if (c.route.empty())
-      throw Error("network: class '" + c.name + "' has empty route");
-    for (const auto& v : c.route) {
-      if (v.station < 0 ||
-          static_cast<std::size_t>(v.station) >= stations.size())
-        throw Error("network: class '" + c.name + "' visits unknown station");
-    }
-  }
   NetworkSkeleton sk;
   sk.flows.resize(stations.size());
   sk.stations = std::move(stations);

@@ -5,6 +5,9 @@
 // enterprise scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "cpm/check/differential.hpp"
 #include "cpm/core/cpm.hpp"
 
@@ -28,10 +31,10 @@ TEST(Reductions, AllExactSpecialCasesCollapse) {
 
 TEST(CrossValidate, AnalyticAgreesWithSimulationOnEnterpriseModel) {
   const auto model = core::make_enterprise_model(0.7);
-  check::CrossValidateOptions options;
-  options.sim.replications = 5;
+  core::SimSettings settings;
+  settings.replications = 5;
   const auto report =
-      check::cross_validate(model, model.max_frequencies(), options);
+      check::cross_validate(model, model.max_frequencies(), settings);
   EXPECT_TRUE(report.all_passed()) << "worst " << report.worst_violation();
   // The differential legs and the in-run sim oracles all reported.
   for (const char* id : {"diff-delay", "diff-power", "diff-utilization",
@@ -40,16 +43,48 @@ TEST(CrossValidate, AnalyticAgreesWithSimulationOnEnterpriseModel) {
     ASSERT_NE(report.find(id), nullptr) << id;
 }
 
+TEST(CrossValidate, JudgesValidateModelsReport) {
+  // The differential rows are residuals between the two sides of
+  // validate_model's report under the same settings.
+  const auto model = core::make_enterprise_model(0.6);
+  const auto f = model.max_frequencies();
+  core::SimSettings settings;
+  settings.replications = 3;
+  settings.end_time = 300.0;
+  const auto report = check::cross_validate(model, f, settings);
+  const auto v = core::validate_model(model, f, settings);
+  const auto residual = [](double sim, double analytic, double floor) {
+    return std::abs(sim - analytic) / std::max({std::abs(sim), std::abs(analytic), floor});
+  };
+  double delay = 0.0;
+  for (std::size_t k = 0; k < model.num_classes(); ++k)
+    delay = std::max(delay, residual(v.sim.classes[k].mean_e2e_delay.mean,
+                                     v.analytic.net.e2e_delay[k].value(), 0.05));
+  double util = 0.0;
+  for (std::size_t s = 0; s < model.num_tiers(); ++s)
+    util = std::max(util, residual(v.sim.station_utilization[s].mean,
+                                   v.analytic.net.station_utilization[s], 0.5));
+  const double power = residual(v.sim.cluster_avg_power.mean,
+                                v.analytic.energy.cluster_avg_power.value(), 1.0);
+  ASSERT_NE(report.find("diff-delay"), nullptr);
+  ASSERT_NE(report.find("diff-power"), nullptr);
+  ASSERT_NE(report.find("diff-utilization"), nullptr);
+  EXPECT_GT(delay, 0.0);
+  EXPECT_EQ(report.find("diff-delay")->worst_violation, delay);
+  EXPECT_EQ(report.find("diff-power")->worst_violation, power);
+  EXPECT_EQ(report.find("diff-utilization")->worst_violation, util);
+}
+
 TEST(CrossValidate, HoldsAcrossDisciplines) {
-  check::CrossValidateOptions options;
-  options.sim.replications = 3;
-  options.sim.end_time = 400.0;
+  core::SimSettings settings;
+  settings.replications = 3;
+  settings.end_time = 400.0;
   for (const auto d :
        {queueing::Discipline::kFcfs, queueing::Discipline::kPreemptiveResume,
         queueing::Discipline::kProcessorSharing}) {
     const auto model = core::make_enterprise_model(0.6, d);
     const auto report =
-        check::cross_validate(model, model.max_frequencies(), options);
+        check::cross_validate(model, model.max_frequencies(), settings);
     EXPECT_TRUE(report.all_passed())
         << "discipline " << static_cast<int>(d) << " worst "
         << report.worst_violation();

@@ -103,11 +103,11 @@ TEST(GeneratorOptions, NonsenseEnvelopesAreRejected) {
 // The acceptance gate: the analytic oracle battery over >= 200 generated
 // stable models, with the simulation differential sampled along the way.
 TEST(RandomModelSweep, TwoHundredModelsSatisfyEveryInvariant) {
-  check::CrossValidateOptions options;
-  options.sim.replications = 3;
-  options.sim.end_time = 300.0;
+  core::SimSettings settings;
+  settings.replications = 3;
+  settings.end_time = 300.0;
   const auto report =
-      check::sweep_random_models(20110516, 200, {}, /*sim_every=*/40, options);
+      check::sweep_random_models(20110516, 200, {}, /*sim_every=*/40, settings);
   EXPECT_TRUE(report.all_passed()) << "worst " << report.worst_violation();
   ASSERT_NE(report.find("utilization-law"), nullptr);
   ASSERT_NE(report.find("diff-delay"), nullptr);  // sim leg actually ran

@@ -36,7 +36,7 @@ TEST_P(AnalyticOracleSweep, HoldAtReducedFrequencies) {
   // there too, not only at f_max.
   const auto model = make_enterprise_model(GetParam());
   auto f = model.max_frequencies();
-  const auto f_min = model.min_stable_frequencies(0.05);
+  const auto f_min = model.min_stable_frequencies();
   for (std::size_t i = 0; i < f.size(); ++i) f[i] = 0.5 * (f[i] + f_min[i]);
   if (!model.evaluate(f).stable) return;
   const auto report = check::check_analytic(model, f);

@@ -135,10 +135,10 @@ TEST(DualSolve, LatticeAndBaselineCountEvaluations) {
                 model, units::watts(halfway_budget(model)), 9)
                 .evaluations,
             486);
-  // The first probe, the threshold's own first and last probes, 34
-  // bisections down to 1e-10 and the final evaluation.
+  // The probes at t = 0 and t = 1, 34 bisections down to 1e-10 and the
+  // final evaluation.
   EXPECT_EQ(uniform_frequency_baseline(model, units::watts(halfway_budget(model))).evaluations,
-            38);
+            37);
 }
 
 // Checks a feasible continuous optimum against the bound and against the

@@ -54,6 +54,26 @@ TEST(DelayOptimizer, BeatsUniformBaseline) {
   EXPECT_LE(opt.mean_delay, base.mean_delay * 1.005);
 }
 
+TEST(UniformBaseline, AmpleBudgetRunsFlatOut) {
+  const auto model = make_enterprise_model(0.7);
+  const double p_max = model.power_at(model.max_frequencies()).value();
+  for (double budget : {p_max, 2.0 * p_max}) {
+    const auto base = uniform_frequency_baseline(model, units::watts(budget));
+    ASSERT_TRUE(base.feasible) << budget;
+    EXPECT_EQ(base.frequencies, model.max_frequencies()) << budget;
+    EXPECT_EQ(base.evaluations, 3) << budget;  // t = 0, t = 1 and the result
+  }
+}
+
+TEST(UniformBaseline, BudgetBelowFloorIsInfeasibleAtTheFloor) {
+  const auto model = make_enterprise_model(0.7);
+  const double p_min = model.power_at(model.min_stable_frequencies()).value();
+  const auto base = uniform_frequency_baseline(model, units::watts(0.9 * p_min));
+  EXPECT_FALSE(base.feasible);
+  EXPECT_EQ(base.frequencies, model.min_stable_frequencies());
+  EXPECT_EQ(base.evaluations, 2);  // t = 0 and the result
+}
+
 TEST(DelayOptimizer, TighterBudgetNeverImprovesDelay) {
   const auto model = make_enterprise_model(0.6);
   const double p_max = model.power_at(model.max_frequencies()).value();

@@ -63,16 +63,14 @@ TEST(ValidateModel, AnalyticP95TracksSimulatedP95) {
   // The gamma-fit percentile (extension E8) should land within ~15% of the
   // simulator's P^2 estimate at moderate load.
   const auto model = make_enterprise_model(0.6);
-  const auto f = model.max_frequencies();
-  const auto ev = model.evaluate(f);
-  ASSERT_TRUE(ev.stable);
-
-  sim::ReplicationOptions rep;
-  rep.replications = 6;
-  const auto sr = sim::replicate(model.to_sim_config(f, 30.0, 530.0, 77), rep);
+  SimSettings settings = fast_settings();
+  settings.end_time = 530.0;
+  settings.seed = 77;
+  const auto report = validate_model(model, model.max_frequencies(), settings);
+  const Evaluation& ev = report.analytic;
   for (std::size_t k = 0; k < model.num_classes(); ++k) {
     const double analytic = queueing::percentile_e2e_delay(ev.net, k, 0.95).value();
-    const double simulated = sr.classes[k].p95_e2e_delay.mean;
+    const double simulated = report.sim.classes[k].p95_e2e_delay.mean;
     // The conditional-exponential wait approximation carries ~5% error for
     // the exponential-service classes and ~20% for the SCV-2 bronze class
     // (see EXPERIMENTS.md E8); require the documented envelope.

@@ -40,8 +40,8 @@ struct EnergyCase {
 
 EnergyCase make_two_tier() {
   EnergyCase s;
-  s.stations = {NetworkStation{"a", 1, Discipline::kNonPreemptivePriority},
-                NetworkStation{"b", 2, Discipline::kNonPreemptivePriority}};
+  s.stations = {NetworkStation{1, Discipline::kNonPreemptivePriority},
+                NetworkStation{2, Discipline::kNonPreemptivePriority}};
   auto route = [](double ma, double mb) {
     return std::vector<Visit>{Visit{0, Distribution::exponential(ma)},
                               Visit{1, Distribution::exponential(mb)}};
@@ -111,8 +111,8 @@ TEST(ComputeEnergy, SizeMismatchThrows) {
 
 TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
   std::vector<NetworkStation> stations = {
-      NetworkStation{"used", 1, Discipline::kFcfs},
-      NetworkStation{"spare", 3, Discipline::kFcfs}};
+      NetworkStation{1, Discipline::kFcfs},
+      NetworkStation{3, Discipline::kFcfs}};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(1.0), {Visit{0, Distribution::exponential(0.3)}}}};
   const auto net = analyze(stations, classes);
@@ -128,7 +128,7 @@ TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
 }
 
 TEST(ComputeEnergy, ZeroRateClassGetsNoIdleShare) {
-  std::vector<NetworkStation> stations = {NetworkStation{"s", 1, Discipline::kFcfs}};
+  std::vector<NetworkStation> stations = {NetworkStation{1, Discipline::kFcfs}};
   std::vector<CustomerClass> classes = {
       CustomerClass{"busy", units::per_second(1.0), {Visit{0, Distribution::exponential(0.4)}}},
       CustomerClass{"probe", units::per_second(0.0), {Visit{0, Distribution::exponential(0.4)}}}};

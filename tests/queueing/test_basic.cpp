@@ -40,7 +40,7 @@ TEST(Mg1, Md1HasHalfTheMm1Wait) {
   // Classic P-K consequence: deterministic service halves the queueing wait.
   const double lambda = 0.8;
   const auto exp_q = mg1(lambda, Distribution::exponential(1.0));
-  const auto det_q = md1(lambda, 1.0);
+  const auto det_q = mg1(lambda, Distribution::deterministic(1.0));
   EXPECT_NEAR(det_q.mean_wait, 0.5 * exp_q.mean_wait, 1e-12);
 }
 

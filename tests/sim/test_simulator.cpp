@@ -63,7 +63,7 @@ TEST(Simulator, Mg1PollaczekKhinchine) {
   cfg.classes[0].route[0].service = Distribution::deterministic(1.0);
   cfg.end_time = 6200.0;
   const auto r = simulate(cfg);
-  const auto theory = queueing::md1(0.7, 1.0);
+  const auto theory = queueing::mg1(0.7, Distribution::deterministic(1.0));
   EXPECT_NEAR(r.classes[0].mean_e2e_delay.value(), theory.mean_sojourn,
               0.08 * theory.mean_sojourn);
 }
@@ -76,7 +76,7 @@ TEST(Simulator, MmcMatchesErlangC) {
   cfg.end_time = 4200.0;
   cfg.seed = 11;
   const auto r = simulate(cfg);
-  const double theory = queueing::mmc_mean_sojourn(3, 2.4, 1.0);
+  const double theory = queueing::mmc_mean_wait(3, 2.4, 1.0) + 1.0;  // + E[S]
   EXPECT_NEAR(r.classes[0].mean_e2e_delay.value(), theory, 0.08 * theory);
   EXPECT_NEAR(r.stations[0].utilization, 0.8, 0.04);
 }

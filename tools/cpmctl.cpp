@@ -602,10 +602,10 @@ int cmd_check(const std::string& path, const Args& args) {
   check::Report report = check::check_analytic(model, frequencies);
   report.merge(check::check_reductions());
   if (!args.has("--analytic-only")) {
-    check::CrossValidateOptions options;
-    options.sim.replications = args.integer("--reps", 8, 2);
-    options.sim.seed = args.integer<std::uint64_t>("--seed", 20110516, 0);
-    report.merge(check::cross_validate(model, frequencies, options));
+    core::SimSettings settings;
+    settings.replications = args.integer("--reps", 8, 2);
+    settings.seed = args.integer<std::uint64_t>("--seed", 20110516, 0);
+    report.merge(check::cross_validate(model, frequencies, settings));
   }
   const int random_models = args.integer("--random", 0, 0);
   if (random_models > 0) {

@@ -24,7 +24,7 @@ int main() {
 
   Table t({"levels", "opt power W", "gap W", "gap %", "f_web", "f_app", "f_db"});
   for (int levels : {3, 5, 7, 11, 21}) {
-    const auto r = core::minimize_power_with_delay_bound_discrete(model, units::seconds(bound), levels);
+    const auto r = core::minimize_power_with_delay_bound(model, units::seconds(bound), levels);
     if (!r.feasible) {
       t.row().add(levels).add("infeasible").add("-").add("-").add("-")
           .add("-").add("-");

@@ -24,7 +24,7 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   const double sim_horizon = options.quick ? 3000.0 : 20000.0;
   const int heap_events = options.quick ? 150000 : 1000000;
   const int analytic_rounds = options.quick ? 2000 : 5000;
-  const int replications = options.quick ? 24 : 16;
+  const int replications = options.quick ? 64 : 16;
   const int optimizer_solves = options.quick ? 300 : 1000;
   const int json_rounds = options.quick ? 24 : 240;
   const std::uint64_t seed = validation_settings().seed;

@@ -11,16 +11,21 @@
 //        min_n  sum_i cost_i n_i  s.t.  per-class SLA mean-delay bounds,
 //        n_i integer servers per tier (frequencies held fixed).
 //
+//   TCO  minimize_total_cost_of_ownership
+//        P-C's servers and P-E's frequencies chosen together, pricing
+//        hardware and energy.
+//
 // The continuous programs separate by tier: power and every delay are sums
 // of per-tier terms, each a function of that tier's frequency alone. They
 // are solved on the dual: for multipliers nu every tier minimises
 // P_i + sum_c nu_c D_ci over its own stable DVFS range (all tiers in
 // lockstep, one evaluation serving every tier), and a safeguarded outer
 // iteration moves nu until the constraint sits on its bound, which the
-// answer meets with no overshoot (docs/model.md §4). The integer program
-// runs monotone branch-and-bound (adding a server can only reduce delays).
-// Baseline policies the paper compares against (uniform frequency, no DVFS)
-// are provided alongside.
+// answer meets with no overshoot (docs/model.md §4). Given `levels`, the
+// same three calls search a P-state lattice instead. P-C and TCO share one
+// monotone branch-and-bound over the server counts (adding a server can
+// only reduce delays). Baseline policies the paper compares against
+// (uniform frequency, no DVFS) are provided alongside.
 #pragma once
 
 #include <vector>
@@ -50,26 +55,44 @@ struct FrequencyOptOptions {
   static constexpr double constraint_scale_tol = 1e-4;
 };
 
+// Each frequency program takes `levels`: 0 solves it over the continuous
+// DVFS ranges; 2 or more searches the P-state lattice
+// frequency_grids(model, levels) exhaustively, skipping each tier's levels
+// below its stability floor (a tier's stability depends on its own
+// frequency alone), and returns the lattice point with the best objective
+// that meets the constraint, or f_max with feasible=false. Any other
+// value throws. Real processors expose a few P-states, not a continuum:
+// the online controller plans on the lattice, and ablation A5 measures
+// the continuous-vs-discrete gap.
+
 /// P-D: minimise mean E2E delay subject to cluster power <= power_budget.
 /// feasible=false when even the min-stable point (lowest possible power)
 /// exceeds the budget or is unstable.
 FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
-                                                   units::Watts power_budget);
+                                                   units::Watts power_budget,
+                                                   int levels = 0);
 
 /// P-E (all classes): minimise cluster power subject to the traffic-
 /// weighted mean E2E delay <= max_mean_delay. feasible=false when even
 /// f_max misses the bound.
 FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
-                                                   units::Seconds max_mean_delay);
+                                                   units::Seconds max_mean_delay,
+                                                   int levels = 0);
 
 /// P-E (each class): minimise cluster power subject to per-class mean E2E
 /// delay bounds (bounds.size() == num_classes; +infinity = unconstrained).
 /// feasible=false when f_max misses some class's bound. No bound is
-/// exceeded; the tightest binding class lands on its bound, and other
-/// binding classes end at most 1e-10 relative below theirs when the
-/// multiplier iteration converges.
+/// exceeded; on the continuum the tightest binding class lands on its
+/// bound, and other binding classes end at most 1e-10 relative below
+/// theirs when the multiplier iteration converges.
 FrequencyOptResult minimize_power_with_class_delay_bounds(
-    const ClusterModel& model, const std::vector<units::Seconds>& bounds);
+    const ClusterModel& model, const std::vector<units::Seconds>& bounds,
+    int levels = 0);
+
+/// Equispaced per-tier grids of `levels` points over each tier's DVFS
+/// range [f_min, f_max]; levels >= 2.
+std::vector<std::vector<double>> frequency_grids(const ClusterModel& model,
+                                                 int levels);
 
 /// Baseline for P-D: all tiers run at one common frequency, the highest
 /// uniform setting that fits the power budget.
@@ -106,12 +129,14 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
 //   min_{n, f}  sum_i capex_i n_i + energy_price * P(n, f) * billing_hours
 //   s.t.        every class SLA (mean / percentile delay bounds)
 //
-// Structure exploited: for fixed n the inner problem is exactly P-E with
-// per-class bounds (solved on a discrete frequency lattice, cheap), and
-// SLA feasibility is monotone in n — so an outer branch-and-bound over n
-// works with the inner solve as the oracle. The interesting economics:
-// as energy_price rises the optimum buys MORE servers and clocks them
-// LOWER (experiment E10 shows the crossover).
+// Structure exploited: for fixed n the inner problem is P-E with every
+// SLA as a bound, searched on the P-state lattice; SLA feasibility is
+// monotone in n. So the search over n is P-C's branch-and-bound with P-C's
+// oracle (every SLA holds at f_max), a server's price plus the energy of
+// its idle power as the per-server lower bound, and capex plus the opex
+// of the inner problem's answer as the cost of a point. The interesting
+// economics: as energy_price rises the optimum buys MORE servers and
+// clocks them LOWER (experiment E10 shows the crossover).
 
 struct TcoOptions {
   /// Money per kWh. Currency is not a modelled dimension. // conv-ok: UNIT-2
@@ -129,42 +154,12 @@ struct TcoResult {
   double total_cost = 0.0;
   units::Watts power = units::watts(0.0);  ///< cluster power at the optimum
   bool feasible = false;
-  long nodes_explored = 0;
+  long nodes_explored = 0;  ///< feasibility probes, as CostOptResult's
   Evaluation evaluation;
 };
 
 /// Solves the TCO program. Classes without SLA bounds impose none.
 TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
                                            const TcoOptions& options = {});
-
-// ---- Discrete DVFS (P-state ladders) --------------------------------------
-//
-// Real processors expose a small set of P-states, not a continuum. These
-// variants solve the same programs over a per-tier frequency grid of
-// `levels` equispaced points spanning [f_min, f_max], by exhaustive lattice
-// search with per-tier stability pruning (grids are small: levels^tiers
-// combinations, and tier stability depends only on that tier's own
-// frequency). Ablation A5 measures the continuous-vs-discrete gap.
-
-/// Equispaced per-tier grids over each tier's DVFS range.
-std::vector<std::vector<double>> frequency_grids(const ClusterModel& model,
-                                                 int levels);
-
-/// P-E over the discrete grid: minimise power s.t. mean E2E delay bound.
-FrequencyOptResult minimize_power_with_delay_bound_discrete(
-    const ClusterModel& model, units::Seconds max_mean_delay, int levels);
-
-/// P-E (each class) over the discrete grid: minimise power s.t. per-class
-/// mean E2E delay bounds (bounds.size() == num_classes; +infinity =
-/// unconstrained). The online controller's re-optimisation step: real
-/// actuators expose P-states, so the closed loop always picks from the
-/// lattice rather than the continuum.
-FrequencyOptResult minimize_power_with_class_delay_bounds_discrete(
-    const ClusterModel& model, const std::vector<units::Seconds>& bounds,
-    int levels);
-
-/// P-D over the discrete grid: minimise delay s.t. power budget.
-FrequencyOptResult minimize_delay_with_power_budget_discrete(
-    const ClusterModel& model, units::Watts power_budget, int levels);
 
 }  // namespace cpm::core

@@ -77,6 +77,80 @@ bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
   return true;
 }
 
+// The objective of P-E and of the TCO program's inner problem.
+constexpr auto kPower = [](const Evaluation& ev) { return ev.power().value(); };
+
+// Exhaustive search of the P-state lattice `grids` over the model `eval` is
+// bound to: `objective` is minimised over the stable grid points that are
+// `admissible`, the first found winning a tie.
+FrequencyOptResult lattice_search(
+    Evaluator& eval, const std::vector<std::vector<double>>& grids,
+    const std::function<double(const Evaluation&)>& objective,
+    const std::function<bool(const Evaluation&)>& admissible) {
+  const ClusterModel& model = eval.model();
+  const std::size_t n = grids.size();
+
+  // Per-tier stability floor: tier i is stable iff f_i exceeds its own
+  // critical frequency, independent of the other tiers — prune below it.
+  const std::vector<double> floor = model.min_stable_frequencies();
+
+  std::vector<std::size_t> idx(n, 0);
+  std::vector<double> f(n);
+  FrequencyOptResult best;
+  double best_value = kInf;
+
+  for (;;) {
+    bool viable = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      f[i] = grids[i][idx[i]];
+      if (f[i] < floor[i]) viable = false;  // tier saturated at this level
+    }
+    if (viable) {
+      const Evaluation& ev = eval.at(f);
+      if (ev.stable && admissible(ev)) {
+        const double value = objective(ev);
+        if (value < best_value) {
+          best_value = value;
+          best.frequencies = f;
+          best.evaluation = ev;
+          best.feasible = true;
+        }
+      }
+    }
+    // Odometer increment.
+    std::size_t d = 0;
+    while (d < n && ++idx[d] == grids[d].size()) {
+      idx[d] = 0;
+      ++d;
+    }
+    if (d == n) break;
+  }
+
+  // Infeasible: f_max, with no metrics and infinite delay and power.
+  if (!best.feasible) best.frequencies = model.max_frequencies();
+  best.mean_delay = best.evaluation.mean_delay();
+  best.power = best.evaluation.power();
+  best.evaluations = eval.count();
+  return best;
+}
+
+// P-C's integer program: 1 to max_servers servers per tier at each tier's
+// server cost, feasible when every SLA holds at f_max; `eval` serves the
+// oracle's probes. Feasibility is monotone in the server counts.
+opt::IntegerProblem sizing_problem(const ClusterModel& model, int max_servers,
+                                   Evaluator& eval) {
+  opt::IntegerProblem problem;
+  problem.n_min.assign(model.num_tiers(), 1);
+  problem.n_max.assign(model.num_tiers(), max_servers);
+  for (const Tier& tier : model.tiers()) problem.cost.push_back(tier.server_cost);
+  problem.feasible = [&model, &eval, f_max = model.max_frequencies()](const std::vector<int>& n) {
+    const ClusterModel sized = model.with_servers(n);
+    eval.bind(sized);
+    return slas_hold(sized, eval.at(f_max));
+  };
+  return problem;
+}
+
 // ---- The continuous programs on the dual ---------------------------------
 //
 // Every station is analysed from its own flows, so at an operating point f
@@ -575,10 +649,18 @@ double ascend(TierDual& dual, const std::vector<double>& bounds) {
   return worst;
 }
 
-// P-E over one or more delay bounds.
+// P-E over one or more delay bounds, on the dual or (levels != 0) over the
+// P-state lattice.
 FrequencyOptResult minimize_power(const ClusterModel& model,
-                                  const std::vector<DelayBound>& bounds) {
+                                  const std::vector<DelayBound>& bounds, int levels) {
   Evaluator eval(model);
+  if (levels != 0) {
+    const auto within = [&bounds](const Evaluation& ev) {
+      return std::all_of(bounds.begin(), bounds.end(),
+                         [&ev](const DelayBound& b) { return b.value(ev) <= b.bound; });
+    };
+    return lattice_search(eval, frequency_grids(model, levels), kPower, within);
+  }
   const Excess excess = [&bounds](const Evaluation& ev) {
     double worst = ev.stable ? -kInf : kInf;
     for (const DelayBound& b : bounds) worst = std::max(worst, (b.value(ev) - b.bound) / b.bound);
@@ -614,10 +696,15 @@ FrequencyOptResult minimize_power(const ClusterModel& model,
 }  // namespace
 
 FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
-                                                   units::Watts power_budget) {
+                                                   units::Watts power_budget, int levels) {
   require(power_budget > units::watts(0.0),
           "P-D: power budget must be positive");
   Evaluator eval(model);
+  if (levels != 0)
+    return lattice_search(
+        eval, frequency_grids(model, levels),
+        [](const Evaluation& ev) { return ev.mean_delay().value(); },
+        [power_budget](const Evaluation& ev) { return ev.power() <= power_budget; });
   const double budget = power_budget.value();
   const Excess excess = [budget](const Evaluation& ev) {
     return (ev.power().value() - budget) / budget;
@@ -638,14 +725,14 @@ FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
 }
 
 FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
-                                                   units::Seconds max_mean_delay) {
+                                                   units::Seconds max_mean_delay, int levels) {
   require(max_mean_delay > units::seconds(0.0),
           "P-E: delay bound must be positive");
-  return minimize_power(model, {DelayBound{-1, max_mean_delay.value()}});
+  return minimize_power(model, {DelayBound{-1, max_mean_delay.value()}}, levels);
 }
 
 FrequencyOptResult minimize_power_with_class_delay_bounds(
-    const ClusterModel& model, const std::vector<units::Seconds>& bounds) {
+    const ClusterModel& model, const std::vector<units::Seconds>& bounds, int levels) {
   require(bounds.size() == model.num_classes(),
           "P-E/each: one bound per class required");
   for (units::Seconds b : bounds)
@@ -654,7 +741,7 @@ FrequencyOptResult minimize_power_with_class_delay_bounds(
   for (std::size_t k = 0; k < bounds.size(); ++k)
     if (bounds[k] != units::Seconds::infinity())
       rows.push_back(DelayBound{static_cast<int>(k), bounds[k].value()});
-  return minimize_power(model, rows);
+  return minimize_power(model, rows, levels);
 }
 
 FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
@@ -714,20 +801,8 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
     }
   }
 
-  opt::IntegerProblem problem;
-  problem.n_min.assign(n_tiers, 1);
-  problem.n_max.assign(n_tiers, options.max_servers_per_tier);
-  problem.cost.resize(n_tiers);
-  for (std::size_t i = 0; i < n_tiers; ++i)
-    problem.cost[i] = model.tiers()[i].server_cost;
-
   Evaluator eval(model);
-  problem.feasible = [&model, &freqs, &eval](const std::vector<int>& n) {
-    const ClusterModel sized = model.with_servers(n);
-    eval.bind(sized);
-    return slas_hold(sized, eval.at(freqs));
-  };
-
+  const opt::IntegerProblem problem = sizing_problem(model, options.max_servers_per_tier, eval);
   const opt::IntegerResult ir = options.greedy_only
                                     ? opt::greedy_descend(problem)
                                     : opt::minimize_monotone_cost(problem);
@@ -753,64 +828,6 @@ std::vector<std::vector<double>> frequency_grids(const ClusterModel& model,
   return grids;
 }
 
-namespace {
-
-// Exhaustive lattice search shared by the discrete programs and the TCO
-// inner solve, over the model `eval` is bound to. `objective` is minimised
-// over stable grid points satisfying `admissible`.
-FrequencyOptResult lattice_search(
-    Evaluator& eval, const std::vector<std::vector<double>>& grids,
-    const std::function<double(const Evaluation&)>& objective,
-    const std::function<bool(const Evaluation&)>& admissible) {
-  const ClusterModel& model = eval.model();
-  const std::size_t n = grids.size();
-
-  // Per-tier stability floor: tier i is stable iff f_i exceeds its own
-  // critical frequency, independent of the other tiers — prune below it.
-  const std::vector<double> floor = model.min_stable_frequencies();
-
-  std::vector<std::size_t> idx(n, 0);
-  std::vector<double> f(n);
-  FrequencyOptResult best;
-  double best_value = kInf;
-
-  for (;;) {
-    bool viable = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      f[i] = grids[i][idx[i]];
-      if (f[i] < floor[i]) viable = false;  // tier saturated at this level
-    }
-    if (viable) {
-      const Evaluation& ev = eval.at(f);
-      if (ev.stable && admissible(ev)) {
-        const double value = objective(ev);
-        if (value < best_value) {
-          best_value = value;
-          best.frequencies = f;
-          best.evaluation = ev;
-          best.feasible = true;
-        }
-      }
-    }
-    // Odometer increment.
-    std::size_t d = 0;
-    while (d < n && ++idx[d] == grids[d].size()) {
-      idx[d] = 0;
-      ++d;
-    }
-    if (d == n) break;
-  }
-
-  // Infeasible: f_max, with no metrics and infinite delay and power.
-  if (!best.feasible) best.frequencies = model.max_frequencies();
-  best.mean_delay = best.evaluation.mean_delay();
-  best.power = best.evaluation.power();
-  best.evaluations = eval.count();
-  return best;
-}
-
-}  // namespace
-
 TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
                                            const TcoOptions& options) {
   require(options.energy_price_per_kwh >= 0.0, "TCO: negative energy price");
@@ -818,116 +835,47 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
   require(options.max_servers_per_tier >= 1, "TCO: max servers must be >= 1");
   require(options.levels >= 2, "TCO: need >= 2 frequency levels");
 
-  const std::size_t n_tiers = model.num_tiers();
   const double kwh_factor = options.energy_price_per_kwh * options.billing_hours /
                             1000.0;  // watts -> money
-
-  TcoResult best;
-  best.total_cost = std::numeric_limits<double>::infinity();
-  long nodes = 0;
-
-  // Unavoidable opex lower bound for an allocation: its idle power.
-  auto idle_opex = [&](const std::vector<int>& n) {
-    double idle = 0.0;
-    for (std::size_t i = 0; i < n_tiers; ++i)
-      idle += model.tiers()[i].power.idle_power().value() * n[i];
-    return idle * kwh_factor;
+  const std::vector<std::vector<double>> grids = frequency_grids(model, options.levels);
+  Evaluator eval(model);
+  // The inner problem at server counts n: the least power over the lattice
+  // that meets every SLA. Called where the SLAs hold at f_max, the grid's
+  // top level, so it finds a point.
+  auto cheapest = [&model, &grids, &eval](const std::vector<int>& n) {
+    const ClusterModel sized = model.with_servers(n);
+    eval.bind(sized);
+    return lattice_search(eval, grids, kPower,
+                          [&sized](const Evaluation& ev) { return slas_hold(sized, ev); });
   };
-  auto capex = [&](const std::vector<int>& n) {
+  auto capex = [&model](const std::vector<int>& n) {
     double c = 0.0;
-    for (std::size_t i = 0; i < n_tiers; ++i)
-      c += model.tiers()[i].server_cost * n[i];
+    for (std::size_t i = 0; i < n.size(); ++i) c += model.tiers()[i].server_cost * n[i];
     return c;
   };
 
-  // Odometer enumeration of server vectors with cost pruning; feasibility
-  // screened cheaply at f_max before paying for the inner lattice solve.
-  Evaluator eval(model);
-  std::vector<int> n(n_tiers, 1);
-  for (;;) {
-    ++nodes;
-    const double floor_cost = capex(n) + idle_opex(n);
-    if (floor_cost < best.total_cost) {
-      const ClusterModel sized = model.with_servers(n);
-      eval.bind(sized);
-      if (slas_hold(sized, eval.at(sized.max_frequencies()))) {
-        // Inner problem: cheapest power meeting the SLAs, over the grid.
-        // The grid's top level is f_max, so the search finds a point.
-        const FrequencyOptResult inner = lattice_search(
-            eval, frequency_grids(sized, options.levels),
-            [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
-            [&sized](const Evaluation& ev) { return slas_hold(sized, ev); });
-        const double best_power = inner.power.value();
-        const double total = capex(n) + best_power * kwh_factor;
-        if (total < best.total_cost) {
-          best.servers = n;
-          best.frequencies = inner.frequencies;
-          best.capex = capex(n);
-          best.opex = best_power * kwh_factor;
-          best.total_cost = total;
-          best.power = inner.power;
-          best.feasible = true;
-          best.evaluation = inner.evaluation;
-        }
-      }
-    }
-    // Advance the odometer.
-    std::size_t d = 0;
-    while (d < n_tiers && ++n[d] > options.max_servers_per_tier) {
-      n[d] = 1;
-      ++d;
-    }
-    if (d == n_tiers) break;
-  }
+  // A server costs at least its price and the energy of its idle power.
+  opt::IntegerProblem problem = sizing_problem(model, options.max_servers_per_tier, eval);
+  for (std::size_t i = 0; i < problem.cost.size(); ++i)
+    problem.cost[i] += model.tiers()[i].power.idle_power().value() * kwh_factor;
+  problem.value = [&](const std::vector<int>& n) {
+    return capex(n) + cheapest(n).power.value() * kwh_factor;
+  };
+  const opt::IntegerResult ir = opt::minimize_monotone_cost(problem);
 
-  best.nodes_explored = nodes;
-  if (!best.feasible) best.total_cost = 0.0;
-  return best;
-}
-
-FrequencyOptResult minimize_power_with_delay_bound_discrete(
-    const ClusterModel& model, units::Seconds max_mean_delay, int levels) {
-  require(max_mean_delay > units::seconds(0.0),
-          "P-E discrete: delay bound must be positive");
-  Evaluator eval(model);
-  return lattice_search(
-      eval, frequency_grids(model, levels),
-      [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
-      [max_mean_delay](const Evaluation& ev) {
-        return ev.net.mean_e2e_delay <= max_mean_delay;
-      });
-}
-
-FrequencyOptResult minimize_power_with_class_delay_bounds_discrete(
-    const ClusterModel& model, const std::vector<units::Seconds>& bounds,
-    int levels) {
-  require(bounds.size() == model.num_classes(),
-          "P-E discrete: one delay bound per class required");
-  for (units::Seconds b : bounds)
-    require(b > units::seconds(0.0),
-            "P-E discrete: delay bounds must be positive");
-  Evaluator eval(model);
-  return lattice_search(
-      eval, frequency_grids(model, levels),
-      [](const Evaluation& ev) { return ev.energy.cluster_avg_power.value(); },
-      [&bounds](const Evaluation& ev) {
-        for (std::size_t k = 0; k < bounds.size(); ++k)
-          if (ev.net.e2e_delay[k] > bounds[k]) return false;
-        return true;
-      });
-}
-
-FrequencyOptResult minimize_delay_with_power_budget_discrete(
-    const ClusterModel& model, units::Watts power_budget, int levels) {
-  require(power_budget > units::watts(0.0),
-          "P-D discrete: power budget must be positive");
-  Evaluator eval(model);
-  return lattice_search(
-      eval, frequency_grids(model, levels),
-      [](const Evaluation& ev) { return ev.net.mean_e2e_delay.value(); },
-      [power_budget](const Evaluation& ev) {
-        return ev.energy.cluster_avg_power <= power_budget;
-      });
+  TcoResult r;
+  r.servers = ir.n;
+  r.feasible = ir.feasible;
+  r.nodes_explored = ir.nodes_explored;
+  if (!ir.feasible) return r;
+  const FrequencyOptResult inner = cheapest(ir.n);
+  r.frequencies = inner.frequencies;
+  r.capex = capex(ir.n);
+  r.opex = inner.power.value() * kwh_factor;
+  r.total_cost = ir.cost;
+  r.power = inner.power;
+  r.evaluation = inner.evaluation;
+  return r;
 }
 
 }  // namespace cpm::core

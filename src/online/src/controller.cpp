@@ -59,8 +59,7 @@ OnlineController::OnlineController(core::ClusterModel model,
   for (std::size_t k = 0; k < classes; ++k)
     if (model_.classes()[k].sla.mean_bounded())
       bounds[k] = model_.classes()[k].sla.max_mean_e2e_delay;
-  const auto pe = core::minimize_power_with_class_delay_bounds_discrete(
-      model_, bounds, options_.levels);
+  const auto pe = core::minimize_power_with_class_delay_bounds(model_, bounds, options_.levels);
   current_freq_ = pe.feasible ? pe.frequencies : model_.max_frequencies();
 
   target_.servers = current_servers_;
@@ -105,7 +104,7 @@ OnlineController::Plan OnlineController::solve(
     for (std::size_t k = 0; k < classes; ++k)
       if (admit[k] && at_rates.classes()[k].sla.mean_bounded())
         bounds[k] = at_rates.classes()[k].sla.max_mean_e2e_delay;
-    const auto pe = core::minimize_power_with_class_delay_bounds_discrete(
+    const auto pe = core::minimize_power_with_class_delay_bounds(
         at_rates.with_servers(servers), bounds, options_.levels);
     if (pe.feasible) return Plan{servers, pe.frequencies, admit, true};
 
@@ -261,7 +260,6 @@ sim::ManagementDecision OnlineController::on_window(
   // Actuation: every window moves at most max_server_step servers and
   // max_freq_step frequency per tier toward the target plan.
   sim::ManagementDecision out;
-  std::vector<sim::TierSetting> settings(tiers);
   bool changed = false;
   double cost = 0.0;
   std::vector<double> next_freq = current_freq_;
@@ -289,10 +287,6 @@ sim::ManagementDecision OnlineController::on_window(
       changed = true;
     }
 
-    settings[i].servers = servers;
-    settings[i].speed = model_.tiers()[i].power.speedup(units::hertz(f));
-    settings[i].dynamic_watts =
-        model_.tiers()[i].power.dynamic_power(units::hertz(f));
     current_servers_[i] = servers;
     next_freq[i] = f;
   }
@@ -300,7 +294,8 @@ sim::ManagementDecision OnlineController::on_window(
   current_freq_ = next_freq;
 
   if (changed || admit_changed) {
-    out.tiers = settings;
+    out.tiers = model_.tier_settings(current_freq_);
+    for (std::size_t i = 0; i < tiers; ++i) out.tiers[i].servers = current_servers_[i];
     out.admit = admitted_;
     if (rec.reason.empty()) rec.reason = "slew";
   }

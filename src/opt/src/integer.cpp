@@ -53,7 +53,7 @@ IntegerResult greedy_descend(const IntegerProblem& problem) {
     if (best_dim == r.n.size()) break;
     r.n[best_dim] -= 1;
   }
-  r.cost = problem.total_cost(r.n);
+  r.cost = problem.value ? problem.value(r.n) : problem.total_cost(r.n);
   return r;
 }
 
@@ -79,9 +79,11 @@ struct BnbState {
     if (prefix_cost + tail_min_cost(dim) >= best_cost) return;  // cost bound
     if (dim == d) {
       ++nodes;
-      if (problem->feasible(current)) {
+      if (!problem->feasible(current)) return;
+      const double value = problem->value ? problem->value(current) : prefix_cost;
+      if (value < best_cost) {
         best = current;
-        best_cost = prefix_cost;
+        best_cost = value;
       }
       return;
     }

@@ -127,7 +127,6 @@ struct StationRuntime {
   std::vector<PsJob> ps_jobs;
   double ps_last_update = 0.0;
   std::uint64_t ps_token = 0;        ///< invalidates stale PS completions
-  bool ps_event_pending = false;
 
   std::uint64_t next_token = 1;
 
@@ -276,7 +275,7 @@ class Simulation {
           on_arrival(entry.payload.a);
           break;
         case Ev::kThinkDone:
-          on_think_done(entry.payload.a);
+          submit(entry.payload.a);
           break;
         case Ev::kCompletion:
           complete_service(entry.payload.a, entry.payload.b);
@@ -329,6 +328,13 @@ class Simulation {
   }
 
   void on_arrival(std::size_t k) {
+    submit(k);
+    schedule_arrival(k);
+  }
+
+  /// A fresh request of class k arrives now: it enters its first station,
+  /// unless the management hook's admission gate sheds the class.
+  void submit(std::size_t k) {
     Job* job = arena_.acquire();
     job->cls = k;
     job->network_arrival = now_;
@@ -336,20 +342,22 @@ class Simulation {
     if (job->counted) ++arrived_[k];
     ++window_arrivals_[k];
     if (admitted_[k] == 0) {
-      shed(job);  // admission gate: arrived + blocked, never enters
+      drop(job);
     } else {
       enter_station(job);
     }
-    schedule_arrival(k);
   }
 
-  /// Management-hook admission control: the request aborts before entering
-  /// any station. Counts as arrived + blocked, preserving flow conservation
-  /// (arrived == completed + blocked + in_system_at_end) exactly.
-  void shed(Job* job) {
-    if (job->counted) ++blocked_[job->cls];
-    if (manage_) ++window_blocked_[job->cls];
+  /// Aborts a request that was shed or found a station full. It counts as
+  /// arrived + blocked, preserving flow conservation (arrived == completed
+  /// + blocked + in_system_at_end) exactly; a closed class's user returns
+  /// to thinking and will retry a fresh request.
+  void drop(Job* job) {
+    const std::size_t k = job->cls;
+    if (job->counted) ++blocked_[k];
+    if (manage_) ++window_blocked_[k];
     arena_.release(job);
+    if (cfg_.classes[k].population > 0) start_think(k);
   }
 
   /// Closed-class cycle: one user thinks, then submits a fresh request.
@@ -358,21 +366,6 @@ class Simulation {
     const double t = now_ + think;
     if (t > cfg_.end_time) return;  // user idles past the horizon
     schedule(t, Ev::kThinkDone, static_cast<std::uint32_t>(k), 0);
-  }
-
-  void on_think_done(std::size_t k) {
-    Job* job = arena_.acquire();
-    job->cls = k;
-    job->network_arrival = now_;
-    job->counted = now_ >= cfg_.warmup_time;
-    if (job->counted) ++arrived_[k];
-    ++window_arrivals_[k];
-    if (admitted_[k] == 0) {
-      shed(job);
-      start_think(k);  // the user retries after another think period
-      return;
-    }
-    enter_station(job);
   }
 
   // ---- station entry / service start ------------------------------------
@@ -387,16 +380,11 @@ class Simulation {
     const std::size_t s = route_[job->cls][job->route_pos].station;
     auto& st = stations_[s];
 
-    // Admission control: a full station drops the whole request. A closed
-    // class's user returns to thinking and will retry a fresh request.
+    // Admission control: a full station drops the whole request.
     if (st.capacity >= 0 &&
         station_population(s) >= static_cast<std::size_t>(st.capacity)) {
-      if (job->counted) ++blocked_[job->cls];
-      if (manage_) ++window_blocked_[job->cls];
-      const std::size_t k = job->cls;
-      arena_.release(job);
-      if (cfg_.classes[k].population > 0) start_think(k);
-      return;  // job recycled
+      drop(job);
+      return;
     }
 
     job->station_arrival = now_;
@@ -478,10 +466,14 @@ class Simulation {
     }
   }
 
-  /// Refreshes the busy-count and dynamic-power time signals of station s.
+  /// Refreshes the busy-count and dynamic-power time signals of station s:
+  /// the jobs in service, or at a PS station the servers its jobs keep busy.
   void update_busy_signals(std::size_t s) {
     auto& st = stations_[s];
-    const double busy = static_cast<double>(st.in_service.size());
+    const double busy = st.discipline == Discipline::kProcessorSharing
+                            ? std::min(static_cast<double>(st.servers),
+                                       static_cast<double>(st.ps_jobs.size()))
+                            : static_cast<double>(st.in_service.size());
     st.busy_servers.update(now_, busy);
     st.dyn_power.update(now_, st.dynamic_watts * busy);
   }
@@ -544,14 +536,6 @@ class Simulation {
     return st.speed * std::min(1.0, c / n);
   }
 
-  void ps_update_signals(std::size_t s) {
-    auto& st = stations_[s];
-    const double busy = std::min(static_cast<double>(st.servers),
-                                 static_cast<double>(st.ps_jobs.size()));
-    st.busy_servers.update(now_, busy);
-    st.dyn_power.update(now_, st.dynamic_watts * busy);
-  }
-
   void ps_advance(std::size_t s) {
     auto& st = stations_[s];
     const double rate = ps_rate(s);
@@ -564,7 +548,6 @@ class Simulation {
   void ps_reschedule(std::size_t s) {
     auto& st = stations_[s];
     ++st.ps_token;  // invalidate any pending completion
-    st.ps_event_pending = false;
     if (st.ps_jobs.empty()) return;
     const double rate = ps_rate(s);
     double min_work = std::numeric_limits<double>::infinity();
@@ -572,7 +555,6 @@ class Simulation {
       min_work = std::min(min_work, pj.remaining_work);
     min_work = std::max(min_work, 0.0);
     const double t = now_ + min_work / rate;
-    st.ps_event_pending = true;
     schedule(t, Ev::kPsComplete, static_cast<std::uint32_t>(s), st.ps_token);
   }
 
@@ -580,7 +562,7 @@ class Simulation {
     auto& st = stations_[s];
     ps_advance(s);
     st.ps_jobs.push_back(PsJob{job, job->service_total});
-    ps_update_signals(s);
+    update_busy_signals(s);
     ps_reschedule(s);
   }
 
@@ -600,7 +582,7 @@ class Simulation {
         ++it;
       }
     }
-    ps_update_signals(s);
+    update_busy_signals(s);
     ps_reschedule(s);
     for (Job* job : finished) {
       // PS energy attribution: the job's share of server-time equals its
@@ -800,7 +782,7 @@ class Simulation {
 
     if (st.discipline == Discipline::kProcessorSharing) {
       ps_advance(s);
-      ps_update_signals(s);
+      update_busy_signals(s);
       ps_reschedule(s);
       return;
     }
@@ -838,7 +820,7 @@ class Simulation {
       ps_advance(s);
       st.speed = setting.speed;
       st.dynamic_watts = setting.dynamic_watts.value();
-      ps_update_signals(s);
+      update_busy_signals(s);
       ps_reschedule(s);
       return;
     }

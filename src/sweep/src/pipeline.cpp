@@ -118,12 +118,8 @@ Json run_optimize_delay(const Json& pipeline, const core::ClusterModel& model,
   } else {
     budget = lookup_required(params, pipeline, "power_budget");
   }
-  const int levels = pipeline.integer_or("levels", 0, 0);
-  const auto r =
-      levels > 0 ? core::minimize_delay_with_power_budget_discrete(
-                       model, units::watts(budget), levels)
-                 : core::minimize_delay_with_power_budget(model,
-                                                          units::watts(budget));
+  const auto r = core::minimize_delay_with_power_budget(model, units::watts(budget),
+                                                        pipeline.integer_or("levels", 0, 0));
 
   JsonObject out;
   out["power_budget"] = Json(budget);
@@ -159,12 +155,8 @@ Json run_optimize_power(const Json& pipeline, const core::ClusterModel& model,
   } else {
     bound = lookup_required(params, pipeline, "delay_bound");
   }
-  const int levels = pipeline.integer_or("levels", 0, 0);
-  const auto r = levels > 0
-                     ? core::minimize_power_with_delay_bound_discrete(
-                           model, units::seconds(bound), levels)
-                     : core::minimize_power_with_delay_bound(
-                           model, units::seconds(bound));
+  const auto r = core::minimize_power_with_delay_bound(model, units::seconds(bound),
+                                                       pipeline.integer_or("levels", 0, 0));
 
   JsonObject out;
   out["delay_bound"] = Json(bound);

@@ -86,7 +86,7 @@ TEST(GoldenDeterminism, ContinuousPerClassEnergyOptimizerIsStable) {
 
 TEST(GoldenDeterminism, DiscreteEnergyOptimizerIsStable) {
   const auto model = core::make_enterprise_model(0.6);
-  const auto pe = core::minimize_power_with_delay_bound_discrete(model, units::seconds(0.5), 7);
+  const auto pe = core::minimize_power_with_delay_bound(model, units::seconds(0.5), 7);
   ASSERT_TRUE(pe.feasible);
   EXPECT_EQ(pe.mean_delay.value(), 0.4207537697830373);
   EXPECT_EQ(pe.power.value(), 665.19781420765025);

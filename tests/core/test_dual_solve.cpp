@@ -130,8 +130,8 @@ TEST(DualSolve, LatticeAndBaselineCountEvaluations) {
   const ClusterModel model = enterprise_load70();
   const units::Seconds bound = model.mean_delay_at(model.max_frequencies()) * 3.0;
   // 5 levels: of 125 grid points, 75 lie at or above the db tier's floor.
-  EXPECT_EQ(minimize_power_with_delay_bound_discrete(model, bound, 5).evaluations, 75);
-  EXPECT_EQ(minimize_delay_with_power_budget_discrete(
+  EXPECT_EQ(minimize_power_with_delay_bound(model, bound, 5).evaluations, 75);
+  EXPECT_EQ(minimize_delay_with_power_budget(
                 model, units::watts(halfway_budget(model)), 9)
                 .evaluations,
             486);
@@ -164,8 +164,8 @@ void expect_on_bound_and_no_worse(const ClusterModel& model, bool power_problem,
   }
   const FrequencyOptResult lattice =
       power_problem
-          ? minimize_power_with_delay_bound_discrete(model, units::seconds(bound), 9)
-          : minimize_delay_with_power_budget_discrete(model, units::watts(bound), 9);
+          ? minimize_power_with_delay_bound(model, units::seconds(bound), 9)
+          : minimize_delay_with_power_budget(model, units::watts(bound), 9);
   if (lattice.feasible) {
     const double ours = power_problem ? r.power.value() : r.mean_delay.value();
     const double theirs =

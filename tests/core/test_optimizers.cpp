@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "cpm/check/generator.hpp"
 #include "cpm/common/error.hpp"
 
 namespace cpm::core {
@@ -297,7 +300,7 @@ TEST(DiscreteDvfs, ResultLiesOnTheGrid) {
   const auto model = make_enterprise_model(0.6);
   const double bound = 2.0 * model.mean_delay_at(model.max_frequencies()).value();
   const int levels = 5;
-  const auto r = minimize_power_with_delay_bound_discrete(model, units::seconds(bound), levels);
+  const auto r = minimize_power_with_delay_bound(model, units::seconds(bound), levels);
   ASSERT_TRUE(r.feasible);
   const auto grids = frequency_grids(model, levels);
   for (std::size_t i = 0; i < r.frequencies.size(); ++i) {
@@ -313,7 +316,7 @@ TEST(DiscreteDvfs, NeverBeatsContinuous) {
   const auto model = make_enterprise_model(0.6);
   const double bound = 2.0 * model.mean_delay_at(model.max_frequencies()).value();
   const auto cont = minimize_power_with_delay_bound(model, units::seconds(bound));
-  const auto disc = minimize_power_with_delay_bound_discrete(model, units::seconds(bound), 7);
+  const auto disc = minimize_power_with_delay_bound(model, units::seconds(bound), 7);
   ASSERT_TRUE(cont.feasible && disc.feasible);
   EXPECT_GE(disc.power.value(), cont.power.value() - 0.5);  // small solver slack
 }
@@ -324,7 +327,7 @@ TEST(DiscreteDvfs, ConvergesToContinuousWithFinerGrids) {
   const auto cont = minimize_power_with_delay_bound(model, units::seconds(bound));
   double prev_gap = 1e18;
   for (int levels : {3, 9, 33}) {
-    const auto disc = minimize_power_with_delay_bound_discrete(model, units::seconds(bound), levels);
+    const auto disc = minimize_power_with_delay_bound(model, units::seconds(bound), levels);
     ASSERT_TRUE(disc.feasible) << levels;
     const double gap = disc.power.value() - cont.power.value();
     EXPECT_LE(gap, prev_gap + 0.5) << levels;
@@ -338,7 +341,7 @@ TEST(DiscreteDvfs, DelayVariantRespectsBudget) {
   const double p_max = model.power_at(model.max_frequencies()).value();
   const double p_min = model.power_at(model.min_stable_frequencies()).value();
   const double budget = 0.5 * (p_max + p_min);
-  const auto r = minimize_delay_with_power_budget_discrete(model, units::watts(budget), 9);
+  const auto r = minimize_delay_with_power_budget(model, units::watts(budget), 9);
   ASSERT_TRUE(r.feasible);
   EXPECT_LE(r.power.value(), budget);
   const auto cont = minimize_delay_with_power_budget(model, units::watts(budget));
@@ -349,9 +352,9 @@ TEST(DiscreteDvfs, InfeasibleReported) {
   const auto model = make_enterprise_model(0.6);
   const double d_fast = model.mean_delay_at(model.max_frequencies()).value();
   const auto r =
-      minimize_power_with_delay_bound_discrete(model, units::seconds(0.5 * d_fast), 5);
+      minimize_power_with_delay_bound(model, units::seconds(0.5 * d_fast), 5);
   EXPECT_FALSE(r.feasible);
-  EXPECT_THROW(minimize_power_with_delay_bound_discrete(model, units::seconds(1.0), 1), Error);
+  EXPECT_THROW(minimize_power_with_delay_bound(model, units::seconds(1.0), 1), Error);
 }
 
 TEST(TcoOptimizer, FeasibleAndMeetsSlas) {
@@ -426,6 +429,89 @@ TEST(TcoOptimizer, Validation) {
   EXPECT_THROW(minimize_total_cost_of_ownership(model, bad), Error);
 }
 
+// The exhaustive search the TCO program ran before it shared P-C's
+// branch-and-bound: every server vector in odometer order (tier 0
+// fastest), skipped when its capex and idle energy already cost no less
+// than the best so far or when an SLA fails at f_max, else priced at the
+// least power over the lattice that meets the SLAs; the first cheapest is
+// kept. Mean SLAs only.
+TcoResult exhaustive_tco(const ClusterModel& model, const TcoOptions& options) {
+  const double kwh_factor = options.energy_price_per_kwh * options.billing_hours / 1000.0;
+  std::vector<units::Seconds> bounds;
+  for (const WorkloadClass& c : model.classes()) bounds.push_back(c.sla.max_mean_e2e_delay);
+  TcoResult best;
+  best.total_cost = std::numeric_limits<double>::infinity();
+  std::vector<int> n(model.num_tiers(), 1);
+  for (;;) {
+    double capex = 0.0, idle = 0.0;
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      capex += model.tiers()[i].server_cost * n[i];
+      idle += model.tiers()[i].power.idle_power().value() * n[i];
+    }
+    const ClusterModel sized = model.with_servers(n);
+    const Evaluation fast = sized.evaluate(sized.max_frequencies());
+    bool slas_hold = fast.stable;
+    for (std::size_t k = 0; slas_hold && k < bounds.size(); ++k)
+      slas_hold = !(fast.net.e2e_delay[k] > bounds[k]);
+    if (capex + idle * kwh_factor < best.total_cost && slas_hold) {
+      const FrequencyOptResult inner =
+          minimize_power_with_class_delay_bounds(sized, bounds, options.levels);
+      const double total = capex + inner.power.value() * kwh_factor;
+      if (inner.feasible && total < best.total_cost) {
+        best.servers = n;
+        best.frequencies = inner.frequencies;
+        best.total_cost = total;
+        best.feasible = true;
+      }
+    }
+    std::size_t d = 0;
+    while (d < n.size() && ++n[d] > options.max_servers_per_tier) n[d++] = 1;
+    if (d == n.size()) return best;
+  }
+}
+
+TEST(TcoOptimizer, MatchesExhaustiveSearch) {
+  // Seeded models with each class's mean SLA at 1.5x or 3x its delay at
+  // f_max, over energy prices from free to dear and two fleet caps: the
+  // branch-and-bound returns the exhaustive search's answer bit for bit.
+  check::GeneratorOptions gen_options;
+  gen_options.util_cap = 0.8;
+  check::ModelGenerator gen(20261019, gen_options);
+  int cases = 0, feasible = 0;
+  for (int m = 0; m < 60; ++m) {
+    const ClusterModel drawn = gen.next();
+    const Evaluation fast = drawn.evaluate(drawn.max_frequencies());
+    std::vector<WorkloadClass> classes = drawn.classes();
+    for (std::size_t k = 0; k < classes.size(); ++k) {
+      const double factor = (static_cast<std::size_t>(m) + k) % 2 ? 3.0 : 1.5;
+      classes[k].sla.max_mean_e2e_delay = fast.net.e2e_delay[k] * factor;
+    }
+    const ClusterModel model(drawn.tiers(), classes);
+    for (const double price : {0.0, 0.1, 1.0, 4.0}) {
+      for (const int max_servers : {2, 4}) {
+        TcoOptions opts;
+        opts.energy_price_per_kwh = price;
+        opts.max_servers_per_tier = max_servers;
+        opts.levels = 4;
+        SCOPED_TRACE("model " + std::to_string(m) + ", price " + std::to_string(price) +
+                     ", max servers " + std::to_string(max_servers));
+        const TcoResult ours = minimize_total_cost_of_ownership(model, opts);
+        const TcoResult oracle = exhaustive_tco(model, opts);
+        ++cases;
+        ASSERT_EQ(ours.feasible, oracle.feasible);
+        if (!oracle.feasible) continue;
+        ++feasible;
+        EXPECT_EQ(ours.total_cost, oracle.total_cost);
+        EXPECT_EQ(ours.servers, oracle.servers);
+        EXPECT_EQ(ours.frequencies, oracle.frequencies);
+      }
+    }
+  }
+  EXPECT_EQ(cases, 480);
+  EXPECT_GT(feasible, cases / 2);
+  EXPECT_LT(feasible, cases);
+}
+
 TEST(Optimizers, InputValidation) {
   const auto model = make_enterprise_model(0.6);
   EXPECT_THROW(minimize_delay_with_power_budget(model, units::watts(-1.0)), Error);
@@ -433,6 +519,19 @@ TEST(Optimizers, InputValidation) {
   EXPECT_THROW(
       minimize_power_with_class_delay_bounds(model, {units::seconds(1.0)}),
       Error);
+  // levels is 0 (the continuum) or a lattice of at least 2 levels.
+  const std::vector<units::Seconds> bounds(model.num_classes(), units::seconds(1.0));
+  for (const int levels : {1, -1}) {
+    EXPECT_THROW(minimize_delay_with_power_budget(model, units::watts(700.0), levels), Error);
+    EXPECT_THROW(minimize_power_with_delay_bound(model, units::seconds(1.0), levels), Error);
+    EXPECT_THROW(minimize_power_with_class_delay_bounds(model, bounds, levels), Error);
+  }
+  const units::Seconds bound = model.mean_delay_at(model.max_frequencies()) * 2.0;
+  const FrequencyOptResult two_args = minimize_power_with_delay_bound(model, bound);
+  const FrequencyOptResult level_zero = minimize_power_with_delay_bound(model, bound, 0);
+  EXPECT_EQ(level_zero.frequencies, two_args.frequencies);
+  EXPECT_EQ(level_zero.power.value(), two_args.power.value());
+  EXPECT_EQ(level_zero.evaluations, two_args.evaluations);
   CostOptOptions bad;
   bad.max_servers_per_tier = 0;
   EXPECT_THROW(minimize_cost_for_slas(model, bad), Error);

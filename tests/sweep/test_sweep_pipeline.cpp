@@ -145,7 +145,7 @@ TEST(SweepPipelineRun, OptimizeDelayAbsoluteBudgetAndLevels) {
   ASSERT_TRUE(r.at("feasible").as_bool());
   EXPECT_DOUBLE_EQ(r.at("power_budget").as_number(), p_max);
   const auto direct =
-      core::minimize_delay_with_power_budget_discrete(m, units::watts(p_max), 5);
+      core::minimize_delay_with_power_budget(m, units::watts(p_max), 5);
   EXPECT_DOUBLE_EQ(r.at("mean_delay").as_number(), direct.mean_delay.value());
   EXPECT_TRUE(r.at("audit").at("passed").as_bool());
 }
@@ -168,7 +168,7 @@ TEST(SweepPipelineRun, OptimizePowerAbsoluteBoundAndLevels) {
   const Json r = run_point(spec, &m, {}, 1);
   ASSERT_TRUE(r.at("feasible").as_bool());
   const auto direct =
-      core::minimize_power_with_delay_bound_discrete(m, units::seconds(bound), 5);
+      core::minimize_power_with_delay_bound(m, units::seconds(bound), 5);
   EXPECT_DOUBLE_EQ(r.at("power").as_number(), direct.power.value());
   EXPECT_TRUE(r.at("audit").at("passed").as_bool());
 }

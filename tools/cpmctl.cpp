@@ -315,11 +315,8 @@ int cmd_optimize_delay(const std::string& path, const Args& args) {
   const auto budget = args.value("--budget");
   if (!budget) usage("optimize-delay requires --budget WATTS");
   const double watts = parse_number("--budget", *budget);
-  const int levels = args.integer("--levels", 0, 0);
-  const auto r = levels > 0
-                     ? core::minimize_delay_with_power_budget_discrete(model, units::watts(watts),
-                                                                       levels)
-                     : core::minimize_delay_with_power_budget(model, units::watts(watts));
+  const auto r = core::minimize_delay_with_power_budget(model, units::watts(watts),
+                                                        args.integer("--levels", 0, 0));
   if (!r.feasible) {
     std::cerr << "infeasible: no stable operating point fits " << watts << " W\n";
     return 2;
@@ -341,16 +338,12 @@ int cmd_optimize_power(const std::string& path, const Args& args) {
       throw Error("--per-class needs one bound per class");
     std::vector<units::Seconds> bounds;
     for (double b : raw_bounds) bounds.push_back(units::seconds(b));
-    r = levels > 0
-            ? core::minimize_power_with_class_delay_bounds_discrete(model, bounds, levels)
-            : core::minimize_power_with_class_delay_bounds(model, bounds);
+    r = core::minimize_power_with_class_delay_bounds(model, bounds, levels);
   } else {
     const auto bound = args.value("--bound");
     if (!bound) usage("optimize-power requires --bound SECONDS (or --per-class)");
     const double secs = parse_number("--bound", *bound);
-    r = levels > 0
-            ? core::minimize_power_with_delay_bound_discrete(model, units::seconds(secs), levels)
-            : core::minimize_power_with_delay_bound(model, units::seconds(secs));
+    r = core::minimize_power_with_delay_bound(model, units::seconds(secs), levels);
   }
   if (!r.feasible) {
     std::cerr << "infeasible: the delay bound cannot be met even at f_max\n";

@@ -11,7 +11,9 @@
 // harness times it (wall + process CPU) and the case reports work
 // counters through the Recorder (events processed, replications run,
 // ...). Counters become `<name>_per_sec` rates using the same wall
-// measurement, so a case never times itself.
+// measurement, so a case never times itself, and are kept as exact
+// integer counts, which carry no noise: bench_compare.py requires them to
+// equal the baseline's.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,8 @@ struct BenchOptions {
 
 /// Work counters a benchmark case reports for the run being timed.
 /// Each counter `name` with value v becomes the rate `name_per_sec`
-/// = v / wall_seconds of that repeat.
+/// = v / wall_seconds of that repeat, and the exact count v, which must
+/// be a whole number, the same in every repeat.
 class Recorder {
  public:
   /// Records `units` units of work named `name` (accumulates when
@@ -69,9 +72,11 @@ struct CaseResult {
   std::string name;
   SampleStats wall_seconds;
   SampleStats cpu_seconds;
-  /// Derived rates, keyed `<counter>_per_sec`. Counters must be
-  /// repeat-invariant: a mismatch across repeats throws.
+  /// Derived rates, keyed `<counter>_per_sec`.
   std::map<std::string, SampleStats> rates;
+  /// Each counter's value, the same in every repeat: a counter that is
+  /// not a whole number, or differs or is missing in some repeat, throws.
+  std::map<std::string, std::int64_t> counts;
 };
 
 struct SuiteResult {

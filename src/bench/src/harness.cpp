@@ -82,18 +82,26 @@ SuiteResult run_suite(const std::string& suite_name,
       const double denom = std::max(dt, 1e-9);
       for (const auto& [name, units] : rec.counts())
         rate_samples[name + "_per_sec"].push_back(units / denom);
-      if (i > 0 && rec.counts().size() != rate_samples.size())
+      if (i > 0 && rec.counts().size() != cr.counts.size())
         throw Error("bench::run_suite: counters differ across repeats of '" +
                     c.name + "'");
+      for (const auto& [name, units] : rec.counts()) {
+        if (!(units == std::floor(units) && std::abs(units) < 0x1p53))
+          throw Error("bench::run_suite: counter '" + name + "' of '" + c.name +
+                      "' is not a whole number");
+        const auto exact = static_cast<std::int64_t>(units);
+        const auto [it, first] = cr.counts.emplace(name, exact);
+        if (!first && it->second != exact)
+          throw Error("bench::run_suite: counter '" + name + "' of '" + c.name +
+                      "' differs across repeats");
+        if (first && i > 0)
+          throw Error("bench::run_suite: counter '" + name + "' missing from some repeats of '" +
+                      c.name + "'");
+      }
     }
     cr.wall_seconds = summarize(std::move(wall));
     cr.cpu_seconds = summarize(std::move(cpu));
-    for (auto& [name, samples] : rate_samples) {
-      if (samples.size() != static_cast<std::size_t>(options.repeats))
-        throw Error("bench::run_suite: counter '" + name +
-                    "' missing from some repeats of '" + c.name + "'");
-      cr.rates[name] = summarize(std::move(samples));
-    }
+    for (auto& [name, samples] : rate_samples) cr.rates[name] = summarize(std::move(samples));
     result.cases.push_back(std::move(cr));
   }
 
@@ -118,6 +126,9 @@ Json to_json(const SuiteResult& result) {
     JsonObject rates;
     for (const auto& [name, stats] : c.rates) rates[name] = stats_json(stats);
     co["rates"] = Json(std::move(rates));
+    JsonObject counts;
+    for (const auto& [name, n] : c.counts) counts[name] = static_cast<double>(n);
+    co["counts"] = Json(std::move(counts));
     cases.push_back(Json(std::move(co)));
   }
   doc["cases"] = Json(std::move(cases));

@@ -88,11 +88,17 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
         const auto model = core::make_enterprise_model(0.7);
         const units::Seconds bound =
             2.0 * model.mean_delay_at(model.max_frequencies());
+        long evaluations = 0;
+        long analyses = 0;
         for (int i = 0; i < optimizer_solves; ++i) {
           const auto r = core::minimize_power_with_delay_bound(model, bound);
           require(r.feasible, "optimizer_power_bound: infeasible");
+          evaluations += r.evaluations;
+          analyses += r.station_analyses;
         }
         rec.count("solves", optimizer_solves);
+        rec.count("evaluations", static_cast<double>(evaluations));
+        rec.count("station_analyses", static_cast<double>(analyses));
       }});
 
   // The cpm-online/v1 timeline of a fixed 1,000 s scenario (about 190 KB

@@ -189,7 +189,7 @@ std::vector<Interval> station_delays(int servers, Discipline d,
 }
 
 /// Structural (parameter-independent) per-station, per-class visit data,
-/// mirroring flows_at_station's visit merge on the base moments.
+/// mirroring queueing::station_flows's visit merge on the base moments.
 struct StationStructure {
   std::vector<std::size_t> visiting;  ///< class indices, priority order
   std::vector<double> visits;
@@ -247,7 +247,7 @@ IntervalEvaluation evaluate_box(const core::ClusterModel& model,
     ts[i] = Interval::point(1.0) / (box.mu_scale[i] * speedup);
   }
 
-  // Station-by-station decomposition, mirroring analyze_network.
+  // Station-by-station decomposition, mirroring the model's tier units.
   std::vector<std::vector<Interval>> station_wait(
       n_tiers, std::vector<Interval>(n_classes, Interval::point(0.0)));
   for (std::size_t s = 0; s < n_tiers; ++s) {

@@ -14,10 +14,14 @@
 // against discrete-event simulation — the paper's validation methodology.
 //
 // evaluate() is the one way into the analysis: delays, power, both
-// per-request energies and the stability verdict come from one pass over
-// the skeleton the model binds when it is built.
+// per-request energies and the stability verdict are assembled from one
+// unit per tier, each tier's station analysed from its own flows over the
+// skeleton the model binds when it is built. Solvers that probe many
+// points keep the units in a TierTable and analyse each tier once per
+// distinct (servers, frequency).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,18 +95,91 @@ struct Evaluation {
   }
 };
 
+/// What one tier contributes to an evaluation at an operating point (its
+/// server count and frequency): the tier's unit. The tier's station is
+/// analysed from its own flows: the unit holds the stability decision, the
+/// utilisation and, per flow (NetworkSkeleton::flows order), the mean
+/// wait, the wait's second moment, the load share and the flow's share of
+/// the tier's idle power; per visit (NetworkSkeleton::visits order) the
+/// mean sojourn, the sojourn's variance and the dynamic energy; and the
+/// tier's dynamic and average power. Every figure of an evaluation is one
+/// of these or a sum of them over tiers or route steps, so an evaluation
+/// is assembled from one unit per tier (ClusterModel::assemble). At an
+/// unstable station only stable() is defined. A unit is a view of the
+/// figures a TierTable or an EvaluationWorkspace owns.
+class TierUnit {
+ public:
+  /// The number of figures of a unit whose station has `flows` flows and
+  /// `visits` visits.
+  static std::size_t size(std::size_t flows, std::size_t visits) {
+    return kHeader + 4 * flows + 3 * visits;
+  }
+  TierUnit(const double* figures, std::size_t flows, std::size_t visits)
+      : f_(figures), flows_(flows), visits_(visits) {}
+
+  [[nodiscard]] bool stable() const { return f_[0] != 0.0; }
+  [[nodiscard]] double utilization() const { return f_[1]; }
+  /// Dynamic (busy minus idle) power of one server at the frequency.
+  [[nodiscard]] units::Watts dynamic_power() const { return units::watts(f_[2]); }
+  /// Average power of the tier's servers.
+  [[nodiscard]] units::Watts average_power() const { return units::watts(f_[3]); }
+  [[nodiscard]] double wait(std::size_t flow) const { return f_[flow_row(0) + flow]; }
+  [[nodiscard]] double wait_m2(std::size_t flow) const { return f_[flow_row(1) + flow]; }
+  [[nodiscard]] double rho(std::size_t flow) const { return f_[flow_row(2) + flow]; }
+  /// The flow's share of the tier's idle power.
+  [[nodiscard]] units::Watts idle_power(std::size_t flow) const {
+    return units::watts(f_[flow_row(3) + flow]);
+  }
+  [[nodiscard]] double sojourn(std::size_t visit) const { return f_[visit_row(0) + visit]; }
+  /// Var(wait) + Var(service) of the visit.
+  [[nodiscard]] double variance(std::size_t visit) const { return f_[visit_row(1) + visit]; }
+  /// Dynamic energy of the visit.
+  [[nodiscard]] units::Joules marginal_energy(std::size_t visit) const {
+    return units::joules(f_[visit_row(2) + visit]);
+  }
+
+ private:
+  friend class ClusterModel;
+  // The figures: stable (1 or 0), utilisation, dynamic and average power,
+  // then four rows of one figure per flow and three of one per visit.
+  static constexpr std::size_t kHeader = 4;
+  [[nodiscard]] std::size_t flow_row(std::size_t row) const { return kHeader + row * flows_; }
+  [[nodiscard]] std::size_t visit_row(std::size_t row) const {
+    return kHeader + 4 * flows_ + row * visits_;
+  }
+
+  const double* f_;
+  std::size_t flows_;
+  std::size_t visits_;
+};
+
+/// Whether every station of an operating point is stable, given its units.
+bool all_stable(const std::vector<TierUnit>& units);
+
+/// Cluster average power of a stable operating point whose units are
+/// `units`, one per tier: their average powers summed in tier order, as
+/// ClusterModel::assemble sums them.
+units::Watts cluster_power(const std::vector<TierUnit>& units);
+
+/// The buffers computing a tier unit reuses: the service laws of the
+/// tier's visits at the unit's frequency, the station's flows and their
+/// analysis. Once it has served a tier with as many visits and flows,
+/// computing a unit through it allocates nothing.
+struct TierBuffers {
+  std::vector<Distribution> laws;
+  std::vector<queueing::ClassFlow> flows;
+  queueing::StationMetrics station;
+};
+
 /// Buffers the in-place ClusterModel::evaluate reuses from call to call:
-/// each tier's speedup and power operating point at the probed
-/// frequencies, each class's route with its service laws rescaled to them,
-/// and the network analysis buffers. Class names are not copied. A
-/// workspace is not tied to one model; once it has evaluated a model of
+/// each tier's unit at the probed point and the buffers that compute it.
+/// A workspace is not tied to one model; once it has evaluated a model of
 /// some shape, evaluating any model of that shape through it allocates
 /// nothing.
 struct EvaluationWorkspace {
-  std::vector<double> speedups;
-  std::vector<queueing::CustomerClass> classes;
-  std::vector<power::TierPower> tiers;
-  queueing::NetworkWorkspace network;
+  std::vector<std::vector<double>> figures;  ///< per tier, its unit's figures
+  std::vector<TierUnit> units;               ///< views of `figures`
+  TierBuffers buffers;
 };
 
 /// A model checks its structure (tiers, servers, rates, routes) once, when
@@ -142,6 +219,10 @@ class ClusterModel {
   /// may still be unstable when even f_max cannot carry a tier's load;
   /// callers must check evaluate(f).stable.
   [[nodiscard]] std::vector<double> min_stable_frequencies() const;
+  /// The same with `servers` servers per tier: bit for bit what
+  /// with_servers(servers).min_stable_frequencies() returns.
+  [[nodiscard]] std::vector<double> min_stable_frequencies(
+      const std::vector<int>& servers) const;
 
   /// The queueing network's skeleton, bound at construction: the model's
   /// only network.
@@ -163,15 +244,38 @@ class ClusterModel {
 
   /// In-place form of evaluate(): writes into `out`, reusing its vectors
   /// and the buffers of `ws`, bit for bit what evaluate() returns. It
-  /// computes each tier's speedup once, rescales every visit's service law
-  /// in `ws` and runs the network analysis on the model's skeleton. On an
-  /// unstable point it sets only out.stable = false; the metrics keep
-  /// whatever `out` held. Throws, before writing to `out`, unless there is
-  /// one frequency per tier, each inside its tier's DVFS range.
+  /// computes every tier's unit at the tier's servers and frequency and,
+  /// when every station is stable, assembles them. On an unstable point it
+  /// sets only out.stable = false; the metrics keep whatever `out` held.
+  /// Throws, before writing to `out`, unless check_frequencies passes.
   void evaluate(const std::vector<double>& frequencies, Evaluation& out,
                 EvaluationWorkspace& ws) const;
 
-  /// Cluster average power at `f`, +infinity when unstable.
+  /// Throws unless there is one frequency per tier, each inside its tier's
+  /// DVFS range.
+  void check_frequencies(const std::vector<double>& frequencies) const;
+
+  /// Tier `tier`'s unit at `servers` (>= 1) servers and `frequency`,
+  /// written to `figures` (unit_size(tier) of them) through `buffers`: the
+  /// speedup rescales the service law of each of the tier's visits, the
+  /// station is analysed from its flows and, when stable, its power and
+  /// each flow's share of its idle power are computed. The unit depends on
+  /// nothing else, so one computed at a model's servers serves its
+  /// with_servers copies too. Throws outside the tier's DVFS range.
+  TierUnit analyze_tier(std::size_t tier, int servers, units::Hertz frequency,
+                        std::span<double> figures, TierBuffers& buffers) const;
+
+  /// The number of figures of tier `tier`'s unit.
+  [[nodiscard]] std::size_t unit_size(std::size_t tier) const;
+
+  /// The stable evaluation assembled from `units`, one stable unit per
+  /// tier, into `out` (reusing its vectors): per class the sums over its
+  /// route steps in route order, cluster power and each class's idle
+  /// shares summed over the tiers in tier order.
+  void assemble(const std::vector<TierUnit>& units, Evaluation& out) const;
+
+  /// Cluster average power at `f`, +infinity when unstable: evaluate(f).power()
+  /// read off the units without assembling the rest of the point.
   [[nodiscard]] units::Watts power_at(const std::vector<double>& frequencies) const;
 
   /// Traffic-weighted mean E2E delay at `f`, +infinity when unstable.
@@ -203,22 +307,19 @@ class ClusterModel {
   // `skeleton` with each station's servers and discipline refreshed.
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
                queueing::NetworkSkeleton skeleton);
+  // Every tier's unit at `frequencies` and the tier's servers, into `ws`,
+  // after check_frequencies.
+  const std::vector<TierUnit>& units_at(const std::vector<double>& frequencies,
+                                        EvaluationWorkspace& ws) const;
   // The one check of the network's structure: tiers and classes present,
   // servers >= 1, costs > 0, rates >= 0 and, except in copies that keep
   // the routes, non-empty routes on known tiers. network_skeleton relies
   // on it and checks nothing.
   void check(bool routes) const;
-  void check_frequencies(const std::vector<double>& frequencies) const;
-  // Each tier's speedup at `frequencies` into `speedups` (throwing outside
-  // a tier's DVFS range) and each class's rate and route, every visit's
-  // law rescaled, into `classes`, reusing both. Names are left alone.
-  void scale_classes(const std::vector<double>& frequencies, std::vector<double>& speedups,
-                     std::vector<queueing::CustomerClass>& classes) const;
-  void tier_power(const std::vector<double>& frequencies,
-                  std::vector<power::TierPower>& out) const;
 
   std::vector<Tier> tiers_;
   std::vector<WorkloadClass> classes_;
+  std::vector<units::Rate> rates_;  // each class's rate, as station_flows reads them
   queueing::NetworkSkeleton skeleton_;
 };
 

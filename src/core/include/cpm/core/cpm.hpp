@@ -17,6 +17,7 @@
 #include "cpm/common/table.hpp"
 #include "cpm/core/cluster_model.hpp"
 #include "cpm/core/optimizers.hpp"
+#include "cpm/core/tier_table.hpp"
 #include "cpm/core/validation.hpp"
 #include "cpm/opt/integer.hpp"
 #include "cpm/power/energy.hpp"

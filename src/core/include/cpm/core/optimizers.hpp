@@ -24,7 +24,9 @@
 // answer meets with no overshoot (docs/model.md §4). Given `levels`, the
 // same three calls search a P-state lattice instead. P-C and TCO share one
 // monotone branch-and-bound over the server counts (adding a server can
-// only reduce delays). Baseline policies the paper compares against
+// only reduce delays). Every solve keeps its tier units in one TierTable,
+// so it analyses each tier once per distinct (servers, frequency) and
+// assembles each point it probes from them. Baseline policies the paper compares against
 // (uniform frequency, no DVFS) are provided alongside.
 #pragma once
 
@@ -44,9 +46,12 @@ struct FrequencyOptResult {
   units::Watts power = units::watts(0.0);
   bool feasible = false;
   Evaluation evaluation;       ///< full analytic metrics at the optimum
-  /// Every ClusterModel::evaluate the solve made, the final one included:
-  /// a work count for tests and benchmarks, in no output document.
+  /// Work counts for tests and benchmarks, in no output document:
+  /// `evaluations` is every operating point the solve evaluated, the
+  /// final one included, and `station_analyses` the tier units it
+  /// computed, one per distinct (tier, servers, frequency) it probed.
   long evaluations = 0;
+  long station_analyses = 0;
 };
 
 struct FrequencyOptOptions {
@@ -106,6 +111,10 @@ struct CostOptResult {
   bool feasible = false;
   long nodes_explored = 0;
   Evaluation evaluation;  ///< analytic metrics at the chosen allocation
+  /// Work counts, as FrequencyOptResult's: the oracle's probes and the
+  /// final evaluation, and the tier units they read.
+  long evaluations = 0;
+  long station_analyses = 0;
 };
 
 struct CostOptOptions {
@@ -156,6 +165,10 @@ struct TcoResult {
   bool feasible = false;
   long nodes_explored = 0;  ///< feasibility probes, as CostOptResult's
   Evaluation evaluation;
+  /// Work counts, as FrequencyOptResult's, over the oracle and every
+  /// leaf's lattice.
+  long evaluations = 0;
+  long station_analyses = 0;
 };
 
 /// Solves the TCO program. Classes without SLA bounds impose none.

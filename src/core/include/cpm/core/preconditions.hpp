@@ -29,6 +29,8 @@ struct StabilityFinding {
 /// Per-tier offered load per server at f_base (tier i is stable at
 /// frequency f iff load_i * f_base / f < 1).
 std::vector<double> tier_base_loads(const ClusterModel& model);
+/// The same with `servers` servers per tier.
+std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector<int>& servers);
 
 /// Per-tier utilisation at `frequencies`, over the model's skeleton.
 std::vector<double> tier_utilizations(const ClusterModel& model,

@@ -8,8 +8,19 @@
 
 namespace cpm::core {
 
+namespace {
+
+std::vector<units::Rate> class_rates(const std::vector<WorkloadClass>& classes) {
+  std::vector<units::Rate> rates;
+  rates.reserve(classes.size());
+  for (const auto& c : classes) rates.push_back(c.rate);
+  return rates;
+}
+
+}  // namespace
+
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes)
-    : tiers_(std::move(tiers)), classes_(std::move(classes)) {
+    : tiers_(std::move(tiers)), classes_(std::move(classes)), rates_(class_rates(classes_)) {
   check(/*routes=*/true);
   std::vector<queueing::NetworkStation> stations;
   stations.reserve(tiers_.size());
@@ -27,7 +38,10 @@ ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> c
 
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
                            queueing::NetworkSkeleton skeleton)
-    : tiers_(std::move(tiers)), classes_(std::move(classes)), skeleton_(std::move(skeleton)) {
+    : tiers_(std::move(tiers)),
+      classes_(std::move(classes)),
+      rates_(class_rates(classes_)),
+      skeleton_(std::move(skeleton)) {
   check(/*routes=*/false);
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     skeleton_.stations[i].servers = tiers_[i].servers;
@@ -99,9 +113,15 @@ std::vector<double> ClusterModel::min_frequencies() const {
 }
 
 std::vector<double> ClusterModel::min_stable_frequencies() const {
+  std::vector<int> servers;
+  for (const auto& t : tiers_) servers.push_back(t.servers);
+  return min_stable_frequencies(servers);
+}
+
+std::vector<double> ClusterModel::min_stable_frequencies(const std::vector<int>& servers) const {
   // Per-tier offered load per server at f_base; tier i is stable at
   // frequency f iff load_i * f_base / f < 1.
-  const std::vector<double> load = tier_base_loads(*this);
+  const std::vector<double> load = tier_base_loads(*this, servers);
   constexpr double kMargin = 1e-3;
 
   std::vector<double> f(tiers_.size());
@@ -120,47 +140,181 @@ void ClusterModel::check_frequencies(const std::vector<double>& frequencies) con
     tiers_[i].power.check_frequency(units::hertz(frequencies[i]));
 }
 
-void ClusterModel::scale_classes(const std::vector<double>& frequencies,
-                                 std::vector<double>& speedups,
-                                 std::vector<queueing::CustomerClass>& out) const {
-  require(frequencies.size() == tiers_.size(),
-          "ClusterModel: one frequency per tier required");
-  speedups.resize(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    speedups[i] = tiers_[i].power.speedup(units::hertz(frequencies[i]));
-  out.resize(classes_.size());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    const auto& c = classes_[k];
-    queueing::CustomerClass& qc = out[k];
-    qc.rate = c.rate;
-    qc.route.resize(c.route.size());
-    for (std::size_t j = 0; j < c.route.size(); ++j) {
-      const Demand& d = c.route[j];
-      queueing::Visit& v = qc.route[j];
-      v.station = d.tier;
-      v.service = d.base_service.scaled_to_mean(
-          d.base_service.mean() / speedups[static_cast<std::size_t>(d.tier)]);
-    }
-  }
-}
-
 std::vector<queueing::CustomerClass> ClusterModel::network_classes(
     const std::vector<double>& frequencies) const {
-  std::vector<double> speedups;
-  std::vector<queueing::CustomerClass> classes;
-  scale_classes(frequencies, speedups, classes);
-  for (std::size_t k = 0; k < classes.size(); ++k) classes[k].name = classes_[k].name;
-  return classes;
+  require(frequencies.size() == tiers_.size(),
+          "ClusterModel: one frequency per tier required");
+  std::vector<double> speedups(tiers_.size());
+  for (std::size_t i = 0; i < tiers_.size(); ++i)
+    speedups[i] = tiers_[i].power.speedup(units::hertz(frequencies[i]));
+  std::vector<queueing::CustomerClass> out(classes_.size());
+  for (std::size_t k = 0; k < classes_.size(); ++k) {
+    const auto& c = classes_[k];
+    out[k].name = c.name;
+    out[k].rate = c.rate;
+    for (const Demand& d : c.route)
+      out[k].route.push_back(queueing::Visit{
+          d.tier, d.base_service.scaled_to_mean(
+                      d.base_service.mean() / speedups[static_cast<std::size_t>(d.tier)])});
+  }
+  return out;
 }
 
-void ClusterModel::tier_power(const std::vector<double>& frequencies,
-                              std::vector<power::TierPower>& out) const {
-  out.resize(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    out[i].server = tiers_[i].power;
-    out[i].frequency = units::hertz(frequencies[i]);
-    out[i].servers = tiers_[i].servers;
+std::size_t ClusterModel::unit_size(std::size_t tier) const {
+  return TierUnit::size(skeleton_.flows[tier].size(), skeleton_.visits[tier].size());
+}
+
+TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz frequency,
+                                    std::span<double> figures, TierBuffers& buffers) const {
+  const Tier& t = tiers_[tier];
+  const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[tier];
+  const std::vector<queueing::NetworkSkeleton::StationVisit>& visits = skeleton_.visits[tier];
+  require(figures.size() == unit_size(tier), "analyze_tier: wrong number of figures");
+  const TierUnit unit(figures.data(), flows.size(), visits.size());
+
+  // Every visit's service law, rescaled from f_base to the frequency.
+  const double speedup = t.power.speedup(frequency);
+  buffers.laws.clear();
+  for (const auto& v : visits) {
+    const Distribution& base = classes_[v.cls].route[v.step].base_service;
+    buffers.laws.push_back(base.scaled_to_mean(base.mean() / speedup));
   }
+
+  // The station from its own flows: unstable when loaded to 1 or beyond,
+  // or, within rounding of utilisation 1, when its analysis diverges.
+  queueing::station_flows(skeleton_, tier, rates_, buffers.laws, buffers.flows);
+  const bool loaded = !buffers.flows.empty();
+  const bool stable =
+      !loaded || queueing::analyze_station(servers, t.discipline, buffers.flows, buffers.station);
+  figures[0] = stable ? 1.0 : 0.0;
+  if (!stable) return unit;
+  const queueing::StationMetrics& sm = buffers.station;
+  const double utilization = loaded ? sm.total_utilization : 0.0;
+  figures[1] = utilization;
+
+  // Each visit contributes the class's station wait plus the visit's own
+  // mean service time. Independence across visits: variances add. Wait
+  // and own service are independent in all modelled disciplines except
+  // PS/preemption, where this is part of the documented approximation.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const double wait = sm.mean_wait[i];
+    figures[unit.flow_row(0) + i] = wait;
+    figures[unit.flow_row(1) + i] = sm.wait_m2[i];
+    figures[unit.flow_row(2) + i] = sm.rho[i];
+    for (std::size_t v = flows[i].first; v < flows[i].first + flows[i].visits; ++v) {
+      const Distribution& law = buffers.laws[v];
+      figures[unit.visit_row(0) + v] = wait + law.mean();
+      figures[unit.visit_row(1) + v] = (sm.wait_m2[i] - wait * wait) + law.variance();
+    }
+  }
+
+  // Power: each visit burns dynamic_power(f) * E[S] joules while holding a
+  // server, and the tier's idle power is split across its flows by
+  // utilisation share (none when no flow carries load).
+  const units::Watts dynamic = t.power.dynamic_power(frequency);
+  figures[2] = dynamic.value();
+  figures[3] = (t.power.average_power(dynamic, utilization) * static_cast<double>(servers)).value();
+  for (std::size_t v = 0; v < visits.size(); ++v)
+    figures[unit.visit_row(2) + v] =
+        t.power.marginal_energy_per_request(dynamic, units::seconds(buffers.laws[v].mean()))
+            .value();
+  const units::Watts idle = t.power.idle_power() * static_cast<double>(servers);
+  double rho_sum = 0.0;
+  for (std::size_t i = 0; i < flows.size(); ++i) rho_sum += unit.rho(i);
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    figures[unit.flow_row(3) + i] = rho_sum > 0.0 ? (idle * (unit.rho(i) / rho_sum)).value() : 0.0;
+  return unit;
+}
+
+units::Watts cluster_power(const std::vector<TierUnit>& units) {
+  units::Watts power = units::watts(0.0);
+  for (const TierUnit& u : units) power += u.average_power();
+  return power;
+}
+
+void ClusterModel::assemble(const std::vector<TierUnit>& units, Evaluation& out) const {
+  const std::size_t n_tiers = tiers_.size();
+  const std::size_t n_classes = classes_.size();
+  require(units.size() == n_tiers, "assemble: one unit per tier required");
+  out.stable = true;
+  queueing::NetworkMetrics& m = out.net;
+  power::EnergyMetrics& em = out.energy;
+
+  // Each station's per-class figures, zero for classes that do not visit.
+  m.station_wait.resize(n_tiers);
+  m.station_wait_m2.resize(n_tiers);
+  m.station_rho.resize(n_tiers);
+  m.station_utilization.resize(n_tiers);
+  em.station_dynamic_power.resize(n_tiers);
+  em.station_avg_power.resize(n_tiers);
+  em.cluster_avg_power = cluster_power(units);
+  for (std::size_t s = 0; s < n_tiers; ++s) {
+    const TierUnit& u = units[s];
+    m.station_wait[s].assign(n_classes, 0.0);
+    m.station_wait_m2[s].assign(n_classes, 0.0);
+    m.station_rho[s].assign(n_classes, 0.0);
+    m.station_utilization[s] = u.utilization();
+    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[s];
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      m.station_wait[s][flows[i].cls] = u.wait(i);
+      m.station_wait_m2[s][flows[i].cls] = u.wait_m2(i);
+      m.station_rho[s][flows[i].cls] = u.rho(i);
+    }
+    em.station_dynamic_power[s] = u.dynamic_power();
+    em.station_avg_power[s] = u.average_power();
+  }
+
+  // Per class, its route's sums: delay, variance and dynamic energy.
+  m.e2e_delay.resize(n_classes);
+  m.e2e_delay_variance.resize(n_classes);
+  m.visit_sojourn.resize(n_classes);
+  em.per_request_energy.resize(n_classes);
+  m.total_rate = units::per_second(0.0);
+  double weighted = 0.0;
+  for (std::size_t k = 0; k < n_classes; ++k) {
+    const std::vector<queueing::NetworkSkeleton::RouteStep>& route = skeleton_.routes[k];
+    std::vector<double>& sojourns = m.visit_sojourn[k];
+    sojourns.resize(route.size());
+    double total = 0.0;
+    double variance = 0.0;
+    units::Joules energy = units::joules(0.0);
+    for (std::size_t j = 0; j < route.size(); ++j) {
+      const TierUnit& u = units[route[j].station];
+      sojourns[j] = u.sojourn(route[j].visit);
+      total += sojourns[j];
+      variance += u.variance(route[j].visit);
+      energy += u.marginal_energy(route[j].visit);
+    }
+    m.e2e_delay[k] = units::seconds(total);
+    m.e2e_delay_variance[k] = units::SecondsSquared(variance);
+    em.per_request_energy[k] = energy;
+    m.total_rate += rates_[k];
+    weighted += rates_[k].value() * total;
+  }
+  m.mean_e2e_delay = m.total_rate > units::per_second(0.0)
+                         ? units::seconds(weighted / m.total_rate.value())
+                         : units::seconds(0.0);
+
+  // That is the marginal energy; each station's idle shares come on top,
+  // spread over the class's request stream (W / (jobs/s) = J per job).
+  em.marginal_energy = em.per_request_energy;
+  for (std::size_t s = 0; s < n_tiers; ++s) {
+    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[s];
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const units::Rate rate = rates_[flows[i].cls];
+      if (rate > units::per_second(0.0))
+        em.per_request_energy[flows[i].cls] +=
+            units::joules(units[s].idle_power(i).value() / rate.value());
+    }
+  }
+  double energy_weighted = 0.0;
+  double total_rate = 0.0;
+  for (std::size_t k = 0; k < n_classes; ++k) {
+    energy_weighted += rates_[k].value() * em.per_request_energy[k].value();
+    total_rate += rates_[k].value();
+  }
+  em.mean_per_request_energy =
+      total_rate > 0.0 ? units::joules(energy_weighted / total_rate) : units::joules(0.0);
 }
 
 ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) const {
@@ -176,17 +330,36 @@ Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const 
   return ev;
 }
 
+const std::vector<TierUnit>& ClusterModel::units_at(const std::vector<double>& frequencies,
+                                                     EvaluationWorkspace& ws) const {
+  check_frequencies(frequencies);
+  ws.figures.resize(tiers_.size());
+  ws.units.clear();
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    ws.figures[i].resize(unit_size(i));
+    ws.units.push_back(analyze_tier(i, tiers_[i].servers, units::hertz(frequencies[i]),
+                                    ws.figures[i], ws.buffers));
+  }
+  return ws.units;
+}
+
+bool all_stable(const std::vector<TierUnit>& units) {
+  return std::all_of(units.begin(), units.end(), [](const TierUnit& u) { return u.stable(); });
+}
+
 void ClusterModel::evaluate(const std::vector<double>& frequencies, Evaluation& out,
                             EvaluationWorkspace& ws) const {
-  scale_classes(frequencies, ws.speedups, ws.classes);
-  out.stable = queueing::analyze_network(skeleton_, ws.classes, out.net, ws.network);
-  if (!out.stable) return;
-  tier_power(frequencies, ws.tiers);
-  power::compute_energy(ws.tiers, ws.classes, out.net, out.energy);
+  const std::vector<TierUnit>& units = units_at(frequencies, ws);
+  if (all_stable(units))
+    assemble(units, out);
+  else
+    out.stable = false;
 }
 
 units::Watts ClusterModel::power_at(const std::vector<double>& frequencies) const {
-  return evaluate(frequencies).power();
+  EvaluationWorkspace ws;
+  const std::vector<TierUnit>& units = units_at(frequencies, ws);
+  return all_stable(units) ? cluster_power(units) : units::Watts::infinity();
 }
 
 units::Seconds ClusterModel::mean_delay_at(

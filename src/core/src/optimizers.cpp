@@ -9,6 +9,7 @@
 #include "cpm/common/error.hpp"
 #include "cpm/common/math.hpp"
 #include "cpm/core/preconditions.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace cpm::core {
 
@@ -18,34 +19,51 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 
 // Every evaluation a solver makes goes through one evaluator, which owns
-// an EvaluationWorkspace and the Evaluation it writes into, so after the
-// first probe no evaluation allocates. It counts the evaluations for
-// FrequencyOptResult::evaluations.
+// the solve's TierTable and the Evaluation it writes into: each tier is
+// analysed once per distinct (servers, frequency), and after the first
+// probes no evaluation allocates. It counts the operating points it
+// evaluates for the results' `evaluations`, whether assembled whole (at),
+// read for their power (power) or read tier by tier (unit).
 class Evaluator {
  public:
-  explicit Evaluator(const ClusterModel& model) : model_(&model) {}
+  explicit Evaluator(const ClusterModel& model) : table_(model) {
+    for (const Tier& t : model.tiers()) servers_.push_back(t.servers);
+  }
   // The solver's closures hold it by reference.
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  [[nodiscard]] const ClusterModel& model() const { return *model_; }
+  [[nodiscard]] const ClusterModel& model() const { return table_.model(); }
+  [[nodiscard]] const std::vector<int>& servers() const { return servers_; }
   [[nodiscard]] long count() const { return count_; }
+  [[nodiscard]] long analyses() const { return table_.analyses(); }
 
-  // Evaluates `model` from now on, through the same workspace. The
-  // evaluator keeps a reference: `model` must outlive the next at().
-  void bind(const ClusterModel& model) { model_ = &model; }
-
-  // The evaluation at `f`. Only `stable` and the accessors are meaningful
-  // at an unstable point (see the in-place ClusterModel::evaluate).
-  const Evaluation& at(const std::vector<double>& f) {
+  // The evaluation at `f`, with the model's servers or with `servers`.
+  // Only `stable` and the accessors are meaningful at an unstable point
+  // (see the in-place ClusterModel::evaluate).
+  const Evaluation& at(const std::vector<double>& f) { return at(servers_, f); }
+  const Evaluation& at(const std::vector<int>& servers, const std::vector<double>& f) {
     ++count_;
-    model_->evaluate(f, ev_, ws_);
+    table_.evaluate(servers, f, ev_);
     return ev_;
   }
 
+  // Cluster power at `f`, read off the tiers' units without assembling the
+  // rest of the point, as ClusterModel::power_at reads it.
+  units::Watts power(const std::vector<double>& f) {
+    ++count_;
+    const std::vector<TierUnit>& units = table_.units(servers_, f);
+    return all_stable(units) ? cluster_power(units) : units::Watts::infinity();
+  }
+
+  // Tier i's unit at frequency f with the model's servers, for a point the
+  // caller reads tier by tier and counts with count_point().
+  TierUnit unit(std::size_t i, double f) { return table_.unit(i, servers_[i], units::hertz(f)); }
+  void count_point() { ++count_; }
+
  private:
-  const ClusterModel* model_;
-  EvaluationWorkspace ws_;
+  TierTable table_;
+  std::vector<int> servers_;
   Evaluation ev_;
   long count_ = 0;
 };
@@ -55,6 +73,7 @@ FrequencyOptResult finish(Evaluator& eval, std::vector<double> f, bool feasible)
   r.frequencies = std::move(f);
   const Evaluation& ev = eval.at(r.frequencies);
   r.evaluations = eval.count();
+  r.station_analyses = eval.analyses();
   r.feasible = feasible && ev.stable;
   r.mean_delay = ev.mean_delay();
   r.power = ev.power();
@@ -81,10 +100,12 @@ bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
 constexpr auto kPower = [](const Evaluation& ev) { return ev.power().value(); };
 
 // Exhaustive search of the P-state lattice `grids` over the model `eval` is
-// bound to: `objective` is minimised over the stable grid points that are
-// `admissible`, the first found winning a tie.
+// bound to, with `servers` servers per tier: `objective` is minimised over
+// the stable grid points that are `admissible`, the first found winning a
+// tie.
 FrequencyOptResult lattice_search(
-    Evaluator& eval, const std::vector<std::vector<double>>& grids,
+    Evaluator& eval, const std::vector<int>& servers,
+    const std::vector<std::vector<double>>& grids,
     const std::function<double(const Evaluation&)>& objective,
     const std::function<bool(const Evaluation&)>& admissible) {
   const ClusterModel& model = eval.model();
@@ -92,7 +113,7 @@ FrequencyOptResult lattice_search(
 
   // Per-tier stability floor: tier i is stable iff f_i exceeds its own
   // critical frequency, independent of the other tiers — prune below it.
-  const std::vector<double> floor = model.min_stable_frequencies();
+  const std::vector<double> floor = model.min_stable_frequencies(servers);
 
   std::vector<std::size_t> idx(n, 0);
   std::vector<double> f(n);
@@ -106,7 +127,7 @@ FrequencyOptResult lattice_search(
       if (f[i] < floor[i]) viable = false;  // tier saturated at this level
     }
     if (viable) {
-      const Evaluation& ev = eval.at(f);
+      const Evaluation& ev = eval.at(servers, f);
       if (ev.stable && admissible(ev)) {
         const double value = objective(ev);
         if (value < best_value) {
@@ -131,12 +152,14 @@ FrequencyOptResult lattice_search(
   best.mean_delay = best.evaluation.mean_delay();
   best.power = best.evaluation.power();
   best.evaluations = eval.count();
+  best.station_analyses = eval.analyses();
   return best;
 }
 
 // P-C's integer program: 1 to max_servers servers per tier at each tier's
 // server cost, feasible when every SLA holds at f_max; `eval` serves the
-// oracle's probes. Feasibility is monotone in the server counts.
+// oracle's probes, each server count of a tier analysed once. Feasibility
+// is monotone in the server counts.
 opt::IntegerProblem sizing_problem(const ClusterModel& model, int max_servers,
                                    Evaluator& eval) {
   opt::IntegerProblem problem;
@@ -144,9 +167,7 @@ opt::IntegerProblem sizing_problem(const ClusterModel& model, int max_servers,
   problem.n_max.assign(model.num_tiers(), max_servers);
   for (const Tier& tier : model.tiers()) problem.cost.push_back(tier.server_cost);
   problem.feasible = [&model, &eval, f_max = model.max_frequencies()](const std::vector<int>& n) {
-    const ClusterModel sized = model.with_servers(n);
-    eval.bind(sized);
-    return slas_hold(sized, eval.at(f_max));
+    return slas_hold(model, eval.at(n, f_max));
   };
   return problem;
 }
@@ -342,20 +363,22 @@ class TierDual {
     return a.power[i] == b.power[i];
   }
 
-  // Evaluates at `f` and splits the evaluation into per-tier terms. Every
+  // The per-tier terms at `f`, read off each tier's unit: its average
+  // power and its visits' sojourns weighted into every delay row. Every
   // point the solver probes lies in the stable box [lo, hi].
   void split(const std::vector<double>& f, TierTerms& t) {
-    const Evaluation& ev = eval_.at(f);
-    require(ev.stable, "continuous solve: unstable point inside the stable range");
+    eval_.count_point();
     t.power.resize(n_);
     t.delay.assign(rows_.size() * n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) t.power[i] = ev.energy.station_avg_power[i].value();
-    for (std::size_t k = 0; k < model_.num_classes(); ++k) {
-      const auto& route = model_.classes()[k].route;
-      for (std::size_t j = 0; j < route.size(); ++j) {
-        const auto i = static_cast<std::size_t>(route[j].tier);
+    const auto& visits = model_.skeleton().visits;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const TierUnit unit = eval_.unit(i, f[i]);
+      require(unit.stable(), "continuous solve: unstable point inside the stable range");
+      t.power[i] = unit.average_power().value();
+      for (std::size_t v = 0; v < visits[i].size(); ++v) {
+        const std::size_t k = visits[i][v].cls;
         for (std::size_t r = 0; r < rows_.size(); ++r)
-          if (rows_[r][k] != 0.0) t.delay[r * n_ + i] += rows_[r][k] * ev.net.visit_sojourn[k][j];
+          if (rows_[r][k] != 0.0) t.delay[r * n_ + i] += rows_[r][k] * unit.sojourn(v);
       }
     }
   }
@@ -423,8 +446,9 @@ class TierDual {
 };
 
 // The relative excess of the constraint(s) over the bound(s) at an
-// evaluation, (value - bound) / bound: > 0 exactly when one is exceeded.
-using Excess = std::function<double(const Evaluation&)>;
+// operating point, (value - bound) / bound: > 0 exactly when one is
+// exceeded. It evaluates the point through the solve's evaluator.
+using Excess = std::function<double(const std::vector<double>&)>;
 
 // Lands the constraint on its bound from the feasible side. Searches the
 // segment from `a`, whose excess is estimated at ca <= 0, toward `b`
@@ -432,8 +456,8 @@ using Excess = std::function<double(const Evaluation&)>;
 // as evaluate computes it, lies in [-kLand, 0]. `safe` is a point the
 // caller verified feasible (excess cs): the search restarts from it if `a`
 // proves infeasible, and it is returned if no probe is feasible.
-std::vector<double> land(Evaluator& eval, const Excess& excess, const std::vector<double>& a,
-                         double ca, const std::vector<double>& b, double cb,
+std::vector<double> land(const Excess& excess, const std::vector<double>& a, double ca,
+                         const std::vector<double>& b, double cb,
                          const std::vector<double>& safe, double cs) {
   std::vector<double> x(a.size()), best = safe;
   double ta = 0.0, tb = 1.0;
@@ -442,8 +466,8 @@ std::vector<double> land(Evaluator& eval, const Excess& excess, const std::vecto
     double t = ca >= -kLand ? ta : ta - ca * (tb - ta) / (cb - ca);
     if (!(t >= ta && t < tb)) t = 0.5 * (ta + tb);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = a[i] + t * (b[i] - a[i]);
-    const double c = excess(eval.at(x));
-    if (c > 0.0 && t == 0.0 && a != safe) return land(eval, excess, safe, cs, x, c, safe, cs);
+    const double c = excess(x);
+    if (c > 0.0 && t == 0.0 && a != safe) return land(excess, safe, cs, x, c, safe, cs);
     if (c <= 0.0 && c >= -kLand) return x;
     if (c <= 0.0) {
       best = x;
@@ -463,11 +487,11 @@ std::vector<double> land(Evaluator& eval, const Excess& excess, const std::vecto
 // Lands from the dual's current point, whose relative excess by the tier
 // sums is c: toward `safe` (verified feasible, excess cs) when over the
 // bound, toward `other` (excess co > 0) when under it.
-std::vector<double> land_from(Evaluator& eval, const Excess& excess, const TierDual& dual,
-                              double c, const std::vector<double>& safe, double cs,
+std::vector<double> land_from(const Excess& excess, const TierDual& dual, double c,
+                              const std::vector<double>& safe, double cs,
                               const std::vector<double>& other, double co) {
-  if (c > 0.0) return land(eval, excess, safe, cs, dual.point(), c, safe, cs);
-  return land(eval, excess, dual.point(), c, other, co, safe, cs);
+  if (c > 0.0) return land(excess, safe, cs, dual.point(), c, safe, cs);
+  return land(excess, dual.point(), c, other, co, safe, cs);
 }
 
 // Moves the multipliers nu = theta w along the ray `w` until the
@@ -659,16 +683,17 @@ FrequencyOptResult minimize_power(const ClusterModel& model,
       return std::all_of(bounds.begin(), bounds.end(),
                          [&ev](const DelayBound& b) { return b.value(ev) <= b.bound; });
     };
-    return lattice_search(eval, frequency_grids(model, levels), kPower, within);
+    return lattice_search(eval, eval.servers(), frequency_grids(model, levels), kPower, within);
   }
-  const Excess excess = [&bounds](const Evaluation& ev) {
+  const Excess excess = [&eval, &bounds](const std::vector<double>& f) {
+    const Evaluation& ev = eval.at(f);
     double worst = ev.stable ? -kInf : kInf;
     for (const DelayBound& b : bounds) worst = std::max(worst, (b.value(ev) - b.bound) / b.bound);
     return worst;
   };
   // Every delay is least at f_max: a bound missed there is infeasible.
   const std::vector<double> f_max = model.max_frequencies();
-  const double fast = excess(eval.at(f_max));
+  const double fast = excess(f_max);
   if (fast > 0.0) return finish(eval, f_max, false);
   // Power is least, and every delay largest, at the min-stable point: a
   // bound that holds there binds nowhere, and if all do, that is the answer.
@@ -689,8 +714,7 @@ FrequencyOptResult minimize_power(const ClusterModel& model,
   double c_floor = -kInf;
   for (std::size_t r = 0; r < rows.size(); ++r)
     c_floor = std::max(c_floor, (dual.delay(dual.at_lo(), r) - rows[r]) / rows[r]);
-  return finish(eval, land_from(eval, excess, dual, c, dual.top(), fast, f_floor, c_floor),
-                true);
+  return finish(eval, land_from(excess, dual, c, dual.top(), fast, f_floor, c_floor), true);
 }
 
 }  // namespace
@@ -702,26 +726,26 @@ FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
   Evaluator eval(model);
   if (levels != 0)
     return lattice_search(
-        eval, frequency_grids(model, levels),
+        eval, eval.servers(), frequency_grids(model, levels),
         [](const Evaluation& ev) { return ev.mean_delay().value(); },
         [power_budget](const Evaluation& ev) { return ev.power() <= power_budget; });
   const double budget = power_budget.value();
-  const Excess excess = [budget](const Evaluation& ev) {
-    return (ev.power().value() - budget) / budget;
+  const Excess excess = [&eval, budget](const std::vector<double>& f) {
+    return (eval.power(f).value() - budget) / budget;
   };
   // Feasibility precheck: cluster power is componentwise increasing in f
   // over the stable region, so the min-stable point attains minimum power.
   const std::vector<double> f_floor = model.min_stable_frequencies();
-  const double slow = excess(eval.at(f_floor));
+  const double slow = excess(f_floor);
   if (slow > 0.0) return finish(eval, f_floor, false);
   // Delay is least at f_max: if that fits the budget, it is the answer.
   const std::vector<double> f_max = model.max_frequencies();
-  if (excess(eval.at(f_max)) <= 0.0) return finish(eval, f_max, true);
+  if (excess(f_max) <= 0.0) return finish(eval, f_max, true);
 
   TierDual dual(eval, {DelayBound{}});
   const double c = find_multiplier(dual, {1.0}, true, budget, kDualTol).second;
   const double c_top = (dual.power(dual.at_hi()) - budget) / budget;
-  return finish(eval, land_from(eval, excess, dual, c, f_floor, slow, dual.top(), c_top), true);
+  return finish(eval, land_from(excess, dual, c, f_floor, slow, dual.top(), c_top), true);
 }
 
 FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
@@ -760,9 +784,7 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
     return f;
   };
   Evaluator eval(model);
-  auto within_budget = [&](double t) {
-    return eval.at(freqs_at(t)).power() <= power_budget;
-  };
+  auto within_budget = [&](double t) { return eval.power(freqs_at(t)) <= power_budget; };
   if (!within_budget(0.0)) return finish(eval, freqs_at(0.0), false);
   // Bisect for the largest in-budget t: within_budget(a) holds throughout,
   // and within_budget(b) fails unless all of [0, 1] is in budget.
@@ -812,7 +834,9 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
   r.total_cost = ir.cost;
   r.feasible = ir.feasible;
   r.nodes_explored = ir.nodes_explored;
-  if (ir.feasible) r.evaluation = model.with_servers(ir.n).evaluate(freqs);
+  if (ir.feasible) r.evaluation = eval.at(ir.n, freqs);
+  r.evaluations = eval.count();
+  r.station_analyses = eval.analyses();
   return r;
 }
 
@@ -841,12 +865,11 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
   Evaluator eval(model);
   // The inner problem at server counts n: the least power over the lattice
   // that meets every SLA. Called where the SLAs hold at f_max, the grid's
-  // top level, so it finds a point.
+  // top level, so it finds a point. Every leaf reads the one table, so a
+  // tier is analysed once per server count and level.
   auto cheapest = [&model, &grids, &eval](const std::vector<int>& n) {
-    const ClusterModel sized = model.with_servers(n);
-    eval.bind(sized);
-    return lattice_search(eval, grids, kPower,
-                          [&sized](const Evaluation& ev) { return slas_hold(sized, ev); });
+    return lattice_search(eval, n, grids, kPower,
+                          [&model](const Evaluation& ev) { return slas_hold(model, ev); });
   };
   auto capex = [&model](const std::vector<int>& n) {
     double c = 0.0;
@@ -867,14 +890,17 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
   r.servers = ir.n;
   r.feasible = ir.feasible;
   r.nodes_explored = ir.nodes_explored;
-  if (!ir.feasible) return r;
-  const FrequencyOptResult inner = cheapest(ir.n);
-  r.frequencies = inner.frequencies;
-  r.capex = capex(ir.n);
-  r.opex = inner.power.value() * kwh_factor;
-  r.total_cost = ir.cost;
-  r.power = inner.power;
-  r.evaluation = inner.evaluation;
+  if (ir.feasible) {
+    const FrequencyOptResult inner = cheapest(ir.n);
+    r.frequencies = inner.frequencies;
+    r.capex = capex(ir.n);
+    r.opex = inner.power.value() * kwh_factor;
+    r.total_cost = ir.cost;
+    r.power = inner.power;
+    r.evaluation = inner.evaluation;
+  }
+  r.evaluations = eval.count();
+  r.station_analyses = eval.analyses();
   return r;
 }
 

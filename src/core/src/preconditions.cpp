@@ -10,13 +10,19 @@
 namespace cpm::core {
 
 std::vector<double> tier_base_loads(const ClusterModel& model) {
+  std::vector<int> servers;
+  for (const auto& t : model.tiers()) servers.push_back(t.servers);
+  return tier_base_loads(model, servers);
+}
+
+std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector<int>& servers) {
+  require(servers.size() == model.num_tiers(), "tier_base_loads: one server count per tier");
   std::vector<double> load(model.num_tiers(), 0.0);
   for (const auto& c : model.classes())
     for (const auto& d : c.route)
       load[static_cast<std::size_t>(d.tier)] +=
           c.rate.value() * d.base_service.mean();
-  for (std::size_t i = 0; i < load.size(); ++i)
-    load[i] /= static_cast<double>(model.tiers()[i].servers);
+  for (std::size_t i = 0; i < load.size(); ++i) load[i] /= static_cast<double>(servers[i]);
   return load;
 }
 

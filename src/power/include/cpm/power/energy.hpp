@@ -1,4 +1,4 @@
-// Cluster-level energy metrics derived from a network analysis.
+// Cluster-level energy metrics of an operating point.
 //
 // Two quantities matter to the paper's optimisation problems:
 //   * cluster average power (watts) — the constraint/objective of P-D and
@@ -6,28 +6,21 @@
 //   * per-class end-to-end energy per request (joules) — "average energy
 //     consumption for multiple class customers".
 //
-// Idle power has no unambiguous owner, so one pass yields two per-request
-// figures: marginal_energy, the dynamic energy drawn while the request
-// holds servers (its causal footprint, which the simulator measures), and
-// per_request_energy, which adds each station's full idle power split
-// across classes by utilisation share, so that sum_k lambda_k E_k equals
-// total cluster power (full cost recovery).
+// Idle power has no unambiguous owner, so an evaluation yields two
+// per-request figures: marginal_energy, the dynamic energy drawn while the
+// request holds servers (its causal footprint, which the simulator
+// measures), and per_request_energy, which adds each station's full idle
+// power split across classes by utilisation share, so that
+// sum_k lambda_k E_k equals total cluster power (full cost recovery).
+// core::ClusterModel computes each tier's share of them in its tier unit
+// and assembles these metrics (docs/model.md §3).
 #pragma once
 
 #include <vector>
 
-#include "cpm/power/server_power.hpp"
-#include "cpm/queueing/network.hpp"
+#include "cpm/common/units.hpp"
 
 namespace cpm::power {
-
-/// Operating point of one tier: its power curve, chosen frequency and
-/// server count (must match the NetworkStation it describes).
-struct TierPower {
-  ServerPower server = ServerPower::typical_2011_server();
-  units::Hertz frequency = units::hertz(1.0);
-  int servers = 1;
-};
 
 struct EnergyMetrics {
   /// Total cluster average power.
@@ -44,15 +37,5 @@ struct EnergyMetrics {
   /// Traffic-weighted mean of per_request_energy.
   units::Joules mean_per_request_energy = units::joules(0.0);
 };
-
-/// Computes energy metrics for an analysed network into `out`, reusing its
-/// vectors. `tiers[i]` describes station i; `net` must come from
-/// analyze_network on the same inputs (class service times already
-/// expressed at the tier frequencies). Each tier's dynamic power is
-/// computed once and serves its average power and every visit's marginal
-/// energy.
-void compute_energy(const std::vector<TierPower>& tiers,
-                    const std::vector<queueing::CustomerClass>& classes,
-                    const queueing::NetworkMetrics& net, EnergyMetrics& out);
 
 }  // namespace cpm::power

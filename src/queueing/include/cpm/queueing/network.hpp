@@ -14,9 +14,11 @@
 // queues are not Poisson); experiment E1 quantifies the resulting error
 // against simulation.
 //
-// Both entry points take the network's skeleton (network_skeleton), which
-// binds which route steps feed which station flows; none takes a bare list
-// of stations.
+// This header holds the network's description, its skeleton (which route
+// steps feed which station flows), the per-station flow construction and
+// the assembled result type. core::ClusterModel analyses each station from
+// its own flows (one tier unit per station) and assembles NetworkMetrics
+// from those units (docs/model.md §4).
 #pragma once
 
 #include <string>
@@ -83,12 +85,27 @@ struct NetworkSkeleton {
   /// law the flow keeps, or several, which merge into one flow.
   struct Flow {
     std::size_t cls = 0;     ///< class index (priority)
-    std::size_t step = 0;    ///< the class's first route step at the station
+    std::size_t first = 0;   ///< its first visit among the station's visits
     std::size_t visits = 0;  ///< route steps of the class at the station
+  };
+  /// One route step seen from its station: the class and the step.
+  struct StationVisit {
+    std::size_t cls = 0;
+    std::size_t step = 0;
+  };
+  /// One route step seen from its class: the station and the step's index
+  /// among the station's visits.
+  struct RouteStep {
+    std::size_t station = 0;
+    std::size_t visit = 0;
   };
   std::vector<NetworkStation> stations;
   std::vector<std::vector<Flow>> flows;  ///< per station, ordered by class
-  std::size_t classes = 0;               ///< number of classes
+  /// Per station, the route steps that visit it, by class and then step,
+  /// so that each flow's visits are contiguous.
+  std::vector<std::vector<StationVisit>> visits;
+  std::vector<std::vector<RouteStep>> routes;  ///< per class, per route step
+  std::size_t classes = 0;  ///< number of classes
 };
 
 /// Builds the skeleton. It checks nothing: the description must have at
@@ -98,35 +115,19 @@ struct NetworkSkeleton {
 NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
                                  const std::vector<CustomerClass>& classes);
 
+/// Station `s`'s flows, one per entry of skeleton.flows[s], into `out`
+/// (reusing it): class k arrives at rates[k] per visit, and laws[v] is
+/// the service law of the station's visit v (skeleton.visits[s] order). A
+/// flow of several visits merges them into one flow at rates[k] times
+/// the visits, with a two-moment-matched mixture law.
+void station_flows(const NetworkSkeleton& skeleton, std::size_t s,
+                   const std::vector<units::Rate>& rates,
+                   const std::vector<Distribution>& laws, std::vector<ClassFlow>& out);
+
 /// Per-station utilisation (length = skeleton.stations.size()) of the
 /// classes, which must have the routes `skeleton` was built from.
 std::vector<double> network_utilizations(const NetworkSkeleton& skeleton,
                                          const std::vector<CustomerClass>& classes);
-
-/// Buffers the in-place analyze_network reuses from call to call. One
-/// workspace serves networks of any shape; once it has analysed a network
-/// with as many stations and classes, a call allocates nothing.
-struct NetworkWorkspace {
-  /// One station's merged per-class flows and their analysis.
-  struct Station {
-    std::vector<ClassFlow> flows;  ///< the skeleton's flows at this station
-    StationMetrics metrics;        ///< analyze_station of `flows`
-  };
-  /// Grows to the largest network seen; never shrinks.
-  std::vector<Station> stations;
-};
-
-/// The analysis: builds each station's flows in `ws` from the
-/// skeleton and the classes' rates and service laws, decides every
-/// station's stability from them, analyses the stable network and writes
-/// the result into `out`, reusing its vectors. `classes` must have the
-/// routes `skeleton` was built from, and only their rates and service laws
-/// may differ; beyond their number, nothing of them is checked. Returns
-/// false, leaving `out` untouched, when some station is unstable (see the
-/// in-place analyze_station).
-[[nodiscard]] bool analyze_network(const NetworkSkeleton& skeleton,
-                                   const std::vector<CustomerClass>& classes,
-                                   NetworkMetrics& out, NetworkWorkspace& ws);
 
 /// The p-th percentile (p in (0,1)) of class `cls`'s end-to-end delay,
 /// from a gamma distribution fitted to the analytic mean and variance.

@@ -451,6 +451,11 @@ void validate_pipeline(const SweepSpec& spec, const core::ClusterModel* model) {
     throw Error(
         "sweep: pipeline 'optimize-power' needs delay_bound or "
         "delay_bound_factor");
+  // A frequency program takes 0 (continuous) or a lattice of >= 2 levels.
+  if ((kind == "optimize-delay" || kind == "optimize-power") &&
+      spec.pipeline.integer_or("levels", 0, 0) == 1)
+    throw Error("sweep: pipeline '" + kind +
+                "' option 'levels' needs 0 (continuous) or >= 2 (P-states), not 1");
   if (kind == "online" && !spec.pipeline.contains("scenario"))
     throw Error("sweep: pipeline 'online' needs 'scenario' or 'scenario_file'");
   if (kind == "mva") {

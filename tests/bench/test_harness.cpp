@@ -54,6 +54,29 @@ TEST(RunSuite, RunsWarmupPlusRepeatsAndAggregates) {
   EXPECT_EQ(r.suite, "t");
 }
 
+TEST(RunSuite, CountsAreExactAndTheSameInEveryRepeat) {
+  BenchOptions opt;
+  opt.warmup = 1;
+  opt.repeats = 3;
+  const auto r = run_suite(
+      "t", {BenchCase{"fixed", [](Recorder& rec) { rec.count("units", 10.0); }}}, opt);
+  ASSERT_EQ(r.cases[0].counts.size(), 1u);
+  EXPECT_EQ(r.cases[0].counts.at("units"), 10);
+
+  // A count that changes from repeat to repeat (here with the warm-up's
+  // call as the first), or is not a whole number, is no exact count.
+  int calls = 0;
+  EXPECT_THROW(run_suite("t",
+                         {BenchCase{"drifting",
+                                    [&calls](Recorder& rec) { rec.count("units", ++calls); }}},
+                         opt),
+               Error);
+  EXPECT_THROW(
+      run_suite("t", {BenchCase{"fraction", [](Recorder& rec) { rec.count("units", 2.5); }}},
+                opt),
+      Error);
+}
+
 TEST(RunSuite, RejectsBadOptions) {
   BenchOptions opt;
   opt.repeats = 0;
@@ -80,6 +103,7 @@ TEST(ToJson, EmitsVersionedSchemaRoundTrippableDocument) {
   EXPECT_GE(c1.at("wall_seconds").at("median").as_number(), 0.0);
   EXPECT_EQ(c1.at("wall_seconds").at("samples").size(), 2u);
   EXPECT_GT(c1.at("rates").at("ops_per_sec").at("median").as_number(), 0.0);
+  EXPECT_EQ(c1.at("counts").at("ops").as_number(), 5.0);
 }
 
 TEST(Suites, P1IsKnownAndOthersAreRejected) {
@@ -115,6 +139,12 @@ TEST(Suites, QuickP1RunsEndToEnd) {
   ASSERT_TRUE(r.cases[3].rates.count("replications_per_sec"));
   ASSERT_TRUE(r.cases[5].rates.count("bytes_per_sec"));
   EXPECT_GT(r.cases[5].rates.at("bytes_per_sec").median, 0.0);
+  // The optimizer case counts its solves' evaluations and station
+  // analyses; the table analyses each tier fewer times than it evaluates.
+  const auto& solve_counts = r.cases[4].counts;
+  ASSERT_TRUE(solve_counts.count("evaluations") && solve_counts.count("station_analyses"));
+  EXPECT_GT(solve_counts.at("evaluations"), 0);
+  EXPECT_LT(solve_counts.at("station_analyses"), 3 * solve_counts.at("evaluations"));
 #if defined(__linux__)
   EXPECT_GT(r.peak_rss_bytes, 0u);
 #endif

@@ -156,13 +156,17 @@ TEST(ClusterModel, EvaluateEnergyConsistentWithTierPower) {
   const auto f = model.max_frequencies();
   const auto ev = model.evaluate(f);
   ASSERT_TRUE(ev.stable);
-  std::vector<power::TierPower> tp;
-  for (std::size_t i = 0; i < model.num_tiers(); ++i)
-    tp.push_back(power::TierPower{model.tiers()[i].power, units::hertz(f[i]),
-                                  model.tiers()[i].servers});
-  power::EnergyMetrics em;
-  power::compute_energy(tp, model.network_classes(f), ev.net, em);
-  EXPECT_NEAR(em.cluster_avg_power.value(), ev.energy.cluster_avg_power.value(), 1e-9);
+  // Each tier draws its servers' idle power plus their dynamic power at
+  // the tier's frequency times its utilisation.
+  double expected = 0.0;
+  for (std::size_t i = 0; i < model.num_tiers(); ++i) {
+    const power::ServerPower& p = model.tiers()[i].power;
+    expected += model.tiers()[i].servers *
+                p.average_power(p.dynamic_power(units::hertz(f[i])),
+                                ev.net.station_utilization[i])
+                    .value();
+  }
+  EXPECT_NEAR(ev.energy.cluster_avg_power.value(), expected, 1e-9);
 }
 
 TEST(ClusterModel, EnterpriseLoadValidation) {

@@ -102,43 +102,79 @@ std::vector<units::Seconds> class_bounds(const ClusterModel& model, double facto
 TEST(DualSolve, ExactEvaluationCounts) {
   // docs/model.md §4's nine points: each program on enterprise_load70 at
   // three rate scales, P-E bounds at 3x the f_max delay(s), the P-D budget
-  // halfway between the floor and f_max power. Every evaluate counts, the
-  // final one included.
+  // halfway between the floor and f_max power. Every operating point the
+  // solve evaluates counts, the final one included; a station analysis is
+  // one tier unit, computed once per distinct (tier, frequency).
   struct Counts {
     double scale;
-    long power_bound, class_bounds, power_budget;
+    long power_bound, class_bounds, power_budget;  // evaluations
+    long power_bound_units, class_bounds_units, power_budget_units;
   };
   const ClusterModel base = enterprise_load70();
-  for (const Counts& c : {Counts{0.7, 72, 75, 97}, Counts{0.925, 117, 123, 184},
-                          Counts{1.2, 99, 102, 189}}) {
+  for (const Counts& c : {Counts{0.7, 72, 75, 97, 93, 95, 200},
+                          Counts{0.925, 117, 123, 184, 126, 132, 226},
+                          Counts{1.2, 99, 102, 189, 150, 153, 228}}) {
+    SCOPED_TRACE(c.scale);
     const ClusterModel model = base.with_rate_scale(c.scale);
     const auto pe = minimize_power_with_delay_bound(
         model, model.mean_delay_at(model.max_frequencies()) * 3.0);
     const auto each = minimize_power_with_class_delay_bounds(model, class_bounds(model, 3.0));
     const auto pd = minimize_delay_with_power_budget(model, units::watts(halfway_budget(model)));
-    ASSERT_TRUE(pe.feasible && each.feasible && pd.feasible) << c.scale;
-    EXPECT_EQ(pe.evaluations, c.power_bound) << c.scale;
-    EXPECT_EQ(each.evaluations, c.class_bounds) << c.scale;
-    EXPECT_EQ(pd.evaluations, c.power_budget) << c.scale;
+    ASSERT_TRUE(pe.feasible && each.feasible && pd.feasible);
+    EXPECT_EQ(pe.evaluations, c.power_bound);
+    EXPECT_EQ(each.evaluations, c.class_bounds);
+    EXPECT_EQ(pd.evaluations, c.power_budget);
+    EXPECT_EQ(pe.station_analyses, c.power_bound_units);
+    EXPECT_EQ(each.station_analyses, c.class_bounds_units);
+    EXPECT_EQ(pd.station_analyses, c.power_budget_units);
+    // The table pays: fewer analyses than one per tier per evaluation.
+    const auto tiers = static_cast<long>(model.num_tiers());
+    for (const FrequencyOptResult* r : {&pe, &each, &pd})
+      EXPECT_LT(r->station_analyses, tiers * r->evaluations);
   }
 }
 
 TEST(DualSolve, LatticeAndBaselineCountEvaluations) {
   // The lattice evaluates every grid point at or above each tier's
-  // stability floor once; the baseline every bisection probe, its first
-  // and the final evaluation included.
+  // stability floor once, and analyses each tier at most once per level;
+  // the baseline evaluates every bisection probe, its first and the final
+  // evaluation included.
   const ClusterModel model = enterprise_load70();
   const units::Seconds bound = model.mean_delay_at(model.max_frequencies()) * 3.0;
-  // 5 levels: of 125 grid points, 75 lie at or above the db tier's floor.
-  EXPECT_EQ(minimize_power_with_delay_bound(model, bound, 5).evaluations, 75);
-  EXPECT_EQ(minimize_delay_with_power_budget(
-                model, units::watts(halfway_budget(model)), 9)
-                .evaluations,
-            486);
+  // 5 levels: of 125 grid points, 75 lie at or above the db tier's floor,
+  // which leaves 2 of the db tier's 5 levels unanalysed.
+  const auto five = minimize_power_with_delay_bound(model, bound, 5);
+  EXPECT_EQ(five.evaluations, 75);
+  EXPECT_EQ(five.station_analyses, 13);
+  const auto nine =
+      minimize_delay_with_power_budget(model, units::watts(halfway_budget(model)), 9);
+  EXPECT_EQ(nine.evaluations, 486);
+  EXPECT_EQ(nine.station_analyses, 24);
+  EXPECT_LE(nine.station_analyses, 9 * static_cast<long>(model.num_tiers()));
   // The probes at t = 0 and t = 1, 34 bisections down to 1e-10 and the
-  // final evaluation.
-  EXPECT_EQ(uniform_frequency_baseline(model, units::watts(halfway_budget(model))).evaluations,
-            37);
+  // final evaluation, which repeats a probe.
+  const auto uniform = uniform_frequency_baseline(model, units::watts(halfway_budget(model)));
+  EXPECT_EQ(uniform.evaluations, 37);
+  EXPECT_EQ(uniform.station_analyses, 108);
+}
+
+TEST(DualSolve, SizingAnalysesEachServerCountOnce) {
+  // P-C at the three rate scales: every branch-and-bound node evaluates the
+  // SLAs at f_max with its server counts, and the final evaluation repeats
+  // the optimum's. A tier is analysed once per server count it is probed
+  // at, so at most max_servers_per_tier times.
+  const ClusterModel base = enterprise_load70();
+  const CostOptOptions options;
+  for (const double scale : {0.7, 0.925, 1.2}) {
+    SCOPED_TRACE(scale);
+    const CostOptResult r = minimize_cost_for_slas(base.with_rate_scale(scale), options);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(r.nodes_explored, 139);
+    EXPECT_EQ(r.evaluations, 140);
+    EXPECT_EQ(r.station_analyses, 72);
+    EXPECT_LE(r.station_analyses,
+              options.max_servers_per_tier * static_cast<long>(base.num_tiers()));
+  }
 }
 
 // Checks a feasible continuous optimum against the bound and against the

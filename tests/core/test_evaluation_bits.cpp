@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -24,6 +26,7 @@
 #include "cpm/common/rng.hpp"
 #include "cpm/core/cluster_model.hpp"
 #include "cpm/core/preconditions.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace cpm::core {
 namespace {
@@ -174,8 +177,8 @@ struct Reach {
 
 // The seeded sweep: 120 generated models and, per group of kGroups, one
 // variant of each, evaluated at every probe point through one reused
-// workspace. Calls visit(g, model, frequencies, evaluation) for each
-// evaluation of group g's variant.
+// workspace. Calls visit(g, model, frequencies, evaluation, j) for each
+// evaluation of group g's variant, at the variant's j-th probe point.
 template <class Visit>
 Reach run_sweep(const Visit& visit) {
   check::GeneratorOptions wide;
@@ -221,9 +224,10 @@ Reach run_sweep(const Visit& visit) {
         if (c.rate == units::per_second(0.0)) reach.idle_class = true;
       }
       for (const auto& t : m.tiers()) reach.multi_server = reach.multi_server || t.servers > 1;
-      for (const auto& f : probe_points(m, rng)) {
-        m.evaluate(f, ev, ws);
-        visit(g, m, f, ev);
+      const std::vector<std::vector<double>> points = probe_points(m, rng);
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        m.evaluate(points[j], ev, ws);
+        visit(g, m, points[j], ev, j);
       }
     }
   }
@@ -241,7 +245,8 @@ TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
   std::vector<Group> groups;
   for (const char* name : kGroups) groups.push_back(Group{name});
   const Reach reach = run_sweep([&groups](std::size_t g, const ClusterModel&,
-                                          const std::vector<double>&, const Evaluation& ev) {
+                                          const std::vector<double>&, const Evaluation& ev,
+                                          std::size_t) {
     fold(groups[g].digest, ev);
     (ev.stable ? groups[g].stable : groups[g].unstable) += 1;
   });
@@ -270,17 +275,75 @@ TEST(EvaluationBits, SeededSweepMatchesRecordedDigests) {
   }
 }
 
+// Whether two evaluations fold to the same digest: the stable flag and,
+// as raw bits, every field fold() reads.
+bool same_bits(const Evaluation& a, const Evaluation& b) {
+  Digest da;
+  Digest db;
+  fold(da, a);
+  fold(db, b);
+  return da.value() == db.value();
+}
+
+TEST(EvaluationBits, TableAssemblesWhatWithServersCopiesEvaluate) {
+  // A table bound to each model of the sweep, kept across its probe points
+  // so that later points reuse earlier units, assembles every point at the
+  // model's own servers and at a random fleet. Each must equal what the
+  // model, or its with_servers copy, evaluates, in every field and in the
+  // stable flag.
+  Rng rng(19004);
+  std::unique_ptr<TierTable> table;
+  Evaluation from_table;
+  int compared = 0;
+  int mismatched = 0;
+  int unstable = 0;
+  const Reach reach = run_sweep([&](std::size_t, const ClusterModel& m,
+                                    const std::vector<double>& f, const Evaluation& ev,
+                                    std::size_t point) {
+    if (point == 0) table = std::make_unique<TierTable>(m);
+    std::vector<int> own;
+    for (const Tier& t : m.tiers()) own.push_back(t.servers);
+    table->evaluate(own, f, from_table);
+    mismatched += same_bits(from_table, ev) ? 0 : 1;
+    const std::vector<int> fleet = random_servers(m, rng);
+    const Evaluation copy = m.with_servers(fleet).evaluate(f);
+    table->evaluate(fleet, f, from_table);
+    mismatched += same_bits(from_table, copy) ? 0 : 1;
+    compared += 2;
+    unstable += (ev.stable ? 0 : 1) + (copy.stable ? 0 : 1);
+  });
+  expect_full_reach(reach);
+  EXPECT_EQ(compared, 2 * 120 * static_cast<int>(kNumGroups) * 7);
+  EXPECT_GT(unstable, 0);
+  EXPECT_LT(unstable, compared);
+  EXPECT_EQ(mismatched, 0);
+}
+
+TEST(EvaluationBits, SameBitsSeesOneUlpOfOneWait) {
+  // The comparison above tells apart evaluations whose units differ by one
+  // ulp in one station's wait.
+  const ClusterModel model = make_enterprise_model(0.7);
+  const Evaluation ev = model.evaluate(model.max_frequencies());
+  ASSERT_TRUE(ev.stable);
+  Evaluation nudged = ev;
+  double& wait = nudged.net.station_wait[2][1];
+  wait = std::nextafter(wait, 1.0);
+  EXPECT_TRUE(same_bits(ev, ev));
+  EXPECT_FALSE(same_bits(ev, nudged));
+}
+
 // The marginal (dynamic-only) per-request energy of every stable
 // evaluation, which validation compares with the simulator's.
 TEST(EvaluationBits, MarginalEnergyMatchesRecordedDigests) {
   std::vector<Digest> digests(kNumGroups);
   const Reach reach = run_sweep([&digests](std::size_t g, const ClusterModel&,
-                                           const std::vector<double>&, const Evaluation& ev) {
+                                           const std::vector<double>&, const Evaluation& ev,
+                                           std::size_t) {
     if (ev.stable) digests[g].add(ev.energy.marginal_energy);
   });
   expect_full_reach(reach);
 
-  // Recorded from a separate marginal-only compute_energy pass on each
+  // Recorded from a separate marginal-only energy pass on each
   // evaluation's network, before EnergyMetrics carried marginal_energy.
   const std::uint64_t recorded[] = {
       0xd7b9749d67e278c8ULL, 0x52179d365685f6ddULL, 0xd0834bfa973f78c6ULL,

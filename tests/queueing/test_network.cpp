@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cpm/common/error.hpp"
+#include "cpm/core/cluster_model.hpp"
 #include "cpm/queueing/basic.hpp"
 
 namespace cpm::queueing {
@@ -14,13 +16,30 @@ NetworkStation fcfs_station(int servers = 1) {
   return NetworkStation{servers, Discipline::kFcfs};
 }
 
-// The analysis of a stable network given whole, through its skeleton.
+// The network's evaluation as a model whose tiers run at f_base, where
+// every visit keeps its own service law: the decomposition analyses each
+// station from its own flows and assembles the results.
+core::Evaluation evaluate(const std::vector<NetworkStation>& stations,
+                          const std::vector<CustomerClass>& classes) {
+  std::vector<core::Tier> tiers;
+  for (std::size_t s = 0; s < stations.size(); ++s)
+    tiers.push_back(core::Tier{std::to_string(s), stations[s].servers, stations[s].discipline});
+  std::vector<core::WorkloadClass> workload;
+  for (const CustomerClass& c : classes) {
+    core::WorkloadClass w{c.name, c.rate, {}};
+    for (const Visit& v : c.route) w.route.push_back(core::Demand{v.station, v.service});
+    workload.push_back(std::move(w));
+  }
+  const core::ClusterModel model(std::move(tiers), std::move(workload));
+  return model.evaluate(model.max_frequencies());
+}
+
+// The analysis of a stable network.
 NetworkMetrics analyze(const std::vector<NetworkStation>& stations,
                        const std::vector<CustomerClass>& classes) {
-  NetworkMetrics m;
-  NetworkWorkspace ws;
-  EXPECT_TRUE(analyze_network(network_skeleton(stations, classes), classes, m, ws));
-  return m;
+  const core::Evaluation ev = evaluate(stations, classes);
+  EXPECT_TRUE(ev.stable);
+  return ev.net;
 }
 
 TEST(AnalyzeNetwork, SingleStationMatchesMm1) {
@@ -115,9 +134,7 @@ TEST(AnalyzeNetwork, ReportsUnstableStation) {
   std::vector<NetworkStation> stations = {fcfs_station()};
   std::vector<CustomerClass> classes = {
       CustomerClass{"c", units::per_second(2.0), {Visit{0, Distribution::exponential(1.0)}}}};
-  NetworkMetrics m;
-  NetworkWorkspace ws;
-  EXPECT_FALSE(analyze_network(network_skeleton(stations, classes), classes, m, ws));
+  EXPECT_FALSE(evaluate(stations, classes).stable);
 }
 
 TEST(NetworkUtilizations, MultiServerDividesLoad) {

@@ -353,6 +353,32 @@ TEST(SweepValidate, RequiresPipelineInputs) {
   EXPECT_THROW(validate_pipeline(unknown, &m), Error);
 }
 
+TEST(SweepValidate, FrequencyProgramsRejectOneLevel) {
+  // levels is 0 (the continuous solve) or a lattice of >= 2 P-states; 1
+  // used to pass validation and fail every point in frequency_grids.
+  const auto m = model();
+  for (const char* kind : {"optimize-delay", "optimize-power"}) {
+    SCOPED_TRACE(kind);
+    JsonObject p;
+    p["kind"] = Json(std::string(kind));
+    p[std::string(kind) == "optimize-delay" ? "power_budget" : "delay_bound"] = Json(700.0);
+    for (const int levels : {0, 1, 2, 5}) {
+      p["levels"] = Json(levels);
+      const auto spec = spec_with(Json(p));
+      if (levels == 1) {
+        try {
+          validate_pipeline(spec, &m);
+          ADD_FAILURE() << "levels 1 accepted";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("'levels'"), std::string::npos) << e.what();
+        }
+      } else {
+        EXPECT_NO_THROW(validate_pipeline(spec, &m)) << levels;
+      }
+    }
+  }
+}
+
 TEST(SweepValidate, ModelPipelineNeedsModel) {
   auto spec = spec_with(pipeline_json("evaluate"));
   EXPECT_THROW(validate_pipeline(spec, nullptr), Error);

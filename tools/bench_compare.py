@@ -8,12 +8,18 @@ Used by the CI bench-smoke job to gate performance regressions:
 For every case present in BOTH documents it compares
   * median wall_seconds   — regression when candidate > baseline * (1 + tol)
   * median *_per_sec rate — regression when candidate < baseline * (1 - tol)
+  * every exact work count in the baseline's `counts` — a mismatch when
+    the candidate's differs or is missing. Counts carry no noise, so there
+    is no tolerance: a change that moves one updates the baseline. They
+    are compared only between documents of the same size (`quick`).
 
 Cases or rates present in only one document are reported as added/removed
 but never fail the gate (adding or renaming a case must not need a
 two-step dance), and a case with a missing or malformed metric is skipped
-with a note rather than crashing the gate.
-Exit status: 0 clean, 1 at least one regression, 2 malformed input.
+with a note rather than crashing the gate. A count only the candidate has
+is reported as added.
+Exit status: 0 clean, 1 at least one regression or count mismatch, 2
+malformed input.
 
 The default tolerance is deliberately loose (30%): shared CI runners
 jitter by tens of percent, and the gate exists to catch the 2x-5x cliffs
@@ -69,14 +75,20 @@ def main():
         ap.error("--tolerance must be in [0, 10)")
 
     try:
-        cand = cases_by_name(load(args.candidate), args.candidate)
-        base = cases_by_name(load(args.baseline), args.baseline)
+        cand_doc = load(args.candidate)
+        base_doc = load(args.baseline)
+        cand = cases_by_name(cand_doc, args.candidate)
+        base = cases_by_name(base_doc, args.baseline)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"bench_compare: {exc}", file=sys.stderr)
         return 2
+    same_size = cand_doc.get("quick") == base_doc.get("quick")
+    if not same_size:
+        print("note: the documents differ in 'quick'; work counts not compared")
 
     regressions = []
     improvements = []
+    count_mismatches = []
 
     def check(case, metric, cand_v, base_v, higher_is_worse):
         if base_v <= 0:
@@ -131,6 +143,19 @@ def main():
                       "document (skipped)")
                 continue
             check(name, rate, cand_r, base_r, higher_is_worse=False)
+        if not same_size:
+            continue
+        base_counts = b.get("counts", {})
+        cand_counts = c.get("counts", {})
+        for count in sorted(base_counts):
+            if count not in cand_counts:
+                count_mismatches.append(
+                    f"  {name}/{count}: missing vs baseline {base_counts[count]}")
+            elif cand_counts[count] != base_counts[count]:
+                count_mismatches.append(
+                    f"  {name}/{count}: {cand_counts[count]} vs baseline {base_counts[count]}")
+        for count in sorted(set(cand_counts) - set(base_counts)):
+            print(f"note: count '{name}/{count}' added (no baseline yet, skipped)")
 
     if added or removed:
         print(f"bench_compare: {len(added)} case(s) added, "
@@ -139,11 +164,16 @@ def main():
     if improvements:
         print(f"improvements beyond {args.tolerance:.0%} (consider refreshing baseline):")
         print("\n".join(improvements))
+    if count_mismatches:
+        print("WORK COUNT MISMATCH (exact counts must equal the baseline's):")
+        print("\n".join(count_mismatches))
     if regressions:
         print(f"PERFORMANCE REGRESSION (>{args.tolerance:.0%} vs baseline):")
         print("\n".join(regressions))
+    if count_mismatches or regressions:
         return 1
-    print(f"bench_compare: all metrics within {args.tolerance:.0%} of baseline")
+    print(f"bench_compare: all metrics within {args.tolerance:.0%} of baseline, "
+          "all work counts equal")
     return 0
 
 

@@ -39,7 +39,7 @@ LAYERS: dict[str, list[str]] = {
     "opt": ["common"],
     "queueing": ["common"],
     "workload": ["common"],
-    "power": ["common", "queueing"],
+    "power": ["common"],
     "sim": ["common", "queueing", "workload"],
     "core": ["common", "opt", "power", "queueing", "sim"],
     "lint": ["common", "core"],

@@ -211,6 +211,16 @@ class Args {
   std::vector<std::string> tokens_;
 };
 
+/// --levels: 0 solves a frequency program over the continuous DVFS ranges,
+/// 2 or more searches a P-state lattice of that many levels per tier.
+int levels_flag(const Args& args) {
+  const int levels = args.integer("--levels", 0, 0);
+  if (levels == 1)
+    usage("--levels needs an integer of 0 (continuous) or >= 2 (P-states), not '" +
+          *args.value("--levels") + "'");
+  return levels;
+}
+
 core::ClusterModel load_model(const std::string& path) {
   return core::model_from_json(parse_json_file(path));
 }
@@ -316,7 +326,7 @@ int cmd_optimize_delay(const std::string& path, const Args& args) {
   if (!budget) usage("optimize-delay requires --budget WATTS");
   const double watts = parse_number("--budget", *budget);
   const auto r = core::minimize_delay_with_power_budget(model, units::watts(watts),
-                                                        args.integer("--levels", 0, 0));
+                                                        levels_flag(args));
   if (!r.feasible) {
     std::cerr << "infeasible: no stable operating point fits " << watts << " W\n";
     return 2;
@@ -330,7 +340,7 @@ int cmd_optimize_delay(const std::string& path, const Args& args) {
 
 int cmd_optimize_power(const std::string& path, const Args& args) {
   const auto model = load_model(path);
-  const int levels = args.integer("--levels", 0, 0);
+  const int levels = levels_flag(args);
   core::FrequencyOptResult r;
   if (const auto per_class = args.value("--per-class")) {
     const auto raw_bounds = parse_csv_doubles("--per-class", *per_class);

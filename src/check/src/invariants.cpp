@@ -83,7 +83,8 @@ CheckResult check_conservation_law(const core::ClusterModel& model,
                                    double tolerance) {
   require(ev.stable, "check_conservation_law: evaluation must be stable");
   CheckResult r{"conservation-law", true, 0.0, tolerance, ""};
-  const auto classes = model.network_classes(frequencies);
+  model.check_frequencies(frequencies);
+  const auto& classes = model.classes();
   const auto& tiers = model.tiers();
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     const bool applies =
@@ -93,16 +94,18 @@ CheckResult check_conservation_law(const core::ClusterModel& model,
     if (!applies) continue;
 
     // Rebuild the per-class pooled flows the decomposition analyses:
-    // lambda_ik = rate_k * visits, E[S^2]_ik = mean of visit second moments.
+    // lambda_ik = rate_k * visits, E[S^2]_ik = mean of visit second moments,
+    // each visit's base demand rescaled by the tier's speedup.
+    const double speedup = tiers[i].power.speedup(units::hertz(frequencies[i]));
     double w0 = 0.0;      // sum_k lambda_ik E[S_ik^2] / 2
     double lhs = 0.0;     // sum_k rho_ik W_ik
     for (std::size_t k = 0; k < classes.size(); ++k) {
       double visits = 0.0;
       double sum_m2 = 0.0;
-      for (const auto& v : classes[k].route) {
-        if (static_cast<std::size_t>(v.station) != i) continue;
+      for (const auto& d : classes[k].route) {
+        if (static_cast<std::size_t>(d.tier) != i) continue;
         visits += 1.0;
-        sum_m2 += v.service.second_moment();
+        sum_m2 += d.base_service.scaled_to_mean(d.base_service.mean() / speedup).second_moment();
       }
       if (visits == 0.0) continue;
       w0 += classes[k].rate.value() * visits * (sum_m2 / visits) / 2.0;

@@ -13,14 +13,17 @@
 // configuration (to_sim_config) so every analytical number can be checked
 // against discrete-event simulation — the paper's validation methodology.
 //
-// evaluate() is the one way into the analysis: delays, power, both
-// per-request energies and the stability verdict are assembled from one
-// unit per tier, each tier's station analysed from its own flows over the
-// skeleton the model binds when it is built. Solvers that probe many
-// points keep the units in a TierTable and analyse each tier once per
-// distinct (servers, frequency).
+// The model is the network's one description: its tiers carry the
+// servers and disciplines, its classes the rates and routes. evaluate() is
+// the one way into the analysis: delays, power, both per-request energies
+// and the stability verdict are assembled from one unit per tier, each
+// tier's station analysed from its own flows over the skeleton the model
+// binds from its routes when it is built. Solvers that probe many points
+// keep the units in a TierTable and analyse each tier once per distinct
+// (servers, frequency).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -97,38 +100,40 @@ struct Evaluation {
 
 /// What one tier contributes to an evaluation at an operating point (its
 /// server count and frequency): the tier's unit. The tier's station is
-/// analysed from its own flows: the unit holds the stability decision, the
-/// utilisation and, per flow (NetworkSkeleton::flows order), the mean
-/// wait, the wait's second moment, the load share and the flow's share of
-/// the tier's idle power; per visit (NetworkSkeleton::visits order) the
-/// mean sojourn, the sojourn's variance and the dynamic energy; and the
-/// tier's dynamic and average power. Every figure of an evaluation is one
-/// of these or a sum of them over tiers or route steps, so an evaluation
-/// is assembled from one unit per tier (ClusterModel::assemble). At an
-/// unstable station only stable() is defined. A unit is a view of the
-/// figures a TierTable or an EvaluationWorkspace owns.
+/// analysed from its own flows: the unit holds the utilisation, the
+/// stability decision and, per flow (NetworkSkeleton::flows order), the
+/// mean wait, the load share and the flow's share of the tier's idle
+/// power; per visit (NetworkSkeleton::visits order) the mean sojourn, the
+/// sojourn's variance and the dynamic energy; and the tier's average power
+/// and the idle power every request shares when no flow carries load.
+/// Every figure of an evaluation is one of these or a sum of them over
+/// tiers or route steps, so an evaluation is assembled from one unit per
+/// tier (ClusterModel::assemble). At an unstable station only stable() and
+/// utilization() are defined. A unit is a view of the figures a TierTable
+/// or an EvaluationWorkspace owns.
 class TierUnit {
  public:
   /// The number of figures of a unit whose station has `flows` flows and
   /// `visits` visits.
   static std::size_t size(std::size_t flows, std::size_t visits) {
-    return kHeader + 4 * flows + 3 * visits;
+    return kHeader + 3 * flows + 3 * visits;
   }
   TierUnit(const double* figures, std::size_t flows, std::size_t visits)
       : f_(figures), flows_(flows), visits_(visits) {}
 
   [[nodiscard]] bool stable() const { return f_[0] != 0.0; }
+  /// Offered load per server, sum_k lambda_k E[S_k] / servers.
   [[nodiscard]] double utilization() const { return f_[1]; }
-  /// Dynamic (busy minus idle) power of one server at the frequency.
-  [[nodiscard]] units::Watts dynamic_power() const { return units::watts(f_[2]); }
   /// Average power of the tier's servers.
-  [[nodiscard]] units::Watts average_power() const { return units::watts(f_[3]); }
+  [[nodiscard]] units::Watts average_power() const { return units::watts(f_[2]); }
+  /// The tier's idle power when it is unloaded (no flow carries load),
+  /// which every request shares alike; 0 when some flow carries load.
+  [[nodiscard]] units::Watts shared_idle_power() const { return units::watts(f_[3]); }
   [[nodiscard]] double wait(std::size_t flow) const { return f_[flow_row(0) + flow]; }
-  [[nodiscard]] double wait_m2(std::size_t flow) const { return f_[flow_row(1) + flow]; }
-  [[nodiscard]] double rho(std::size_t flow) const { return f_[flow_row(2) + flow]; }
-  /// The flow's share of the tier's idle power.
+  [[nodiscard]] double rho(std::size_t flow) const { return f_[flow_row(1) + flow]; }
+  /// The flow's share of the tier's idle power, by load share.
   [[nodiscard]] units::Watts idle_power(std::size_t flow) const {
-    return units::watts(f_[flow_row(3) + flow]);
+    return units::watts(f_[flow_row(2) + flow]);
   }
   [[nodiscard]] double sojourn(std::size_t visit) const { return f_[visit_row(0) + visit]; }
   /// Var(wait) + Var(service) of the visit.
@@ -140,12 +145,12 @@ class TierUnit {
 
  private:
   friend class ClusterModel;
-  // The figures: stable (1 or 0), utilisation, dynamic and average power,
-  // then four rows of one figure per flow and three of one per visit.
+  // The figures: stable (1 or 0), utilisation, average and shared idle
+  // power, then three rows of one figure per flow and three of one per visit.
   static constexpr std::size_t kHeader = 4;
   [[nodiscard]] std::size_t flow_row(std::size_t row) const { return kHeader + row * flows_; }
   [[nodiscard]] std::size_t visit_row(std::size_t row) const {
-    return kHeader + 4 * flows_ + row * visits_;
+    return kHeader + 3 * flows_ + row * visits_;
   }
 
   const double* f_;
@@ -183,9 +188,10 @@ struct EvaluationWorkspace {
 };
 
 /// A model checks its structure (tiers, servers, rates, routes) once, when
-/// it is built, and binds its queueing network's skeleton then: the
-/// stations and which route steps feed which station flows. Evaluating it
-/// at a frequency vector only rescales service laws and runs the analysis.
+/// it is built, and binds its queueing network's skeleton then: which route
+/// steps feed which station flows. The skeleton depends on the routes
+/// alone, so copies, which keep them, share it. Evaluating a model at a
+/// frequency vector only rescales service laws and runs the analysis.
 class ClusterModel {
  public:
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes);
@@ -224,14 +230,10 @@ class ClusterModel {
   [[nodiscard]] std::vector<double> min_stable_frequencies(
       const std::vector<int>& servers) const;
 
-  /// The queueing network's skeleton, bound at construction: the model's
-  /// only network.
-  [[nodiscard]] const queueing::NetworkSkeleton& skeleton() const { return skeleton_; }
-
-  /// The network's classes at frequencies `f` (demands rescaled by
-  /// speedup), in the skeleton's order.
-  [[nodiscard]] std::vector<queueing::CustomerClass> network_classes(
-      const std::vector<double>& frequencies) const;
+  /// The queueing network's skeleton, bound from the routes at
+  /// construction and shared, read-only, by every copy that keeps them
+  /// (plain copies and the with_* copies).
+  [[nodiscard]] const queueing::NetworkSkeleton& skeleton() const { return *skeleton_; }
 
   /// Returns a copy with every tier switched to `discipline` (the
   /// priority-vs-FCFS comparisons of E6/E7 use this).
@@ -258,10 +260,11 @@ class ClusterModel {
   /// Tier `tier`'s unit at `servers` (>= 1) servers and `frequency`,
   /// written to `figures` (unit_size(tier) of them) through `buffers`: the
   /// speedup rescales the service law of each of the tier's visits, the
-  /// station is analysed from its flows and, when stable, its power and
-  /// each flow's share of its idle power are computed. The unit depends on
-  /// nothing else, so one computed at a model's servers serves its
-  /// with_servers copies too. Throws outside the tier's DVFS range.
+  /// station's utilisation is computed from its flows, the station is
+  /// analysed, which decides its stability, and, when stable, its power
+  /// and its idle power's shares are computed. The unit depends on nothing
+  /// else, so one computed at a model's servers serves its with_servers
+  /// copies too. Throws outside the tier's DVFS range.
   TierUnit analyze_tier(std::size_t tier, int servers, units::Hertz frequency,
                         std::span<double> figures, TierBuffers& buffers) const;
 
@@ -271,7 +274,8 @@ class ClusterModel {
   /// The stable evaluation assembled from `units`, one stable unit per
   /// tier, into `out` (reusing its vectors): per class the sums over its
   /// route steps in route order, cluster power and each class's idle
-  /// shares summed over the tiers in tier order.
+  /// shares summed over the tiers in tier order, an unloaded tier's shared
+  /// by every request with traffic.
   void assemble(const std::vector<TierUnit>& units, Evaluation& out) const;
 
   /// Cluster average power at `f`, +infinity when unstable: evaluate(f).power()
@@ -303,10 +307,10 @@ class ClusterModel {
       const std::vector<double>& frequencies) const;
 
  private:
-  // Copies that keep the routes: checks tiers and rates, and reuses
-  // `skeleton` with each station's servers and discipline refreshed.
+  // Copies that keep the routes: checks tiers and rates, and shares
+  // `skeleton`.
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
-               queueing::NetworkSkeleton skeleton);
+               std::shared_ptr<const queueing::NetworkSkeleton> skeleton);
   // Every tier's unit at `frequencies` and the tier's servers, into `ws`,
   // after check_frequencies.
   const std::vector<TierUnit>& units_at(const std::vector<double>& frequencies,
@@ -320,7 +324,7 @@ class ClusterModel {
   std::vector<Tier> tiers_;
   std::vector<WorkloadClass> classes_;
   std::vector<units::Rate> rates_;  // each class's rate, as station_flows reads them
-  queueing::NetworkSkeleton skeleton_;
+  std::shared_ptr<const queueing::NetworkSkeleton> skeleton_;
 };
 
 /// A ready-made 3-tier (web / application / database), 3-class

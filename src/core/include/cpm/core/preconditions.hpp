@@ -32,7 +32,8 @@ std::vector<double> tier_base_loads(const ClusterModel& model);
 /// The same with `servers` servers per tier.
 std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector<int>& servers);
 
-/// Per-tier utilisation at `frequencies`, over the model's skeleton.
+/// Per-tier utilisation at `frequencies` with the model's servers, read
+/// off each tier's unit (ClusterModel::analyze_tier), stable or not.
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies);
 

@@ -22,31 +22,20 @@ std::vector<units::Rate> class_rates(const std::vector<WorkloadClass>& classes) 
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes)
     : tiers_(std::move(tiers)), classes_(std::move(classes)), rates_(class_rates(classes_)) {
   check(/*routes=*/true);
-  std::vector<queueing::NetworkStation> stations;
-  stations.reserve(tiers_.size());
-  for (const auto& t : tiers_)
-    stations.push_back(queueing::NetworkStation{t.servers, t.discipline});
-  // The skeleton reads only the routes' stations, so the base laws serve.
-  std::vector<queueing::CustomerClass> routes(classes_.size());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    routes[k].rate = classes_[k].rate;
-    for (const auto& d : classes_[k].route)
-      routes[k].route.push_back(queueing::Visit{d.tier, d.base_service});
-  }
-  skeleton_ = queueing::network_skeleton(std::move(stations), routes);
+  std::vector<std::vector<std::size_t>> routes(classes_.size());
+  for (std::size_t k = 0; k < classes_.size(); ++k)
+    for (const auto& d : classes_[k].route) routes[k].push_back(static_cast<std::size_t>(d.tier));
+  skeleton_ = std::make_shared<const queueing::NetworkSkeleton>(
+      queueing::network_skeleton(tiers_.size(), routes));
 }
 
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
-                           queueing::NetworkSkeleton skeleton)
+                           std::shared_ptr<const queueing::NetworkSkeleton> skeleton)
     : tiers_(std::move(tiers)),
       classes_(std::move(classes)),
       rates_(class_rates(classes_)),
       skeleton_(std::move(skeleton)) {
   check(/*routes=*/false);
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    skeleton_.stations[i].servers = tiers_[i].servers;
-    skeleton_.stations[i].discipline = tiers_[i].discipline;
-  }
 }
 
 void ClusterModel::check(bool routes) const {
@@ -140,35 +129,15 @@ void ClusterModel::check_frequencies(const std::vector<double>& frequencies) con
     tiers_[i].power.check_frequency(units::hertz(frequencies[i]));
 }
 
-std::vector<queueing::CustomerClass> ClusterModel::network_classes(
-    const std::vector<double>& frequencies) const {
-  require(frequencies.size() == tiers_.size(),
-          "ClusterModel: one frequency per tier required");
-  std::vector<double> speedups(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    speedups[i] = tiers_[i].power.speedup(units::hertz(frequencies[i]));
-  std::vector<queueing::CustomerClass> out(classes_.size());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    const auto& c = classes_[k];
-    out[k].name = c.name;
-    out[k].rate = c.rate;
-    for (const Demand& d : c.route)
-      out[k].route.push_back(queueing::Visit{
-          d.tier, d.base_service.scaled_to_mean(
-                      d.base_service.mean() / speedups[static_cast<std::size_t>(d.tier)])});
-  }
-  return out;
-}
-
 std::size_t ClusterModel::unit_size(std::size_t tier) const {
-  return TierUnit::size(skeleton_.flows[tier].size(), skeleton_.visits[tier].size());
+  return TierUnit::size(skeleton_->flows[tier].size(), skeleton_->visits[tier].size());
 }
 
 TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz frequency,
                                     std::span<double> figures, TierBuffers& buffers) const {
   const Tier& t = tiers_[tier];
-  const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[tier];
-  const std::vector<queueing::NetworkSkeleton::StationVisit>& visits = skeleton_.visits[tier];
+  const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_->flows[tier];
+  const std::vector<queueing::NetworkSkeleton::StationVisit>& visits = skeleton_->visits[tier];
   require(figures.size() == unit_size(tier), "analyze_tier: wrong number of figures");
   const TierUnit unit(figures.data(), flows.size(), visits.size());
 
@@ -180,17 +149,18 @@ TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz 
     buffers.laws.push_back(base.scaled_to_mean(base.mean() / speedup));
   }
 
-  // The station from its own flows: unstable when loaded to 1 or beyond,
-  // or, within rounding of utilisation 1, when its analysis diverges.
-  queueing::station_flows(skeleton_, tier, rates_, buffers.laws, buffers.flows);
+  // The station from its own flows: its utilisation, then the stability
+  // decision, unstable when loaded to 1 or beyond or, within rounding of
+  // utilisation 1, when its analysis diverges.
+  queueing::station_flows(*skeleton_, tier, rates_, buffers.laws, buffers.flows);
   const bool loaded = !buffers.flows.empty();
+  const double utilization = loaded ? queueing::station_utilization(servers, buffers.flows) : 0.0;
+  figures[1] = utilization;
   const bool stable =
       !loaded || queueing::analyze_station(servers, t.discipline, buffers.flows, buffers.station);
   figures[0] = stable ? 1.0 : 0.0;
   if (!stable) return unit;
   const queueing::StationMetrics& sm = buffers.station;
-  const double utilization = loaded ? sm.total_utilization : 0.0;
-  figures[1] = utilization;
 
   // Each visit contributes the class's station wait plus the visit's own
   // mean service time. Independence across visits: variances add. Wait
@@ -199,8 +169,7 @@ TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz 
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const double wait = sm.mean_wait[i];
     figures[unit.flow_row(0) + i] = wait;
-    figures[unit.flow_row(1) + i] = sm.wait_m2[i];
-    figures[unit.flow_row(2) + i] = sm.rho[i];
+    figures[unit.flow_row(1) + i] = sm.rho[i];
     for (std::size_t v = flows[i].first; v < flows[i].first + flows[i].visits; ++v) {
       const Distribution& law = buffers.laws[v];
       figures[unit.visit_row(0) + v] = wait + law.mean();
@@ -210,10 +179,10 @@ TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz 
 
   // Power: each visit burns dynamic_power(f) * E[S] joules while holding a
   // server, and the tier's idle power is split across its flows by
-  // utilisation share (none when no flow carries load).
+  // utilisation share or, when no flow carries load, shared by every
+  // request.
   const units::Watts dynamic = t.power.dynamic_power(frequency);
-  figures[2] = dynamic.value();
-  figures[3] = (t.power.average_power(dynamic, utilization) * static_cast<double>(servers)).value();
+  figures[2] = (t.power.average_power(dynamic, utilization) * static_cast<double>(servers)).value();
   for (std::size_t v = 0; v < visits.size(); ++v)
     figures[unit.visit_row(2) + v] =
         t.power.marginal_energy_per_request(dynamic, units::seconds(buffers.laws[v].mean()))
@@ -221,8 +190,9 @@ TierUnit ClusterModel::analyze_tier(std::size_t tier, int servers, units::Hertz 
   const units::Watts idle = t.power.idle_power() * static_cast<double>(servers);
   double rho_sum = 0.0;
   for (std::size_t i = 0; i < flows.size(); ++i) rho_sum += unit.rho(i);
+  figures[3] = rho_sum > 0.0 ? 0.0 : idle.value();
   for (std::size_t i = 0; i < flows.size(); ++i)
-    figures[unit.flow_row(3) + i] = rho_sum > 0.0 ? (idle * (unit.rho(i) / rho_sum)).value() : 0.0;
+    figures[unit.flow_row(2) + i] = rho_sum > 0.0 ? (idle * (unit.rho(i) / rho_sum)).value() : 0.0;
   return unit;
 }
 
@@ -242,79 +212,68 @@ void ClusterModel::assemble(const std::vector<TierUnit>& units, Evaluation& out)
 
   // Each station's per-class figures, zero for classes that do not visit.
   m.station_wait.resize(n_tiers);
-  m.station_wait_m2.resize(n_tiers);
   m.station_rho.resize(n_tiers);
   m.station_utilization.resize(n_tiers);
-  em.station_dynamic_power.resize(n_tiers);
   em.station_avg_power.resize(n_tiers);
   em.cluster_avg_power = cluster_power(units);
   for (std::size_t s = 0; s < n_tiers; ++s) {
     const TierUnit& u = units[s];
     m.station_wait[s].assign(n_classes, 0.0);
-    m.station_wait_m2[s].assign(n_classes, 0.0);
     m.station_rho[s].assign(n_classes, 0.0);
     m.station_utilization[s] = u.utilization();
-    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[s];
+    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_->flows[s];
     for (std::size_t i = 0; i < flows.size(); ++i) {
       m.station_wait[s][flows[i].cls] = u.wait(i);
-      m.station_wait_m2[s][flows[i].cls] = u.wait_m2(i);
       m.station_rho[s][flows[i].cls] = u.rho(i);
     }
-    em.station_dynamic_power[s] = u.dynamic_power();
     em.station_avg_power[s] = u.average_power();
   }
 
   // Per class, its route's sums: delay, variance and dynamic energy.
   m.e2e_delay.resize(n_classes);
   m.e2e_delay_variance.resize(n_classes);
-  m.visit_sojourn.resize(n_classes);
   em.per_request_energy.resize(n_classes);
-  m.total_rate = units::per_second(0.0);
+  units::Rate arrivals = units::per_second(0.0);  // the total external rate
   double weighted = 0.0;
   for (std::size_t k = 0; k < n_classes; ++k) {
-    const std::vector<queueing::NetworkSkeleton::RouteStep>& route = skeleton_.routes[k];
-    std::vector<double>& sojourns = m.visit_sojourn[k];
-    sojourns.resize(route.size());
     double total = 0.0;
     double variance = 0.0;
     units::Joules energy = units::joules(0.0);
-    for (std::size_t j = 0; j < route.size(); ++j) {
-      const TierUnit& u = units[route[j].station];
-      sojourns[j] = u.sojourn(route[j].visit);
-      total += sojourns[j];
-      variance += u.variance(route[j].visit);
-      energy += u.marginal_energy(route[j].visit);
+    for (const queueing::NetworkSkeleton::RouteStep& step : skeleton_->routes[k]) {
+      const TierUnit& u = units[step.station];
+      total += u.sojourn(step.visit);
+      variance += u.variance(step.visit);
+      energy += u.marginal_energy(step.visit);
     }
     m.e2e_delay[k] = units::seconds(total);
     m.e2e_delay_variance[k] = units::SecondsSquared(variance);
     em.per_request_energy[k] = energy;
-    m.total_rate += rates_[k];
+    arrivals += rates_[k];
     weighted += rates_[k].value() * total;
   }
-  m.mean_e2e_delay = m.total_rate > units::per_second(0.0)
-                         ? units::seconds(weighted / m.total_rate.value())
+  m.mean_e2e_delay = arrivals > units::per_second(0.0)
+                         ? units::seconds(weighted / arrivals.value())
                          : units::seconds(0.0);
 
-  // That is the marginal energy; each station's idle shares come on top,
-  // spread over the class's request stream (W / (jobs/s) = J per job).
+  // That is the marginal energy; each station's idle power comes on top,
+  // spread over request streams (W / (jobs/s) = J per job): a loaded
+  // station's shares over its flows' classes, an unloaded station's over
+  // every request alike.
   em.marginal_energy = em.per_request_energy;
   for (std::size_t s = 0; s < n_tiers; ++s) {
-    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_.flows[s];
+    const std::vector<queueing::NetworkSkeleton::Flow>& flows = skeleton_->flows[s];
     for (std::size_t i = 0; i < flows.size(); ++i) {
       const units::Rate rate = rates_[flows[i].cls];
       if (rate > units::per_second(0.0))
         em.per_request_energy[flows[i].cls] +=
             units::joules(units[s].idle_power(i).value() / rate.value());
     }
+    const units::Watts shared = units[s].shared_idle_power();
+    if (shared > units::watts(0.0))
+      for (std::size_t k = 0; k < n_classes; ++k)
+        if (rates_[k] > units::per_second(0.0))
+          em.per_request_energy[k] += units::joules(shared.value() / arrivals.value());
   }
-  double energy_weighted = 0.0;
-  double total_rate = 0.0;
-  for (std::size_t k = 0; k < n_classes; ++k) {
-    energy_weighted += rates_[k].value() * em.per_request_energy[k].value();
-    total_rate += rates_[k].value();
-  }
-  em.mean_per_request_energy =
-      total_rate > 0.0 ? units::joules(energy_weighted / total_rate) : units::joules(0.0);
 }
 
 ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) const {
@@ -384,10 +343,18 @@ sim::SimConfig ClusterModel::to_sim_config(const std::vector<double>& frequencie
         t.power.dynamic_power(units::hertz(frequencies[i]))});
   }
 
-  const auto classes = network_classes(frequencies);
-  cfg.classes.reserve(classes.size());
-  for (const auto& c : classes)
-    cfg.classes.push_back(sim::SimClass{c.name, c.rate, c.route, std::nullopt});
+  // Each base demand rescaled by its tier's speedup.
+  cfg.classes.reserve(classes_.size());
+  for (const auto& c : classes_) {
+    std::vector<queueing::Visit> route;
+    for (const auto& d : c.route) {
+      const auto i = static_cast<std::size_t>(d.tier);
+      const double speedup = tiers_[i].power.speedup(units::hertz(frequencies[i]));
+      route.push_back(queueing::Visit{
+          d.tier, d.base_service.scaled_to_mean(d.base_service.mean() / speedup)});
+    }
+    cfg.classes.push_back(sim::SimClass{c.name, c.rate, std::move(route), std::nullopt});
+  }
   return cfg;
 }
 

@@ -5,7 +5,6 @@
 
 #include "cpm/common/error.hpp"
 #include "cpm/common/table.hpp"
-#include "cpm/queueing/network.hpp"
 
 namespace cpm::core {
 
@@ -28,8 +27,16 @@ std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector
 
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies) {
-  return queueing::network_utilizations(model.skeleton(),
-                                        model.network_classes(frequencies));
+  model.check_frequencies(frequencies);
+  std::vector<double> rho(model.num_tiers());
+  std::vector<double> figures;
+  TierBuffers buffers;
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    figures.resize(model.unit_size(i));
+    const units::Hertz f = units::hertz(frequencies[i]);
+    rho[i] = model.analyze_tier(i, model.tiers()[i].servers, f, figures, buffers).utilization();
+  }
+  return rho;
 }
 
 StabilityFinding probe_stability(const ClusterModel& model,

@@ -10,8 +10,10 @@
 // per-request figures: marginal_energy, the dynamic energy drawn while the
 // request holds servers (its causal footprint, which the simulator
 // measures), and per_request_energy, which adds each station's full idle
-// power split across classes by utilisation share, so that
-// sum_k lambda_k E_k equals total cluster power (full cost recovery).
+// power: a loaded station's split across its classes by utilisation share,
+// an unloaded station's (utilisation 0) charged to every request alike,
+// idle power / total rate each. So sum_k lambda_k E_k equals total cluster
+// power (full cost recovery) whenever some class carries traffic.
 // core::ClusterModel computes each tier's share of them in its tier unit
 // and assembles these metrics (docs/model.md §3).
 #pragma once
@@ -25,17 +27,12 @@ namespace cpm::power {
 struct EnergyMetrics {
   /// Total cluster average power.
   units::Watts cluster_avg_power = units::watts(0.0);
-  /// Per-station dynamic (busy minus idle) power of one server at the
-  /// tier's frequency.
-  std::vector<units::Watts> station_dynamic_power;
   /// Per-station average power.
   std::vector<units::Watts> station_avg_power;
   /// Per-class mean end-to-end energy per request, idle shares included.
   std::vector<units::Joules> per_request_energy;
   /// Its dynamic part, drawn while the request holds servers.
   std::vector<units::Joules> marginal_energy;
-  /// Traffic-weighted mean of per_request_energy.
-  units::Joules mean_per_request_energy = units::joules(0.0);
 };
 
 }  // namespace cpm::power

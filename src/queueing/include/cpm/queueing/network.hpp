@@ -14,38 +14,25 @@
 // queues are not Poisson); experiment E1 quantifies the resulting error
 // against simulation.
 //
-// This header holds the network's description, its skeleton (which route
-// steps feed which station flows), the per-station flow construction and
-// the assembled result type. core::ClusterModel analyses each station from
-// its own flows (one tier unit per station) and assembles NetworkMetrics
-// from those units (docs/model.md §4).
+// core::ClusterModel is the network's one description (its tiers and
+// classes). This header holds what the analysis derives from it: the
+// skeleton, which the routes alone determine (which route steps feed which
+// station flows), the per-station flow construction and the assembled
+// result type. ClusterModel analyses each station from its own flows (one
+// tier unit per station) and assembles NetworkMetrics from those units
+// (docs/model.md §2, §4).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cpm/queueing/priority.hpp"
 
 namespace cpm::queueing {
 
-/// A service station (tier) of the network.
-struct NetworkStation {
-  int servers = 1;
-  Discipline discipline = Discipline::kNonPreemptivePriority;
-};
-
 /// One step of a class's route.
 struct Visit {
   int station = 0;          ///< index into the stations vector
   Distribution service = Distribution::exponential(1.0);  ///< service here
-};
-
-/// A customer class. Priority equals its index in the classes vector
-/// (0 = highest) at every priority-scheduled station.
-struct CustomerClass {
-  std::string name;
-  units::Rate rate = units::per_second(0.0);  ///< external Poisson arrivals
-  std::vector<Visit> route;                   ///< visited front to back
 };
 
 /// Per-class, per-station analysis results assembled network-wide.
@@ -57,29 +44,22 @@ struct NetworkMetrics {
   /// itself): sum over visits of Var(wait) + Var(service). May be
   /// +infinity when a service third moment is infinite.
   std::vector<units::SecondsSquared> e2e_delay_variance;
-  /// Per class, per route step: mean sojourn of that visit.
-  std::vector<std::vector<double>> visit_sojourn;
   /// Per station, per class: mean delay beyond service (0 when the class
   /// does not visit the station).
   std::vector<std::vector<double>> station_wait;
-  /// Per station, per class: raw second moment of that delay (see
-  /// StationMetrics::wait_m2 for exactness notes).
-  std::vector<std::vector<double>> station_wait_m2;
   /// Per station, per class: utilisation contribution lambda E[S]/c.
   std::vector<std::vector<double>> station_rho;
   /// Per station total utilisation.
   std::vector<double> station_utilization;
   /// Traffic-weighted mean E2E delay: sum_k lambda_k T_k / sum_k lambda_k.
   units::Seconds mean_e2e_delay = units::seconds(0.0);
-  /// Total external arrival rate.
-  units::Rate total_rate = units::per_second(0.0);
 };
 
-/// What the analysis needs of a network beyond its rates and service laws:
-/// the stations and, per station, which class flows visit it and from
-/// which route steps. Rescaling service laws or arrival rates leaves it
-/// as it is, so a caller that analyses one network at many service rates
-/// builds it once.
+/// What the analysis needs of a network beyond its stations, rates and
+/// service laws: per station, which class flows visit it and from which
+/// route steps. The routes alone determine it, so changing servers,
+/// disciplines, service laws or arrival rates leaves it as it is, and
+/// every network with the same routes can share one.
 struct NetworkSkeleton {
   /// One class's flow at a station: a single route step, whose service
   /// law the flow keeps, or several, which merge into one flow.
@@ -99,21 +79,20 @@ struct NetworkSkeleton {
     std::size_t station = 0;
     std::size_t visit = 0;
   };
-  std::vector<NetworkStation> stations;
   std::vector<std::vector<Flow>> flows;  ///< per station, ordered by class
   /// Per station, the route steps that visit it, by class and then step,
   /// so that each flow's visits are contiguous.
   std::vector<std::vector<StationVisit>> visits;
   std::vector<std::vector<RouteStep>> routes;  ///< per class, per route step
-  std::size_t classes = 0;  ///< number of classes
 };
 
-/// Builds the skeleton. It checks nothing: the description must have at
-/// least one station and one class, every station >= 1 server, and every
-/// route at least one step, each on a known station, as ClusterModel::check
-/// ensures for a model.
-NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
-                                 const std::vector<CustomerClass>& classes);
+/// Builds the skeleton of `stations` stations and one class per entry of
+/// `routes`, each its class's route as the station of every step. It checks
+/// nothing: there must be at least one station and one class, and every
+/// route at least one step, each on a station below `stations`, as
+/// ClusterModel::check ensures for a model.
+NetworkSkeleton network_skeleton(std::size_t stations,
+                                 const std::vector<std::vector<std::size_t>>& routes);
 
 /// Station `s`'s flows, one per entry of skeleton.flows[s], into `out`
 /// (reusing it): class k arrives at rates[k] per visit, and laws[v] is
@@ -123,11 +102,6 @@ NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
 void station_flows(const NetworkSkeleton& skeleton, std::size_t s,
                    const std::vector<units::Rate>& rates,
                    const std::vector<Distribution>& laws, std::vector<ClassFlow>& out);
-
-/// Per-station utilisation (length = skeleton.stations.size()) of the
-/// classes, which must have the routes `skeleton` was built from.
-std::vector<double> network_utilizations(const NetworkSkeleton& skeleton,
-                                         const std::vector<CustomerClass>& classes);
 
 /// The p-th percentile (p in (0,1)) of class `cls`'s end-to-end delay,
 /// from a gamma distribution fitted to the analytic mean and variance.

@@ -61,11 +61,6 @@ struct StationMetrics {
 /// Total offered load per server: sum_k lambda_k E[S_k] / servers.
 double station_utilization(int servers, const std::vector<ClassFlow>& flows);
 
-/// True iff the station's utilisation is below 1. Within rounding of 1 a
-/// multi-server station can pass this test and still be unstable to
-/// analyze_station, whose in-place form makes the full decision.
-bool station_stable(int servers, const std::vector<ClassFlow>& flows);
-
 /// Computes steady-state per-class metrics. Throws cpm::Error when the
 /// station is unstable or `servers` < 1.
 StationMetrics analyze_station(int servers, Discipline discipline,

@@ -8,18 +8,15 @@
 
 namespace cpm::queueing {
 
-NetworkSkeleton network_skeleton(std::vector<NetworkStation> stations,
-                                 const std::vector<CustomerClass>& classes) {
+NetworkSkeleton network_skeleton(std::size_t stations,
+                                 const std::vector<std::vector<std::size_t>>& routes) {
   NetworkSkeleton sk;
-  sk.flows.resize(stations.size());
-  sk.visits.resize(stations.size());
-  sk.routes.resize(classes.size());
-  sk.stations = std::move(stations);
-  sk.classes = classes.size();
-  for (std::size_t k = 0; k < classes.size(); ++k) {
-    const auto& route = classes[k].route;
-    for (std::size_t j = 0; j < route.size(); ++j) {
-      const auto s = static_cast<std::size_t>(route[j].station);
+  sk.flows.resize(stations);
+  sk.visits.resize(stations);
+  sk.routes.resize(routes.size());
+  for (std::size_t k = 0; k < routes.size(); ++k) {
+    for (std::size_t j = 0; j < routes[k].size(); ++j) {
+      const std::size_t s = routes[k][j];
       auto& flows = sk.flows[s];
       auto& visits = sk.visits[s];
       if (flows.empty() || flows.back().cls != k)
@@ -67,25 +64,6 @@ void station_flows(const NetworkSkeleton& sk, std::size_t s,
                            ? Distribution::deterministic(0.0)
                            : Distribution::from_mean_scv(std::max(mix_mean, 1e-300), scv)};
   }
-}
-
-std::vector<double> network_utilizations(const NetworkSkeleton& sk,
-                                         const std::vector<CustomerClass>& classes) {
-  require(classes.size() == sk.classes,
-          "network_utilizations: classes do not match the skeleton");
-  std::vector<units::Rate> rates;
-  for (const CustomerClass& c : classes) rates.push_back(c.rate);
-  std::vector<double> util(sk.stations.size(), 0.0);
-  std::vector<Distribution> laws;
-  std::vector<ClassFlow> flows;
-  for (std::size_t s = 0; s < sk.stations.size(); ++s) {
-    laws.clear();
-    for (const NetworkSkeleton::StationVisit& v : sk.visits[s])
-      laws.push_back(classes[v.cls].route[v.step].service);
-    station_flows(sk, s, rates, laws, flows);
-    if (!flows.empty()) util[s] = station_utilization(sk.stations[s].servers, flows);
-  }
-  return util;
 }
 
 units::Seconds percentile_e2e_delay(const NetworkMetrics& metrics,

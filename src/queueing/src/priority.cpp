@@ -30,10 +30,6 @@ double station_utilization(int servers, const std::vector<ClassFlow>& flows) {
   return load / static_cast<double>(servers);
 }
 
-bool station_stable(int servers, const std::vector<ClassFlow>& flows) {
-  return station_utilization(servers, flows) < 1.0;
-}
-
 namespace {
 
 // The two moments of a service law the single-server formulas read.

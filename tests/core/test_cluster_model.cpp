@@ -87,6 +87,23 @@ TEST(ClusterModel, WithDisciplineSwitchesAllTiers) {
   EXPECT_GT(fcfs_ev.net.e2e_delay[0], prio_ev.net.e2e_delay[0]);
 }
 
+TEST(ClusterModel, CopiesShareTheSkeleton) {
+  // The skeleton depends on the routes alone, which every copy keeps: each
+  // shares the model's instead of copying it.
+  const auto model = make_enterprise_model(0.6);
+  const ClusterModel copies[] = {
+      model.with_servers({2, 3, 4}),
+      model.with_rates({units::per_second(1.0), units::per_second(2.0), units::per_second(3.0)}),
+      model.with_rate_scale(0.9),
+      model.with_discipline(Discipline::kFcfs),
+      model,
+  };
+  for (const ClusterModel& copy : copies) EXPECT_EQ(&copy.skeleton(), &model.skeleton());
+  // A model built anew binds a skeleton of its own.
+  const ClusterModel rebuilt(model.tiers(), model.classes());
+  EXPECT_NE(&rebuilt.skeleton(), &model.skeleton());
+}
+
 TEST(ClusterModel, FrequencyValidation) {
   const auto model = make_enterprise_model(0.6);
   EXPECT_THROW(model.evaluate({1.0, 1.0}), Error);            // wrong size
@@ -224,9 +241,11 @@ ClusterModel zero_demand_model(bool gateway, Discipline discipline, int gateway_
 }
 
 TEST(ZeroDemand, TierReachedOnlyByZeroDemandIsStableAndFree) {
-  // The zero-demand gateway adds no wait and no per-request energy: every
-  // class's delay and energy match the model without it, bit for bit, and
-  // the cluster draws only the gateway servers' idle power more.
+  // The zero-demand gateway adds no wait and no marginal energy: every
+  // class's delay and marginal energy match the model without it, bit for
+  // bit, and the cluster draws only the gateway servers' idle power more.
+  // That unloaded tier's idle power is charged to every request alike, so
+  // the classes still recover the cluster's whole power.
   for (const Discipline d : {Discipline::kFcfs, Discipline::kNonPreemptivePriority,
                              Discipline::kPreemptiveResume,
                              Discipline::kProcessorSharing}) {
@@ -244,16 +263,24 @@ TEST(ZeroDemand, TierReachedOnlyByZeroDemandIsStableAndFree) {
         EXPECT_EQ(b.net.station_utilization[0], 0.0);
         for (std::size_t k = 0; k < 2; ++k) {
           EXPECT_EQ(b.net.station_wait[0][k], 0.0);
-          EXPECT_EQ(b.net.station_wait_m2[0][k], 0.0);
           EXPECT_EQ(b.net.e2e_delay[k], a.net.e2e_delay[k]);
           EXPECT_EQ(b.net.e2e_delay_variance[k], a.net.e2e_delay_variance[k]);
-          EXPECT_EQ(b.energy.per_request_energy[k], a.energy.per_request_energy[k]);
-          EXPECT_EQ(b.net.visit_sojourn[k].front(), 0.0);
-          EXPECT_EQ(b.net.visit_sojourn[k].back(), 0.0);
+          EXPECT_EQ(b.energy.marginal_energy[k], a.energy.marginal_energy[k]);
         }
-        EXPECT_EQ(b.energy.cluster_avg_power,
-                  a.energy.cluster_avg_power +
-                      gated.tiers()[0].power.idle_power() * static_cast<double>(servers));
+        const units::Watts gateway_idle =
+            gated.tiers()[0].power.idle_power() * static_cast<double>(servers);
+        EXPECT_EQ(b.energy.cluster_avg_power, a.energy.cluster_avg_power + gateway_idle);
+        double recovered = 0.0;
+        for (std::size_t k = 0; k < 2; ++k) {
+          const double rate = gated.classes()[k].rate.value();
+          EXPECT_NEAR(b.energy.per_request_energy[k].value(),
+                      a.energy.per_request_energy[k].value() +
+                          gateway_idle.value() / gated.total_rate().value(),
+                      1e-12 * b.energy.per_request_energy[k].value());
+          recovered += rate * b.energy.per_request_energy[k].value();
+        }
+        EXPECT_NEAR(recovered, b.energy.cluster_avg_power.value(),
+                    1e-12 * b.energy.cluster_avg_power.value());
       }
     }
   }
@@ -284,8 +311,13 @@ TEST(ZeroDemand, SharedTierVisitIsFinite) {
                        a.energy.per_request_energy[k].value());
     }
     // The step's sojourn is its wait at the db tier, where gold's own
-    // visit merged with it.
-    EXPECT_EQ(b.net.visit_sojourn[0].back(), b.net.station_wait[1][0]);
+    // visit (the tier's visit 0) merged with it.
+    TierBuffers buffers;
+    std::vector<double> figures(extra.unit_size(1));
+    const TierUnit db = extra.analyze_tier(1, extra.tiers()[1].servers,
+                                           units::hertz(f[1]), figures, buffers);
+    ASSERT_EQ(extra.skeleton().visits[1][1].cls, 0U);
+    EXPECT_EQ(db.sojourn(1), b.net.station_wait[1][0]);
   }
 }
 

@@ -44,6 +44,13 @@ TEST(Preconditions, TierUtilizationsScaleInverselyWithFrequency) {
     EXPECT_NEAR(at_max[i], load[i], 1e-12) << "tier " << i;  // f_max == f_base
     EXPECT_NEAR(at_08[i], load[i] / 0.8, 1e-12) << "tier " << i;
   }
+
+  // A multi-server tier divides its load among its servers.
+  const ClusterModel four(
+      {Tier{"t", 4, queueing::Discipline::kFcfs}},
+      {WorkloadClass{"c", units::per_second(2.0), {Demand{0, Distribution::exponential(1.0)}}}});
+  EXPECT_NEAR(tier_utilizations(four, four.max_frequencies())[0], 0.5, 1e-12);
+  EXPECT_NEAR(tier_utilizations(four, {0.8})[0], 0.5 / 0.8, 1e-12);
 }
 
 TEST(Preconditions, ProbeStabilityReportsTheFirstSaturatedTier) {

@@ -82,13 +82,6 @@ TEST(ComputeEnergy, ProportionalExceedsMarginal) {
     EXPECT_GT(em.per_request_energy[k], em.marginal_energy[k]);
 }
 
-TEST(ComputeEnergy, MeanEnergyIsTrafficWeighted) {
-  const auto em = energy(make_two_tier());
-  const double expected =
-      (2.0 * em.per_request_energy[0].value() + 3.0 * em.per_request_energy[1].value()) / 5.0;
-  EXPECT_NEAR(em.mean_per_request_energy.value(), expected, 1e-12);
-}
-
 TEST(ComputeEnergy, SizeMismatchThrows) {
   EnergyCase s = make_two_tier();
   s.frequencies = {1.0};  // one operating point for two tiers
@@ -99,12 +92,21 @@ TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
   const ServerPower sp = server(100.0, 200.0, 1.0);
   const auto em = energy(EnergyCase{
       {Tier{"a", 1, Discipline::kFcfs, sp}, Tier{"b", 3, Discipline::kFcfs, sp}},
-      {WorkloadClass{"c", units::per_second(1.0), {Demand{0, Distribution::exponential(0.3)}}}},
+      {WorkloadClass{"c", units::per_second(1.0), {Demand{0, Distribution::exponential(0.3)}}},
+       WorkloadClass{"d", units::per_second(3.0), {Demand{0, Distribution::exponential(0.1)}}},
+       WorkloadClass{"probe", units::per_second(0.0), {Demand{0, Distribution::exponential(0.1)}}}},
       {1.0, 1.0}});
   EXPECT_NEAR(em.station_avg_power[1].value(), 300.0, 1e-9);  // 3 idle servers
-  // Idle power of the unvisited station is attributed to nobody.
-  const double recovered = 1.0 * em.per_request_energy[0].value();
-  EXPECT_NEAR(recovered, em.station_avg_power[0].value(), 1e-9);
+  // The unvisited station's idle power is charged to every request alike,
+  // 300 W over the total rate of 4/s, so the classes recover the whole
+  // cluster's power; the class without traffic pays no share.
+  const double recovered =
+      1.0 * em.per_request_energy[0].value() + 3.0 * em.per_request_energy[1].value();
+  EXPECT_NEAR(recovered, em.cluster_avg_power.value(), 1e-9);
+  // Station a (rho = 0.6) splits its 100 W idle by load share: 0.3 and 0.3.
+  EXPECT_NEAR(em.per_request_energy[0].value(), 100.0 * 0.3 + 50.0 / 1.0 + 300.0 / 4.0, 1e-9);
+  EXPECT_NEAR(em.per_request_energy[1].value(), 100.0 * 0.1 + 50.0 / 3.0 + 300.0 / 4.0, 1e-9);
+  EXPECT_EQ(em.per_request_energy[2], em.marginal_energy[2]);
 }
 
 TEST(ComputeEnergy, ZeroRateClassGetsNoIdleShare) {

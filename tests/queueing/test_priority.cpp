@@ -23,10 +23,13 @@ TEST(StationUtilization, SumsLoads) {
 }
 
 TEST(StationStable, Boundary) {
-  EXPECT_TRUE(station_stable(1, two_classes()));
+  // The in-place analyze_station makes the stability decision: a station
+  // loaded to rho = 1 has no steady state on one server, and does on two.
+  StationMetrics m;
+  EXPECT_TRUE(analyze_station(1, Discipline::kFcfs, two_classes(), m));
   std::vector<ClassFlow> heavy = {ClassFlow{units::per_second(1.0), Distribution::exponential(1.0)}};
-  EXPECT_FALSE(station_stable(1, heavy));
-  EXPECT_TRUE(station_stable(2, heavy));
+  EXPECT_FALSE(analyze_station(1, Discipline::kFcfs, heavy, m));
+  EXPECT_TRUE(analyze_station(2, Discipline::kFcfs, heavy, m));
 }
 
 TEST(AnalyzeStation, SingleClassAllDisciplinesMatchMg1Sojourn) {

@@ -66,9 +66,10 @@ TEST(SweepKeyLiterals, E4EnergyPoints) {
   EXPECT_EQ(point_key(spec, last, "cpm-sweep-engine/1"),
             "70f7b6ac241c0d10f477ce974cef81e3b33cf34551f245ef3a8a3c54c60d7cd7");
   EXPECT_EQ(point_seed(spec, last), 8886999854519710u);
-  // The engine salt the continuous programs' dual solve introduced.
+  // The engine salt unloaded tiers' idle power in evaluate's energy
+  // introduced ("cpm-sweep-engine/3").
   EXPECT_EQ(point_key(spec, first, kEngineSalt),
-            "8d4d363952625ae64f591274a45ac43dff658b00687c8075029f60bfe03e10df");
+            "2e29452dc4a5ad74a938c8dec88eeb169918bc0775d7227c4cf4e2aaf1fa6e01");
 }
 
 TEST(SweepKeyLiterals, ModelFreeMvaPoint) {

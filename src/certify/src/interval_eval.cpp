@@ -1,10 +1,12 @@
 #include "cpm/certify/interval_eval.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 
 #include "cpm/queueing/erlang.hpp"
+#include "cpm/queueing/network.hpp"
 #include "cpm/queueing/priority.hpp"
 
 namespace cpm::certify {
@@ -188,43 +190,6 @@ std::vector<Interval> station_delays(int servers, Discipline d,
   return delay;
 }
 
-/// Structural (parameter-independent) per-station, per-class visit data,
-/// mirroring queueing::station_flows's visit merge on the base moments.
-struct StationStructure {
-  std::vector<std::size_t> visiting;  ///< class indices, priority order
-  std::vector<double> visits;
-  std::vector<double> mix_mean;  ///< base mixture E[S]
-  std::vector<double> mix_m2;    ///< base mixture E[S^2] (variance clamped >= 0)
-};
-
-StationStructure station_structure(const core::ClusterModel& model,
-                                   std::size_t station) {
-  StationStructure st;
-  for (std::size_t k = 0; k < model.num_classes(); ++k) {
-    const auto& cls = model.classes()[k];
-    double visits = 0.0;
-    double sum_mean = 0.0;
-    double sum_m2 = 0.0;
-    for (const auto& d : cls.route) {
-      if (static_cast<std::size_t>(d.tier) != station) continue;
-      visits += 1.0;
-      sum_mean += d.base_service.mean();
-      sum_m2 += d.base_service.second_moment();
-    }
-    if (visits == 0.0) continue;
-    const double mean = sum_mean / visits;
-    // from_mean_scv clamps negative mixture variance to 0, i.e. m2 is at
-    // least mean^2; single visits (variance >= 0 by construction) are
-    // unaffected.
-    const double m2 = std::max(sum_m2 / visits, mean * mean);
-    st.visiting.push_back(k);
-    st.visits.push_back(visits);
-    st.mix_mean.push_back(mean);
-    st.mix_m2.push_back(m2);
-  }
-  return st;
-}
-
 }  // namespace
 
 IntervalEvaluation evaluate_box(const core::ClusterModel& model,
@@ -247,29 +212,49 @@ IntervalEvaluation evaluate_box(const core::ClusterModel& model,
     ts[i] = Interval::point(1.0) / (box.mu_scale[i] * speedup);
   }
 
-  // Station-by-station decomposition, mirroring the model's tier units.
+  // Station-by-station decomposition over the model's skeleton, mirroring
+  // its tier units: each class's flow at a station merges the flow's visits
+  // as queueing::station_flows does, on the base moments. `load` is each
+  // tier's base demand, sum_k lambda_k * (k's base demands at the tier).
+  const queueing::NetworkSkeleton& skeleton = model.skeleton();
   std::vector<std::vector<Interval>> station_wait(
       n_tiers, std::vector<Interval>(n_classes, Interval::point(0.0)));
+  std::vector<Interval> load(n_tiers, Interval::point(0.0));
   for (std::size_t s = 0; s < n_tiers; ++s) {
-    const StationStructure st = station_structure(model, s);
-    if (st.visiting.empty()) continue;
+    if (skeleton.flows[s].empty()) continue;
     std::vector<IntervalFlow> flows;
-    flows.reserve(st.visiting.size());
+    flows.reserve(skeleton.flows[s].size());
     Interval es_rate = Interval::point(0.0);
-    for (std::size_t i = 0; i < st.visiting.size(); ++i) {
+    for (const queueing::NetworkSkeleton::Flow& flow : skeleton.flows[s]) {
+      double sum_mean = 0.0;
+      double sum_m2 = 0.0;
+      for (std::size_t v = flow.first; v < flow.first + flow.visits; ++v) {
+        const auto [cls, step] = skeleton.visits[s][v];
+        const Distribution& law = model.classes()[cls].route[step].base_service;
+        sum_mean += law.mean();
+        sum_m2 += law.second_moment();
+      }
+      const auto visits = static_cast<double>(flow.visits);
+      const double mean = sum_mean / visits;
+      // from_mean_scv clamps negative mixture variance to 0, i.e. m2 is at
+      // least mean^2; single visits (variance >= 0 by construction) are
+      // unaffected.
+      const double m2 = std::max(sum_m2 / visits, mean * mean);
       IntervalFlow f;
-      f.rate = box.rates[st.visiting[i]] * Interval::point(st.visits[i]);
-      f.mean = Interval::point(st.mix_mean[i]) * ts[s];
-      f.m2 = Interval::point(st.mix_m2[i]) * ts[s] * ts[s];
+      f.rate = box.rates[flow.cls] * Interval::point(visits);
+      f.mean = Interval::point(mean) * ts[s];
+      f.m2 = Interval::point(m2) * ts[s] * ts[s];
       es_rate = es_rate + f.rate * f.mean;
       flows.push_back(f);
+      if (sum_mean > 0.0)
+        load[s] = load[s] + box.rates[flow.cls] * Interval::point(sum_mean);
     }
     const auto& tier = model.tiers()[s];
     ev.rho[s] = es_rate / Interval::point(static_cast<double>(tier.servers));
     const std::vector<Interval> waits =
         station_delays(tier.servers, tier.discipline, flows);
-    for (std::size_t i = 0; i < st.visiting.size(); ++i)
-      station_wait[s][st.visiting[i]] = waits[i];
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      station_wait[s][skeleton.flows[s][i].cls] = waits[i];
   }
 
   // Per-class floors and E2E delays: each visit contributes its own mean
@@ -291,21 +276,13 @@ IntervalEvaluation evaluate_box(const core::ClusterModel& model,
   // with rho = load_base ts n^-1 ... after cancelling speedup against the
   // utilisation's 1/speedup, to
   //   n idle + g(f) load / mu_scale,   g(f) = dyn(f) / speedup(f),
-  // where load = sum_k lambda_k * (base demand of k at the tier). g is
-  // monotone increasing in f for alpha >= 1 (it scales as f^(alpha-1)),
-  // so an endpoint evaluation is exact up to rounding.
+  // with the tier's load from above. g is monotone increasing in f for
+  // alpha >= 1 (it scales as f^(alpha-1)), so an endpoint evaluation is
+  // exact up to rounding.
   Interval total_power = Interval::point(0.0);
   bool maybe_unstable = false;
   for (std::size_t i = 0; i < n_tiers; ++i) {
     const auto& tier = model.tiers()[i];
-    Interval load = Interval::point(0.0);
-    for (std::size_t k = 0; k < n_classes; ++k) {
-      double demand = 0.0;
-      for (const auto& d : model.classes()[k].route)
-        if (static_cast<std::size_t>(d.tier) == i) demand += d.base_service.mean();
-      if (demand > 0.0)
-        load = load + box.rates[k] * Interval::point(demand);
-    }
     const Interval& f = box.frequencies[i];
     const Interval g = relax(Interval{
         tier.power.dynamic_power(units::hertz(f.lo)).value() /
@@ -314,7 +291,7 @@ IntervalEvaluation evaluate_box(const core::ClusterModel& model,
             tier.power.speedup(units::hertz(f.hi))});
     const Interval idle = Interval::point(static_cast<double>(tier.servers) *
                                           tier.power.idle_power().value());
-    total_power = total_power + idle + g * load / box.mu_scale[i];
+    total_power = total_power + idle + g * load[i] / box.mu_scale[i];
     if (ev.rho[i].hi >= 1.0) maybe_unstable = true;
   }
   // power_at() is +infinity at unstable points; keep them in the

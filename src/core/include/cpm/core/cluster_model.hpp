@@ -14,13 +14,14 @@
 // against discrete-event simulation — the paper's validation methodology.
 //
 // The model is the network's one description: its tiers carry the
-// servers and disciplines, its classes the rates and routes. evaluate() is
-// the one way into the analysis: delays, power, both per-request energies
-// and the stability verdict are assembled from one unit per tier, each
-// tier's station analysed from its own flows over the skeleton the model
-// binds from its routes when it is built. Solvers that probe many points
-// keep the units in a TierTable and analyse each tier once per distinct
-// (servers, frequency).
+// servers and disciplines, its classes the rates and routes. Delays, power,
+// both per-request energies and the stability verdict are assembled from
+// one unit per tier, each tier's station analysed from its own flows over
+// the skeleton the model binds from its routes when it is built. The
+// one-shot evaluate() computes every unit afresh; solvers that probe many
+// points read them through one TierTable, which analyses each tier once per
+// distinct (servers, frequency), counts the points and owns the evaluation
+// it writes into.
 #pragma once
 
 #include <memory>
@@ -109,8 +110,8 @@ struct Evaluation {
 /// Every figure of an evaluation is one of these or a sum of them over
 /// tiers or route steps, so an evaluation is assembled from one unit per
 /// tier (ClusterModel::assemble). At an unstable station only stable() and
-/// utilization() are defined. A unit is a view of the figures a TierTable
-/// or an EvaluationWorkspace owns.
+/// utilization() are defined. A unit is a view of the figures a TierTable,
+/// or a one-shot evaluation, owns.
 class TierUnit {
  public:
   /// The number of figures of a unit whose station has `flows` flows and
@@ -176,17 +177,6 @@ struct TierBuffers {
   queueing::StationMetrics station;
 };
 
-/// Buffers the in-place ClusterModel::evaluate reuses from call to call:
-/// each tier's unit at the probed point and the buffers that compute it.
-/// A workspace is not tied to one model; once it has evaluated a model of
-/// some shape, evaluating any model of that shape through it allocates
-/// nothing.
-struct EvaluationWorkspace {
-  std::vector<std::vector<double>> figures;  ///< per tier, its unit's figures
-  std::vector<TierUnit> units;               ///< views of `figures`
-  TierBuffers buffers;
-};
-
 /// A model checks its structure (tiers, servers, rates, routes) once, when
 /// it is built, and binds its queueing network's skeleton then: which route
 /// steps feed which station flows. The skeleton depends on the routes
@@ -239,19 +229,14 @@ class ClusterModel {
   /// priority-vs-FCFS comparisons of E6/E7 use this).
   [[nodiscard]] ClusterModel with_discipline(queueing::Discipline discipline) const;
 
-  /// Analytic per-class delays, power and energy at an operating point.
-  /// Returns stable=false (and no metrics) instead of throwing when some
-  /// tier saturates — optimisers probe infeasible points routinely.
+  /// Analytic per-class delays, power and energy at an operating point:
+  /// every tier's unit at the tier's servers and frequency, assembled when
+  /// every station is stable. Returns stable=false (and no metrics) instead
+  /// of throwing when some tier saturates — optimisers probe infeasible
+  /// points routinely. Throws unless check_frequencies passes. Each call
+  /// computes its units afresh; a TierTable reuses them, and its buffers,
+  /// across points.
   [[nodiscard]] Evaluation evaluate(const std::vector<double>& frequencies) const;
-
-  /// In-place form of evaluate(): writes into `out`, reusing its vectors
-  /// and the buffers of `ws`, bit for bit what evaluate() returns. It
-  /// computes every tier's unit at the tier's servers and frequency and,
-  /// when every station is stable, assembles them. On an unstable point it
-  /// sets only out.stable = false; the metrics keep whatever `out` held.
-  /// Throws, before writing to `out`, unless check_frequencies passes.
-  void evaluate(const std::vector<double>& frequencies, Evaluation& out,
-                EvaluationWorkspace& ws) const;
 
   /// Throws unless there is one frequency per tier, each inside its tier's
   /// DVFS range.
@@ -311,10 +296,6 @@ class ClusterModel {
   // `skeleton`.
   ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes,
                std::shared_ptr<const queueing::NetworkSkeleton> skeleton);
-  // Every tier's unit at `frequencies` and the tier's servers, into `ws`,
-  // after check_frequencies.
-  const std::vector<TierUnit>& units_at(const std::vector<double>& frequencies,
-                                        EvaluationWorkspace& ws) const;
   // The one check of the network's structure: tiers and classes present,
   // servers >= 1, costs > 0, rates >= 0 and, except in copies that keep
   // the routes, non-empty routes on known tiers. network_skeleton relies

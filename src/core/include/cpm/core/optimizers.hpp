@@ -24,9 +24,10 @@
 // answer meets with no overshoot (docs/model.md §4). Given `levels`, the
 // same three calls search a P-state lattice instead. P-C and TCO share one
 // monotone branch-and-bound over the server counts (adding a server can
-// only reduce delays). Every solve keeps its tier units in one TierTable,
-// so it analyses each tier once per distinct (servers, frequency) and
-// assembles each point it probes from them. Baseline policies the paper compares against
+// only reduce delays). Every solve reads each point it probes through one
+// TierTable, which analyses each tier once per distinct (servers,
+// frequency), assembles the point from its units and counts the points and
+// units the results report. Baseline policies the paper compares against
 // (uniform frequency, no DVFS) are provided alongside.
 #pragma once
 

@@ -33,7 +33,7 @@ std::vector<double> tier_base_loads(const ClusterModel& model);
 std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector<int>& servers);
 
 /// Per-tier utilisation at `frequencies` with the model's servers, read
-/// off each tier's unit (ClusterModel::analyze_tier), stable or not.
+/// off the point's units in a TierTable, stable or not.
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies);
 

@@ -17,6 +17,31 @@ std::vector<units::Rate> class_rates(const std::vector<WorkloadClass>& classes) 
   return rates;
 }
 
+// The one-shot path's buffers: each tier's unit at one point, computed
+// afresh, and the buffers that compute it. Solvers that probe many points
+// read them through a TierTable instead.
+struct OneShot {
+  std::vector<std::vector<double>> figures;  // per tier, its unit's figures
+  std::vector<TierUnit> units;               // views of `figures`
+  TierBuffers buffers;
+};
+
+// Every tier's unit at `frequencies` and the tier's servers, into `one`,
+// after check_frequencies.
+const std::vector<TierUnit>& units_at(const ClusterModel& model,
+                                      const std::vector<double>& frequencies,
+                                      OneShot& one) {
+  model.check_frequencies(frequencies);
+  one.figures.resize(model.num_tiers());
+  for (std::size_t i = 0; i < model.num_tiers(); ++i) {
+    one.figures[i].resize(model.unit_size(i));
+    one.units.push_back(model.analyze_tier(i, model.tiers()[i].servers,
+                                           units::hertz(frequencies[i]),
+                                           one.figures[i], one.buffers));
+  }
+  return one.units;
+}
+
 }  // namespace
 
 ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> classes)
@@ -284,40 +309,19 @@ ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) cons
 
 Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const {
   Evaluation ev;
-  EvaluationWorkspace ws;
-  evaluate(frequencies, ev, ws);
+  OneShot one;
+  const std::vector<TierUnit>& units = units_at(*this, frequencies, one);
+  if (all_stable(units)) assemble(units, ev);
   return ev;
-}
-
-const std::vector<TierUnit>& ClusterModel::units_at(const std::vector<double>& frequencies,
-                                                     EvaluationWorkspace& ws) const {
-  check_frequencies(frequencies);
-  ws.figures.resize(tiers_.size());
-  ws.units.clear();
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    ws.figures[i].resize(unit_size(i));
-    ws.units.push_back(analyze_tier(i, tiers_[i].servers, units::hertz(frequencies[i]),
-                                    ws.figures[i], ws.buffers));
-  }
-  return ws.units;
 }
 
 bool all_stable(const std::vector<TierUnit>& units) {
   return std::all_of(units.begin(), units.end(), [](const TierUnit& u) { return u.stable(); });
 }
 
-void ClusterModel::evaluate(const std::vector<double>& frequencies, Evaluation& out,
-                            EvaluationWorkspace& ws) const {
-  const std::vector<TierUnit>& units = units_at(frequencies, ws);
-  if (all_stable(units))
-    assemble(units, out);
-  else
-    out.stable = false;
-}
-
 units::Watts ClusterModel::power_at(const std::vector<double>& frequencies) const {
-  EvaluationWorkspace ws;
-  const std::vector<TierUnit>& units = units_at(frequencies, ws);
+  OneShot one;
+  const std::vector<TierUnit>& units = units_at(*this, frequencies, one);
   return all_stable(units) ? cluster_power(units) : units::Watts::infinity();
 }
 

@@ -18,62 +18,16 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 
-// Every evaluation a solver makes goes through one evaluator, which owns
-// the solve's TierTable and the Evaluation it writes into: each tier is
-// analysed once per distinct (servers, frequency), and after the first
-// probes no evaluation allocates. It counts the operating points it
-// evaluates for the results' `evaluations`, whether assembled whole (at),
-// read for their power (power) or read tier by tier (unit).
-class Evaluator {
- public:
-  explicit Evaluator(const ClusterModel& model) : table_(model) {
-    for (const Tier& t : model.tiers()) servers_.push_back(t.servers);
-  }
-  // The solver's closures hold it by reference.
-  Evaluator(const Evaluator&) = delete;
-  Evaluator& operator=(const Evaluator&) = delete;
-
-  [[nodiscard]] const ClusterModel& model() const { return table_.model(); }
-  [[nodiscard]] const std::vector<int>& servers() const { return servers_; }
-  [[nodiscard]] long count() const { return count_; }
-  [[nodiscard]] long analyses() const { return table_.analyses(); }
-
-  // The evaluation at `f`, with the model's servers or with `servers`.
-  // Only `stable` and the accessors are meaningful at an unstable point
-  // (see the in-place ClusterModel::evaluate).
-  const Evaluation& at(const std::vector<double>& f) { return at(servers_, f); }
-  const Evaluation& at(const std::vector<int>& servers, const std::vector<double>& f) {
-    ++count_;
-    table_.evaluate(servers, f, ev_);
-    return ev_;
-  }
-
-  // Cluster power at `f`, read off the tiers' units without assembling the
-  // rest of the point, as ClusterModel::power_at reads it.
-  units::Watts power(const std::vector<double>& f) {
-    ++count_;
-    const std::vector<TierUnit>& units = table_.units(servers_, f);
-    return all_stable(units) ? cluster_power(units) : units::Watts::infinity();
-  }
-
-  // Tier i's unit at frequency f with the model's servers, for a point the
-  // caller reads tier by tier and counts with count_point().
-  TierUnit unit(std::size_t i, double f) { return table_.unit(i, servers_[i], units::hertz(f)); }
-  void count_point() { ++count_; }
-
- private:
-  TierTable table_;
-  std::vector<int> servers_;
-  Evaluation ev_;
-  long count_ = 0;
-};
-
-FrequencyOptResult finish(Evaluator& eval, std::vector<double> f, bool feasible) {
+// Every solve reads every operating point it probes through one TierTable,
+// which counts the points for the results' `evaluations` and the units it
+// computes for their `station_analyses`.
+FrequencyOptResult finish(TierTable& table, std::vector<double> f,
+                          bool feasible) {
   FrequencyOptResult r;
   r.frequencies = std::move(f);
-  const Evaluation& ev = eval.at(r.frequencies);
-  r.evaluations = eval.count();
-  r.station_analyses = eval.analyses();
+  const Evaluation& ev = table.evaluate(r.frequencies);
+  r.evaluations = table.evaluations();
+  r.station_analyses = table.analyses();
   r.feasible = feasible && ev.stable;
   r.mean_delay = ev.mean_delay();
   r.power = ev.power();
@@ -99,16 +53,16 @@ bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
 // The objective of P-E and of the TCO program's inner problem.
 constexpr auto kPower = [](const Evaluation& ev) { return ev.power().value(); };
 
-// Exhaustive search of the P-state lattice `grids` over the model `eval` is
-// bound to, with `servers` servers per tier: `objective` is minimised over
-// the stable grid points that are `admissible`, the first found winning a
-// tie.
+// Exhaustive search of the P-state lattice `grids` over the model `table`
+// is bound to, with `servers` servers per tier: `objective` is minimised
+// over the stable grid points that are `admissible`, the first found
+// winning a tie.
 FrequencyOptResult lattice_search(
-    Evaluator& eval, const std::vector<int>& servers,
+    TierTable& table, const std::vector<int>& servers,
     const std::vector<std::vector<double>>& grids,
     const std::function<double(const Evaluation&)>& objective,
     const std::function<bool(const Evaluation&)>& admissible) {
-  const ClusterModel& model = eval.model();
+  const ClusterModel& model = table.model();
   const std::size_t n = grids.size();
 
   // Per-tier stability floor: tier i is stable iff f_i exceeds its own
@@ -127,7 +81,7 @@ FrequencyOptResult lattice_search(
       if (f[i] < floor[i]) viable = false;  // tier saturated at this level
     }
     if (viable) {
-      const Evaluation& ev = eval.at(servers, f);
+      const Evaluation& ev = table.evaluate(servers, f);
       if (ev.stable && admissible(ev)) {
         const double value = objective(ev);
         if (value < best_value) {
@@ -151,23 +105,24 @@ FrequencyOptResult lattice_search(
   if (!best.feasible) best.frequencies = model.max_frequencies();
   best.mean_delay = best.evaluation.mean_delay();
   best.power = best.evaluation.power();
-  best.evaluations = eval.count();
-  best.station_analyses = eval.analyses();
+  best.evaluations = table.evaluations();
+  best.station_analyses = table.analyses();
   return best;
 }
 
 // P-C's integer program: 1 to max_servers servers per tier at each tier's
-// server cost, feasible when every SLA holds at f_max; `eval` serves the
+// server cost, feasible when every SLA holds at f_max; `table` serves the
 // oracle's probes, each server count of a tier analysed once. Feasibility
 // is monotone in the server counts.
 opt::IntegerProblem sizing_problem(const ClusterModel& model, int max_servers,
-                                   Evaluator& eval) {
+                                   TierTable& table) {
   opt::IntegerProblem problem;
   problem.n_min.assign(model.num_tiers(), 1);
   problem.n_max.assign(model.num_tiers(), max_servers);
   for (const Tier& tier : model.tiers()) problem.cost.push_back(tier.server_cost);
-  problem.feasible = [&model, &eval, f_max = model.max_frequencies()](const std::vector<int>& n) {
-    return slas_hold(model, eval.at(n, f_max));
+  problem.feasible = [&model, &table, f_max = model.max_frequencies()](
+                         const std::vector<int>& n) {
+    return slas_hold(model, table.evaluate(n, f_max));
   };
   return problem;
 }
@@ -227,9 +182,9 @@ struct TierTerms {
 
 class TierDual {
  public:
-  TierDual(Evaluator& eval, const std::vector<DelayBound>& rows)
-      : eval_(eval),
-        model_(eval.model()),
+  TierDual(TierTable& table, const std::vector<DelayBound>& rows)
+      : table_(table),
+        model_(table.model()),
         n_(model_.num_tiers()),
         lo_(model_.min_stable_frequencies()),
         hi_(model_.max_frequencies()),
@@ -367,12 +322,12 @@ class TierDual {
   // power and its visits' sojourns weighted into every delay row. Every
   // point the solver probes lies in the stable box [lo, hi].
   void split(const std::vector<double>& f, TierTerms& t) {
-    eval_.count_point();
+    const std::vector<TierUnit>& units = table_.units(table_.servers(), f);
     t.power.resize(n_);
     t.delay.assign(rows_.size() * n_, 0.0);
     const auto& visits = model_.skeleton().visits;
     for (std::size_t i = 0; i < n_; ++i) {
-      const TierUnit unit = eval_.unit(i, f[i]);
+      const TierUnit& unit = units[i];
       require(unit.stable(), "continuous solve: unstable point inside the stable range");
       t.power[i] = unit.average_power().value();
       for (std::size_t v = 0; v < visits[i].size(); ++v) {
@@ -427,7 +382,7 @@ class TierDual {
     }
   }
 
-  Evaluator& eval_;
+  TierTable& table_;
   const ClusterModel& model_;
   std::size_t n_;
   std::vector<std::vector<double>> rows_;  // rows_[r][k]: class k's weight in row r
@@ -447,7 +402,7 @@ class TierDual {
 
 // The relative excess of the constraint(s) over the bound(s) at an
 // operating point, (value - bound) / bound: > 0 exactly when one is
-// exceeded. It evaluates the point through the solve's evaluator.
+// exceeded. It evaluates the point through the solve's table.
 using Excess = std::function<double(const std::vector<double>&)>;
 
 // Lands the constraint on its bound from the feasible side. Searches the
@@ -677,16 +632,17 @@ double ascend(TierDual& dual, const std::vector<double>& bounds) {
 // P-state lattice.
 FrequencyOptResult minimize_power(const ClusterModel& model,
                                   const std::vector<DelayBound>& bounds, int levels) {
-  Evaluator eval(model);
+  TierTable table(model);
   if (levels != 0) {
     const auto within = [&bounds](const Evaluation& ev) {
       return std::all_of(bounds.begin(), bounds.end(),
                          [&ev](const DelayBound& b) { return b.value(ev) <= b.bound; });
     };
-    return lattice_search(eval, eval.servers(), frequency_grids(model, levels), kPower, within);
+    return lattice_search(table, table.servers(),
+                          frequency_grids(model, levels), kPower, within);
   }
-  const Excess excess = [&eval, &bounds](const std::vector<double>& f) {
-    const Evaluation& ev = eval.at(f);
+  const Excess excess = [&table, &bounds](const std::vector<double>& f) {
+    const Evaluation& ev = table.evaluate(f);
     double worst = ev.stable ? -kInf : kInf;
     for (const DelayBound& b : bounds) worst = std::max(worst, (b.value(ev) - b.bound) / b.bound);
     return worst;
@@ -694,19 +650,19 @@ FrequencyOptResult minimize_power(const ClusterModel& model,
   // Every delay is least at f_max: a bound missed there is infeasible.
   const std::vector<double> f_max = model.max_frequencies();
   const double fast = excess(f_max);
-  if (fast > 0.0) return finish(eval, f_max, false);
+  if (fast > 0.0) return finish(table, f_max, false);
   // Power is least, and every delay largest, at the min-stable point: a
   // bound that holds there binds nowhere, and if all do, that is the answer.
   const std::vector<double> f_floor = model.min_stable_frequencies();
   std::vector<DelayBound> binding;
   {
-    const Evaluation& slow = eval.at(f_floor);
+    const Evaluation& slow = table.evaluate(f_floor);
     for (const DelayBound& b : bounds)
       if (!(b.value(slow) <= b.bound)) binding.push_back(b);
   }
-  if (binding.empty()) return finish(eval, f_floor, true);
+  if (binding.empty()) return finish(table, f_floor, true);
 
-  TierDual dual(eval, binding);
+  TierDual dual(table, binding);
   std::vector<double> rows(binding.size());
   for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = binding[r].bound;
   const double c = rows.size() == 1 ? find_multiplier(dual, {1.0}, false, rows[0], kDualTol).second
@@ -714,7 +670,9 @@ FrequencyOptResult minimize_power(const ClusterModel& model,
   double c_floor = -kInf;
   for (std::size_t r = 0; r < rows.size(); ++r)
     c_floor = std::max(c_floor, (dual.delay(dual.at_lo(), r) - rows[r]) / rows[r]);
-  return finish(eval, land_from(excess, dual, c, dual.top(), fast, f_floor, c_floor), true);
+  return finish(
+      table, land_from(excess, dual, c, dual.top(), fast, f_floor, c_floor),
+      true);
 }
 
 }  // namespace
@@ -723,29 +681,31 @@ FrequencyOptResult minimize_delay_with_power_budget(const ClusterModel& model,
                                                    units::Watts power_budget, int levels) {
   require(power_budget > units::watts(0.0),
           "P-D: power budget must be positive");
-  Evaluator eval(model);
+  TierTable table(model);
   if (levels != 0)
     return lattice_search(
-        eval, eval.servers(), frequency_grids(model, levels),
+        table, table.servers(), frequency_grids(model, levels),
         [](const Evaluation& ev) { return ev.mean_delay().value(); },
         [power_budget](const Evaluation& ev) { return ev.power() <= power_budget; });
   const double budget = power_budget.value();
-  const Excess excess = [&eval, budget](const std::vector<double>& f) {
-    return (eval.power(f).value() - budget) / budget;
+  const Excess excess = [&table, budget](const std::vector<double>& f) {
+    return (table.power(f).value() - budget) / budget;
   };
   // Feasibility precheck: cluster power is componentwise increasing in f
   // over the stable region, so the min-stable point attains minimum power.
   const std::vector<double> f_floor = model.min_stable_frequencies();
   const double slow = excess(f_floor);
-  if (slow > 0.0) return finish(eval, f_floor, false);
+  if (slow > 0.0) return finish(table, f_floor, false);
   // Delay is least at f_max: if that fits the budget, it is the answer.
   const std::vector<double> f_max = model.max_frequencies();
-  if (excess(f_max) <= 0.0) return finish(eval, f_max, true);
+  if (excess(f_max) <= 0.0) return finish(table, f_max, true);
 
-  TierDual dual(eval, {DelayBound{}});
+  TierDual dual(table, {DelayBound{}});
   const double c = find_multiplier(dual, {1.0}, true, budget, kDualTol).second;
   const double c_top = (dual.power(dual.at_hi()) - budget) / budget;
-  return finish(eval, land_from(excess, dual, c, f_floor, slow, dual.top(), c_top), true);
+  return finish(
+      table, land_from(excess, dual, c, f_floor, slow, dual.top(), c_top),
+      true);
 }
 
 FrequencyOptResult minimize_power_with_delay_bound(const ClusterModel& model,
@@ -783,9 +743,11 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
     for (std::size_t i = 0; i < f.size(); ++i) f[i] = lo[i] + t * (hi[i] - lo[i]);
     return f;
   };
-  Evaluator eval(model);
-  auto within_budget = [&](double t) { return eval.power(freqs_at(t)) <= power_budget; };
-  if (!within_budget(0.0)) return finish(eval, freqs_at(0.0), false);
+  TierTable table(model);
+  auto within_budget = [&](double t) {
+    return table.power(freqs_at(t)) <= power_budget;
+  };
+  if (!within_budget(0.0)) return finish(table, freqs_at(0.0), false);
   // Bisect for the largest in-budget t: within_budget(a) holds throughout,
   // and within_budget(b) fails unless all of [0, 1] is in budget.
   double a = 0.0, b = 1.0;
@@ -794,7 +756,7 @@ FrequencyOptResult uniform_frequency_baseline(const ClusterModel& model,
     const double m = 0.5 * (a + b);
     if (within_budget(m)) a = m; else b = m;
   }
-  return finish(eval, freqs_at(a), true);
+  return finish(table, freqs_at(a), true);
 }
 
 CostOptResult minimize_cost_for_slas(const ClusterModel& model,
@@ -823,8 +785,9 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
     }
   }
 
-  Evaluator eval(model);
-  const opt::IntegerProblem problem = sizing_problem(model, options.max_servers_per_tier, eval);
+  TierTable table(model);
+  const opt::IntegerProblem problem =
+      sizing_problem(model, options.max_servers_per_tier, table);
   const opt::IntegerResult ir = options.greedy_only
                                     ? opt::greedy_descend(problem)
                                     : opt::minimize_monotone_cost(problem);
@@ -834,9 +797,9 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
   r.total_cost = ir.cost;
   r.feasible = ir.feasible;
   r.nodes_explored = ir.nodes_explored;
-  if (ir.feasible) r.evaluation = eval.at(ir.n, freqs);
-  r.evaluations = eval.count();
-  r.station_analyses = eval.analyses();
+  if (ir.feasible) r.evaluation = table.evaluate(ir.n, freqs);
+  r.evaluations = table.evaluations();
+  r.station_analyses = table.analyses();
   return r;
 }
 
@@ -862,13 +825,13 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
   const double kwh_factor = options.energy_price_per_kwh * options.billing_hours /
                             1000.0;  // watts -> money
   const std::vector<std::vector<double>> grids = frequency_grids(model, options.levels);
-  Evaluator eval(model);
+  TierTable table(model);
   // The inner problem at server counts n: the least power over the lattice
   // that meets every SLA. Called where the SLAs hold at f_max, the grid's
   // top level, so it finds a point. Every leaf reads the one table, so a
   // tier is analysed once per server count and level.
-  auto cheapest = [&model, &grids, &eval](const std::vector<int>& n) {
-    return lattice_search(eval, n, grids, kPower,
+  auto cheapest = [&model, &grids, &table](const std::vector<int>& n) {
+    return lattice_search(table, n, grids, kPower,
                           [&model](const Evaluation& ev) { return slas_hold(model, ev); });
   };
   auto capex = [&model](const std::vector<int>& n) {
@@ -878,7 +841,8 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
   };
 
   // A server costs at least its price and the energy of its idle power.
-  opt::IntegerProblem problem = sizing_problem(model, options.max_servers_per_tier, eval);
+  opt::IntegerProblem problem =
+      sizing_problem(model, options.max_servers_per_tier, table);
   for (std::size_t i = 0; i < problem.cost.size(); ++i)
     problem.cost[i] += model.tiers()[i].power.idle_power().value() * kwh_factor;
   problem.value = [&](const std::vector<int>& n) {
@@ -899,8 +863,8 @@ TcoResult minimize_total_cost_of_ownership(const ClusterModel& model,
     r.power = inner.power;
     r.evaluation = inner.evaluation;
   }
-  r.evaluations = eval.count();
-  r.station_analyses = eval.analyses();
+  r.evaluations = table.evaluations();
+  r.station_analyses = table.analyses();
   return r;
 }
 

@@ -5,6 +5,7 @@
 
 #include "cpm/common/error.hpp"
 #include "cpm/common/table.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace cpm::core {
 
@@ -27,15 +28,10 @@ std::vector<double> tier_base_loads(const ClusterModel& model, const std::vector
 
 std::vector<double> tier_utilizations(const ClusterModel& model,
                                       const std::vector<double>& frequencies) {
-  model.check_frequencies(frequencies);
-  std::vector<double> rho(model.num_tiers());
-  std::vector<double> figures;
-  TierBuffers buffers;
-  for (std::size_t i = 0; i < rho.size(); ++i) {
-    figures.resize(model.unit_size(i));
-    const units::Hertz f = units::hertz(frequencies[i]);
-    rho[i] = model.analyze_tier(i, model.tiers()[i].servers, f, figures, buffers).utilization();
-  }
+  TierTable table(model);
+  std::vector<double> rho;
+  for (const TierUnit& unit : table.units(table.servers(), frequencies))
+    rho.push_back(unit.utilization());
   return rho;
 }
 

@@ -15,6 +15,7 @@ constexpr std::size_t kInitialUnits = 128;
 }  // namespace
 
 TierTable::TierTable(const ClusterModel& model) : model_(&model), tiers_(model.num_tiers()) {
+  for (const auto& t : model.tiers()) servers_.push_back(t.servers);
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     tiers_[i].size = model.unit_size(i);
     tiers_[i].flows = model.skeleton().flows[i].size();
@@ -45,7 +46,8 @@ void TierTable::grow(Tier& tier) {
   }
 }
 
-TierUnit TierTable::unit(std::size_t tier, int servers, units::Hertz frequency) {
+const double* TierTable::figures(std::size_t tier, int servers,
+                                 units::Hertz frequency) {
   require(servers >= 1, "TierTable: a tier needs >= 1 server");
   Tier& t = tiers_[tier];
   const Key key{std::bit_cast<std::uint64_t>(frequency.value()), servers};
@@ -54,7 +56,7 @@ TierUnit TierTable::unit(std::size_t tier, int servers, units::Hertz frequency) 
   for (; t.slots[s] != 0; s = (s + 1) & mask) {
     const std::size_t u = t.slots[s] - 1;
     if (t.keys[u].frequency_bits == key.frequency_bits && t.keys[u].servers == servers)
-      return TierUnit(t.figures.data() + u * t.size, t.flows, t.visits);
+      return t.figures.data() + u * t.size;
   }
   const std::size_t u = t.keys.size();
   t.figures.resize((u + 1) * t.size);
@@ -64,26 +66,37 @@ TierUnit TierTable::unit(std::size_t tier, int servers, units::Hertz frequency) 
   t.keys.push_back(key);
   t.slots[s] = static_cast<std::uint32_t>(u + 1);
   if (2 * t.keys.size() > t.slots.size()) grow(t);
-  return TierUnit(t.figures.data() + u * t.size, t.flows, t.visits);
+  return t.figures.data() + u * t.size;
 }
 
 const std::vector<TierUnit>& TierTable::units(const std::vector<int>& servers,
                                               const std::vector<double>& frequencies) {
   require(servers.size() == tiers_.size(), "TierTable: one server count per tier required");
   model_->check_frequencies(frequencies);
+  ++evaluations_;
+  // Each view is built here from the figures' address: a unit returned by
+  // value from the lookup costs a store-forwarding stall per tier.
   units_.clear();
   for (std::size_t i = 0; i < tiers_.size(); ++i)
-    units_.push_back(unit(i, servers[i], units::hertz(frequencies[i])));
+    units_.emplace_back(figures(i, servers[i], units::hertz(frequencies[i])),
+                        tiers_[i].flows, tiers_[i].visits);
   return units_;
 }
 
-void TierTable::evaluate(const std::vector<int>& servers, const std::vector<double>& frequencies,
-                         Evaluation& out) {
+const Evaluation& TierTable::evaluate(const std::vector<int>& servers,
+                                      const std::vector<double>& frequencies) {
   const std::vector<TierUnit>& point = units(servers, frequencies);
   if (all_stable(point))
-    model_->assemble(point, out);
+    model_->assemble(point, evaluation_);
   else
-    out.stable = false;
+    evaluation_.stable = false;
+  return evaluation_;
+}
+
+units::Watts TierTable::power(const std::vector<int>& servers,
+                              const std::vector<double>& frequencies) {
+  const std::vector<TierUnit>& point = units(servers, frequencies);
+  return all_stable(point) ? cluster_power(point) : units::Watts::infinity();
 }
 
 }  // namespace cpm::core

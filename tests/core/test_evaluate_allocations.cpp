@@ -12,6 +12,7 @@
 
 #include "cpm/core/model_io.hpp"
 #include "cpm/core/optimizers.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace {
 
@@ -55,31 +56,32 @@ TEST(EvaluateAllocations, OneShotEvaluationAllocatesItsResult) {
 
 TEST(EvaluateAllocations, InPlaceEvaluationAllocatesNothingOnceWarm) {
   const ClusterModel model = enterprise_load70();
-  EvaluationWorkspace ws;
-  Evaluation ev;
-  model.evaluate(model.max_frequencies(), ev, ws);
+  TierTable table(model);
+  const Evaluation& ev = table.evaluate(model.max_frequencies());
   ASSERT_TRUE(ev.stable);
 
+  // A point whose units the table computes allocates nothing, nor does
+  // reading its power.
   const std::vector<double> f = {0.8, 0.9, 0.95};
-  EXPECT_EQ(allocations_of([&] { model.evaluate(f, ev, ws); }), 0);
+  const std::vector<double> g = {0.85, 0.9, 0.95};
+  EXPECT_EQ(allocations_of([&] { table.evaluate(f); }), 0);
   ASSERT_TRUE(ev.stable);
+  EXPECT_EQ(allocations_of([&] { table.power(g); }), 0);
   // An unstable point and the return to a stable one allocate nothing too.
   const std::vector<double> slow = model.min_frequencies();
-  EXPECT_EQ(allocations_of([&] { model.evaluate(slow, ev, ws); }), 0);
+  EXPECT_EQ(allocations_of([&] { table.evaluate(slow); }), 0);
   ASSERT_FALSE(ev.stable);
-  EXPECT_EQ(allocations_of([&] { model.evaluate(f, ev, ws); }), 0);
+  EXPECT_EQ(allocations_of([&] { table.evaluate(f); }), 0);
   ASSERT_TRUE(ev.stable);
-  // Evaluating another model of the same shape reuses the buffers too.
-  const ClusterModel heavier = model.with_rate_scale(1.1);
-  EXPECT_EQ(allocations_of([&] { heavier.evaluate(f, ev, ws); }), 0);
 }
 
-TEST(EvaluateAllocations, PowerSolveReusesOneWorkspace) {
+TEST(EvaluateAllocations, PowerSolveReadsOneTable) {
   // P-E at rate scale 0.925 with the bound at 3x the f_max mean delay.
   // When every solver probe evaluated through fresh buffers the augmented
   // Lagrangian made 716,036 allocations here, and 607 with its buffers
-  // allocated once per run. The dual solve makes 134, all per solve or per
-  // multiplier step; the budget is the one the augmented Lagrangian had.
+  // allocated once per run. The dual solve, reading every point through
+  // one TierTable, makes 120, all per solve or per multiplier step; the
+  // budget is the one the augmented Lagrangian had.
   const ClusterModel model = enterprise_load70().with_rate_scale(0.925);
   const units::Seconds bound = model.mean_delay_at(model.max_frequencies()) * 3.0;
   FrequencyOptResult r;

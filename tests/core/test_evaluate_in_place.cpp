@@ -1,11 +1,13 @@
-// The in-place ClusterModel::evaluate and the stability decision it shares
-// with the one-shot form.
+// Evaluation in place, through a TierTable, and the stability decision it
+// shares with the one-shot ClusterModel::evaluate.
 //
-//   * Through one reused workspace and one reused Evaluation, every point
+//   * Through one table per model, reused across its points, every point
 //     of 200 generated models evaluates bit for bit as a fresh one-shot
-//     evaluate does, visited in a shuffled order that crosses models of
-//     different shapes, stable and unstable points, and tiers that switch
-//     between the single- and multi-server formulas.
+//     evaluate does, visited in a shuffled order that interleaves models
+//     of different shapes, stable and unstable points, and tiers that
+//     switch between the single- and multi-server formulas.
+//   * A table counts every operating point it reads, and analyses each
+//     tier once per distinct (servers, frequency).
 //   * Within a few ulps of utilisation 1 a multi-server tier is reported
 //     unstable instead of throwing or yielding an infinite delay.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "cpm/common/rng.hpp"
 #include "cpm/core/cluster_model.hpp"
 #include "cpm/core/preconditions.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace cpm::core {
 namespace {
@@ -94,7 +98,7 @@ ClusterModel reroute(const ClusterModel& m, Rng& rng) {
   return ClusterModel(m.tiers(), std::move(classes));
 }
 
-TEST(EvaluateInPlace, ReusedWorkspaceMatchesOneShotBitForBit) {
+TEST(EvaluateInPlace, ReusedTablesMatchOneShotBitForBit) {
   // Half the models put their busiest tier at utilisation 0.999 at f_max,
   // so most lower frequencies saturate it; the other half use the default
   // envelope with up to four servers per tier. Every generated class
@@ -134,13 +138,14 @@ TEST(EvaluateInPlace, ReusedWorkspaceMatchesOneShotBitForBit) {
   for (std::size_t i = points.size() - 1; i > 0; --i)
     std::swap(points[i], points[rng.below(i + 1)]);
 
-  EvaluationWorkspace ws;
-  Evaluation ev;
+  std::vector<std::unique_ptr<TierTable>> tables;
+  for (const ClusterModel& m : models)
+    tables.push_back(std::make_unique<TierTable>(m));
   int stable = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     SCOPED_TRACE("point " + std::to_string(i) + " of model " + std::to_string(p.model));
-    models[p.model].evaluate(p.frequencies, ev, ws);
+    const Evaluation& ev = tables[p.model]->evaluate(p.frequencies);
     expect_same(ev, models[p.model].evaluate(p.frequencies));
     stable += ev.stable ? 1 : 0;
   }
@@ -151,12 +156,11 @@ TEST(EvaluateInPlace, ReusedWorkspaceMatchesOneShotBitForBit) {
 
 TEST(EvaluateInPlace, UnstablePointLeavesOnlyTheFlag) {
   const auto model = make_enterprise_model(0.9);
-  EvaluationWorkspace ws;
-  Evaluation ev;
-  model.evaluate(model.max_frequencies(), ev, ws);
+  TierTable table(model);
+  const Evaluation& ev = table.evaluate(model.max_frequencies());
   ASSERT_TRUE(ev.stable);
   const auto delays = ev.net.e2e_delay;
-  model.evaluate(model.min_frequencies(), ev, ws);
+  EXPECT_EQ(&table.evaluate(model.min_frequencies()), &ev);
   EXPECT_FALSE(ev.stable);
   EXPECT_EQ(ev.power(), units::Watts::infinity());
   EXPECT_EQ(ev.net.e2e_delay, delays);
@@ -169,16 +173,51 @@ TEST(EvaluateInPlace, UnstablePointLeavesOnlyTheFlag) {
 
 TEST(EvaluateInPlace, InvalidFrequenciesThrowBeforeWriting) {
   const auto model = make_enterprise_model(0.6);
-  EvaluationWorkspace ws;
-  Evaluation ev;
-  model.evaluate(model.max_frequencies(), ev, ws);
+  TierTable table(model);
+  const Evaluation& ev = table.evaluate(model.max_frequencies());
   const Evaluation before = ev;
-  EXPECT_THROW(model.evaluate({1.0, 1.0}, ev, ws), Error);
-  EXPECT_THROW(model.evaluate({0.1, 1.0, 1.0}, ev, ws), Error);
+  EXPECT_THROW(table.evaluate({1.0, 1.0}), Error);
+  EXPECT_THROW(table.evaluate({0.1, 1.0, 1.0}), Error);
   EXPECT_TRUE(ev.stable);
   EXPECT_EQ(ev.net.e2e_delay, before.net.e2e_delay);
-  model.evaluate(model.max_frequencies(), ev, ws);
+  table.evaluate(model.max_frequencies());
   expect_same(ev, before);
+}
+
+TEST(TierTable, CountsEveryPointItReads) {
+  const auto model = make_enterprise_model(0.6);
+  TierTable table(model);
+  ASSERT_EQ(table.servers(), (std::vector<int>{2, 1, 1}));
+  const std::vector<double> f = model.max_frequencies();
+  EXPECT_EQ(table.units(table.servers(), f).size(), 3U);
+  EXPECT_EQ(table.evaluations(), 1);
+  EXPECT_EQ(table.analyses(), 3);
+  // The same point, whole and for its power: counted, not analysed again.
+  EXPECT_TRUE(table.evaluate(f).stable);
+  EXPECT_EQ(bits(table.power(f)), bits(model.power_at(f)));
+  EXPECT_EQ(table.evaluations(), 3);
+  EXPECT_EQ(table.analyses(), 3);
+  // Another fleet analyses only the tier whose server count changed, once.
+  const std::vector<int> fleet = {2, 3, 1};
+  EXPECT_TRUE(table.evaluate(fleet, f).stable);
+  EXPECT_EQ(bits(table.power(fleet, f)),
+            bits(model.with_servers(fleet).power_at(f)));
+  EXPECT_EQ(table.evaluations(), 5);
+  EXPECT_EQ(table.analyses(), 4);
+  // One tier at another frequency: one more analysis.
+  std::vector<double> g = f;
+  g[2] = 0.8;
+  EXPECT_TRUE(table.evaluate(g).stable);
+  EXPECT_EQ(table.evaluations(), 6);
+  EXPECT_EQ(table.analyses(), 5);
+  // A point with a frequency outside the DVFS range, or without one per
+  // tier, throws before it is counted or analysed.
+  EXPECT_THROW(table.units(table.servers(), {1.0, 1.0, 0.1}), Error);
+  EXPECT_THROW(table.evaluate({0.8, 1.0}), Error);
+  EXPECT_THROW(table.power({0.8, 1.0, 9.0}), Error);
+  EXPECT_THROW(table.power({2, 1}, f), Error);
+  EXPECT_EQ(table.evaluations(), 6);
+  EXPECT_EQ(table.analyses(), 5);
 }
 
 // One tier of `servers` servers and three classes with exponential demands

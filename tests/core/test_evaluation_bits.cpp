@@ -1,8 +1,8 @@
 // Bit-identity guard for model evaluation.
 //
 // A seeded sweep of generated models, and of the copies the optimisers
-// and the controller make of them, is evaluated through one reused
-// workspace, and every field each evaluation reports is folded, as raw
+// and the controller make of them, is evaluated one shot at a time, and
+// every field each evaluation reports is folded, as raw
 // bits, into one digest per kind of model. The recorded digests pin every
 // result of the analytic pipeline: a change to the evaluator that moves
 // any value by one ulp, or reports a point stable that was not, changes a
@@ -171,9 +171,9 @@ struct Reach {
 };
 
 // The seeded sweep: 120 generated models and, per group of kGroups, one
-// variant of each, evaluated at every probe point through one reused
-// workspace. Calls visit(g, model, frequencies, evaluation, j) for each
-// evaluation of group g's variant, at the variant's j-th probe point.
+// variant of each, evaluated one shot at every probe point. Calls
+// visit(g, model, frequencies, evaluation, j) for each evaluation of group
+// g's variant, at the variant's j-th probe point.
 template <class Visit>
 Reach run_sweep(const Visit& visit) {
   check::GeneratorOptions wide;
@@ -190,8 +190,6 @@ Reach run_sweep(const Visit& visit) {
                                     Discipline::kPreemptiveResume,
                                     Discipline::kProcessorSharing};
   Reach reach;
-  EvaluationWorkspace ws;
-  Evaluation ev;
   for (int i = 0; i < 120; ++i) {
     const ClusterModel base = i % 2 == 0 ? wide_models.next() : near_models.next();
     const ClusterModel rerouted = reroute(base, rng);
@@ -220,10 +218,8 @@ Reach run_sweep(const Visit& visit) {
       }
       for (const auto& t : m.tiers()) reach.multi_server = reach.multi_server || t.servers > 1;
       const std::vector<std::vector<double>> points = probe_points(m, rng);
-      for (std::size_t j = 0; j < points.size(); ++j) {
-        m.evaluate(points[j], ev, ws);
-        visit(g, m, points[j], ev, j);
-      }
+      for (std::size_t j = 0; j < points.size(); ++j)
+        visit(g, m, points[j], m.evaluate(points[j]), j);
     }
   }
   return reach;
@@ -291,7 +287,6 @@ TEST(EvaluationBits, TableAssemblesWhatWithServersCopiesEvaluate) {
   // stable flag.
   Rng rng(19004);
   std::unique_ptr<TierTable> table;
-  Evaluation from_table;
   int compared = 0;
   int mismatched = 0;
   int unstable = 0;
@@ -299,14 +294,10 @@ TEST(EvaluationBits, TableAssemblesWhatWithServersCopiesEvaluate) {
                                     const std::vector<double>& f, const Evaluation& ev,
                                     std::size_t point) {
     if (point == 0) table = std::make_unique<TierTable>(m);
-    std::vector<int> own;
-    for (const Tier& t : m.tiers()) own.push_back(t.servers);
-    table->evaluate(own, f, from_table);
-    mismatched += same_bits(from_table, ev) ? 0 : 1;
+    mismatched += same_bits(table->evaluate(f), ev) ? 0 : 1;
     const std::vector<int> fleet = random_servers(m, rng);
     const Evaluation copy = m.with_servers(fleet).evaluate(f);
-    table->evaluate(fleet, f, from_table);
-    mismatched += same_bits(from_table, copy) ? 0 : 1;
+    mismatched += same_bits(table->evaluate(fleet, f), copy) ? 0 : 1;
     compared += 2;
     unstable += (ev.stable ? 0 : 1) + (copy.stable ? 0 : 1);
   });

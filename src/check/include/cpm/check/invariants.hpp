@@ -21,8 +21,11 @@
 //                          exactly, per class, on simulator output
 //
 // Each oracle returns a CheckResult with the worst relative residual it
-// saw and where; a Report aggregates them (worst violation per invariant
-// across many models — the differential harness's summary format).
+// saw and where, judged against one fixed tolerance: 1e-9 (roundoff) for
+// the analytic laws, 0 for flow conservation and 0.08 for the statistical
+// laws on simulator output.
+// A Report aggregates them (worst violation per invariant across many
+// models — the differential harness's summary format).
 #pragma once
 
 #include <string>
@@ -74,8 +77,7 @@ class Report {
 /// station utilisations. Near-exact: arithmetic noise only.
 CheckResult check_utilization_law(const core::ClusterModel& model,
                                   const std::vector<double>& frequencies,
-                                  const core::Evaluation& ev,
-                                  double tolerance = 1e-9);
+                                  const core::Evaluation& ev);
 
 /// Kleinrock's M/G/1 conservation law at every single-server FCFS or
 /// non-preemptive-priority tier: sum_k rho_k W_k == rho/(1-rho) * W0 with
@@ -84,31 +86,27 @@ CheckResult check_utilization_law(const core::ClusterModel& model,
 /// in that form).
 CheckResult check_conservation_law(const core::ClusterModel& model,
                                    const std::vector<double>& frequencies,
-                                   const core::Evaluation& ev,
-                                   double tolerance = 1e-9);
+                                   const core::Evaluation& ev);
 
 /// Work conservation across scheduling swaps: at each single-server tier
 /// the rho-weighted aggregate wait must be identical when the whole model
 /// is re-evaluated under FCFS vs non-preemptive priority (priorities
 /// reshuffle delay between classes, never create or destroy it).
 CheckResult check_work_conservation(const core::ClusterModel& model,
-                                    const std::vector<double>& frequencies,
-                                    double tolerance = 1e-9);
+                                    const std::vector<double>& frequencies);
 
 /// Same law on two precomputed evaluations (fcfs = the model under FCFS,
 /// priority = the model under non-preemptive priority). Lets callers reuse
 /// evaluations they already have — and tests inject tampered ones.
 CheckResult check_work_conservation(const core::ClusterModel& model,
                                     const core::Evaluation& fcfs,
-                                    const core::Evaluation& priority,
-                                    double tolerance = 1e-9);
+                                    const core::Evaluation& priority);
 
 /// Energy accounting balance: with proportional idle attribution,
 /// sum_k lambda_k E_k must recover the cluster average power exactly, and
 /// per-station powers must sum to the cluster total.
 CheckResult check_energy_balance(const core::ClusterModel& model,
-                                 const core::Evaluation& ev,
-                                 double tolerance = 1e-9);
+                                 const core::Evaluation& ev);
 
 /// Runs every analytic oracle on one operating point. Throws cpm::Error
 /// when the model is unstable at `frequencies` (no steady state to check).
@@ -120,11 +118,9 @@ Report check_analytic(const core::ClusterModel& model,
 /// Little's law on simulator output: per station, the time-average waiting
 /// queue length (measured by integration) must match sum_k lambda_ik Wq_ik
 /// (measured from per-departure samples) — two independent estimators of
-/// the same quantity. Finite-run edge effects make this statistical; the
-/// default tolerance matches the repo's standard validation effort.
+/// the same quantity. Finite-run edge effects make this statistical.
 CheckResult check_little_law(const sim::SimConfig& config,
-                             const sim::SimResult& result,
-                             double tolerance = 0.08);
+                             const sim::SimResult& result);
 
 /// Flow conservation, exact: per class, counted arrivals == completions +
 /// blocked + still-in-system at the horizon. Requires the counters the
@@ -136,8 +132,7 @@ CheckResult check_flow_conservation(const sim::SimConfig& config,
 /// marginal energy per request, summed, must match the measured dynamic
 /// power (cluster power minus idle floor). Statistical (edge effects).
 CheckResult check_energy_balance_sim(const sim::SimConfig& config,
-                                     const sim::SimResult& result,
-                                     double tolerance = 0.08);
+                                     const sim::SimResult& result);
 
 /// Runs every simulation-side oracle on one finished run.
 Report check_simulation(const sim::SimConfig& config,

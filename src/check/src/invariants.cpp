@@ -8,6 +8,16 @@
 
 namespace cpm::check {
 
+namespace {
+
+// The analytic oracles' tolerance: their laws hold up to roundoff.
+constexpr double kAnalyticTolerance = 1e-9;
+// The simulation-side statistical oracles' tolerance: finite-run edge
+// effects at the repo's standard validation effort.
+constexpr double kSimulationTolerance = 0.08;
+
+}  // namespace
+
 double residual(double a, double b, double floor) {
   return std::abs(a - b) / std::max({std::abs(a), std::abs(b), floor});
 }
@@ -63,10 +73,9 @@ const CheckResult* Report::find(const std::string& invariant) const {
 
 CheckResult check_utilization_law(const core::ClusterModel& model,
                                   const std::vector<double>& frequencies,
-                                  const core::Evaluation& ev,
-                                  double tolerance) {
+                                  const core::Evaluation& ev) {
   require(ev.stable, "check_utilization_law: evaluation must be stable");
-  CheckResult r{"utilization-law", true, 0.0, tolerance, ""};
+  CheckResult r{"utilization-law", true, 0.0, kAnalyticTolerance, ""};
   const auto& tiers = model.tiers();
   const std::vector<double> load = core::tier_base_loads(model);
   for (std::size_t i = 0; i < tiers.size(); ++i) {
@@ -79,10 +88,9 @@ CheckResult check_utilization_law(const core::ClusterModel& model,
 
 CheckResult check_conservation_law(const core::ClusterModel& model,
                                    const std::vector<double>& frequencies,
-                                   const core::Evaluation& ev,
-                                   double tolerance) {
+                                   const core::Evaluation& ev) {
   require(ev.stable, "check_conservation_law: evaluation must be stable");
-  CheckResult r{"conservation-law", true, 0.0, tolerance, ""};
+  CheckResult r{"conservation-law", true, 0.0, kAnalyticTolerance, ""};
   model.check_frequencies(frequencies);
   const auto& classes = model.classes();
   const auto& tiers = model.tiers();
@@ -120,21 +128,19 @@ CheckResult check_conservation_law(const core::ClusterModel& model,
 }
 
 CheckResult check_work_conservation(const core::ClusterModel& model,
-                                    const std::vector<double>& frequencies,
-                                    double tolerance) {
+                                    const std::vector<double>& frequencies) {
   const auto fcfs = model.with_discipline(queueing::Discipline::kFcfs)
                         .evaluate(frequencies);
   const auto prio =
       model.with_discipline(queueing::Discipline::kNonPreemptivePriority)
           .evaluate(frequencies);
-  return check_work_conservation(model, fcfs, prio, tolerance);
+  return check_work_conservation(model, fcfs, prio);
 }
 
 CheckResult check_work_conservation(const core::ClusterModel& model,
                                     const core::Evaluation& fcfs,
-                                    const core::Evaluation& prio,
-                                    double tolerance) {
-  CheckResult r{"work-conservation", true, 0.0, tolerance, ""};
+                                    const core::Evaluation& prio) {
+  CheckResult r{"work-conservation", true, 0.0, kAnalyticTolerance, ""};
   require(fcfs.stable && prio.stable,
           "check_work_conservation: model must be stable at f");
   for (std::size_t i = 0; i < model.num_tiers(); ++i) {
@@ -152,10 +158,9 @@ CheckResult check_work_conservation(const core::ClusterModel& model,
 }
 
 CheckResult check_energy_balance(const core::ClusterModel& model,
-                                 const core::Evaluation& ev,
-                                 double tolerance) {
+                                 const core::Evaluation& ev) {
   require(ev.stable, "check_energy_balance: evaluation must be stable");
-  CheckResult r{"energy-balance", true, 0.0, tolerance, ""};
+  CheckResult r{"energy-balance", true, 0.0, kAnalyticTolerance, ""};
 
   // Full cost recovery: proportional idle attribution makes the per-class
   // energies a partition of the cluster's entire power draw.
@@ -187,9 +192,8 @@ Report check_analytic(const core::ClusterModel& model,
 // ---- simulation-side oracles -----------------------------------------------
 
 CheckResult check_little_law(const sim::SimConfig& config,
-                             const sim::SimResult& result,
-                             double tolerance) {
-  CheckResult r{"little-law", true, 0.0, tolerance, ""};
+                             const sim::SimResult& result) {
+  CheckResult r{"little-law", true, 0.0, kSimulationTolerance, ""};
   if (result.measured_time <= 0.0) return r;
   for (std::size_t s = 0; s < config.stations.size(); ++s) {
     // PS stations keep every job "in service"; the waiting-queue signal is
@@ -227,9 +231,8 @@ CheckResult check_flow_conservation(const sim::SimConfig& config,
 }
 
 CheckResult check_energy_balance_sim(const sim::SimConfig& config,
-                                     const sim::SimResult& result,
-                                     double tolerance) {
-  CheckResult r{"energy-balance-sim", true, 0.0, tolerance, ""};
+                                     const sim::SimResult& result) {
+  CheckResult r{"energy-balance-sim", true, 0.0, kSimulationTolerance, ""};
   if (result.measured_time <= 0.0) return r;
   double recovered = 0.0;  // sum_k throughput_k * marginal joules per request
   for (std::size_t k = 0; k < config.classes.size(); ++k)

@@ -13,7 +13,6 @@
 // defensible confidence intervals.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <vector>
@@ -22,41 +21,29 @@
 
 namespace cpm {
 
-/// Welford's online mean/variance with min/max tracking.
+/// Welford's online mean/variance.
 /// `add` is defined inline: the simulator calls it several times per
 /// event, and keeping it visible to the optimizer (no cross-TU call)
 /// is worth measurable event throughput.
 class RunningStats {
  public:
   void add(double x) {
-    if (n_ == 0) {
-      min_ = max_ = x;
-    } else {
-      min_ = std::min(min_, x);
-      max_ = std::max(max_, x);
-    }
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
   }
-  /// Merges another accumulator (parallel replications reduce with this).
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Integral average of a right-continuous step function observed as
@@ -82,11 +69,9 @@ class TimeWeightedStats {
   void reset_at(double time);
 
   [[nodiscard]] double time_average() const;
-  [[nodiscard]] double elapsed() const { return last_time_ - start_time_; }
   /// Raw integral ∫ x(t) dt over the observed window (e.g. energy when the
   /// signal is power).
   [[nodiscard]] double integral() const { return integral_; }
-  [[nodiscard]] double current() const { return value_; }
 
  private:
   bool started_ = false;

@@ -8,23 +8,6 @@
 
 namespace cpm {
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {
@@ -32,10 +15,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
-
-double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
 void TimeWeightedStats::start(double time, double value) {
   started_ = true;

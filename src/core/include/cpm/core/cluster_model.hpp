@@ -271,9 +271,10 @@ class ClusterModel {
   [[nodiscard]] units::Seconds mean_delay_at(
       const std::vector<double>& frequencies) const;
 
-  /// Compiles the model at an operating point into a simulator config.
-  /// Service distributions are pre-scaled to the chosen frequencies and
-  /// station speeds are fixed at 1 — for static (fixed-frequency) runs.
+  /// Compiles the model at an operating point into a simulator config for
+  /// static (fixed-frequency) runs: to_controlled_sim_config's config with
+  /// each visit's service law pre-scaled by its station's speedup and every
+  /// station at speed 1.
   [[nodiscard]] sim::SimConfig to_sim_config(const std::vector<double>& frequencies,
                                              double warmup_time, double end_time,
                                              std::uint64_t seed) const;

@@ -333,32 +333,17 @@ units::Seconds ClusterModel::mean_delay_at(
 sim::SimConfig ClusterModel::to_sim_config(const std::vector<double>& frequencies,
                                            double warmup_time, double end_time,
                                            std::uint64_t seed) const {
-  check_frequencies(frequencies);
-  sim::SimConfig cfg;
-  cfg.warmup_time = warmup_time;
-  cfg.end_time = end_time;
-  cfg.seed = seed;
-
-  cfg.stations.reserve(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    const auto& t = tiers_[i];
-    cfg.stations.push_back(sim::SimStation{
-        t.name, t.servers, t.discipline, t.power.idle_power(),
-        t.power.dynamic_power(units::hertz(frequencies[i]))});
-  }
-
-  // Each base demand rescaled by its tier's speedup.
-  cfg.classes.reserve(classes_.size());
-  for (const auto& c : classes_) {
-    std::vector<queueing::Visit> route;
-    for (const auto& d : c.route) {
-      const auto i = static_cast<std::size_t>(d.tier);
-      const double speedup = tiers_[i].power.speedup(units::hertz(frequencies[i]));
-      route.push_back(queueing::Visit{
-          d.tier, d.base_service.scaled_to_mean(d.base_service.mean() / speedup)});
+  sim::SimConfig cfg =
+      to_controlled_sim_config(frequencies, warmup_time, end_time, seed);
+  // Each base demand rescaled by its station's speedup; the stations then
+  // run at unit speed.
+  for (sim::SimClass& c : cfg.classes)
+    for (queueing::Visit& v : c.route) {
+      const double speedup =
+          cfg.stations[static_cast<std::size_t>(v.station)].speed;
+      v.service = v.service.scaled_to_mean(v.service.mean() / speedup);
     }
-    cfg.classes.push_back(sim::SimClass{c.name, c.rate, std::move(route), std::nullopt});
-  }
+  for (sim::SimStation& st : cfg.stations) st.speed = 1.0;
   return cfg;
 }
 

@@ -52,8 +52,6 @@ struct StationMetrics {
   /// percentile-validation experiment (E8) quantifies. May be +infinity
   /// when a service third moment is infinite (Pareto shape <= 3).
   std::vector<double> wait_m2;
-  std::vector<double> mean_queue_len; ///< Little: lambda_k * wait_k
-  std::vector<double> mean_in_system; ///< Little: lambda_k * sojourn_k
   std::vector<double> rho;            ///< per-class load share lambda_k E[S_k] / c
   double total_utilization = 0.0;     ///< sum of rho (must be < 1 for stability)
 };

@@ -178,8 +178,6 @@ bool analyze_station(int servers, Discipline discipline,
   m.mean_wait.resize(k_classes);
   m.mean_sojourn.resize(k_classes);
   m.wait_m2.resize(k_classes);
-  m.mean_queue_len.resize(k_classes);
-  m.mean_in_system.resize(k_classes);
   m.rho.resize(k_classes);
 
   // Each class's delay beyond service; mean_wait holds it from here on.
@@ -218,17 +216,16 @@ bool analyze_station(int servers, Discipline discipline,
       // (M/G/c FCFS delay). The single-server reference system divides
       // every service time by c so that it is stable whenever the real
       // station is, up to rounding. Each reference law is built once; its
-      // moments wait in mean_sojourn and mean_in_system, which are written
-      // last.
+      // moments wait in mean_sojourn and wait_m2, which are written later.
       const double inv_c = 1.0 / static_cast<double>(servers);
       for (std::size_t k = 0; k < k_classes; ++k) {
         const Distribution law =
             flows[k].service.scaled_to_mean(flows[k].service.mean() * inv_c);
         m.mean_sojourn[k] = law.mean();
-        m.mean_in_system[k] = law.second_moment();
+        m.wait_m2[k] = law.second_moment();
       }
       const auto reference = [&m](std::size_t k) {
-        return Moments{m.mean_sojourn[k], m.mean_in_system[k]};
+        return Moments{m.mean_sojourn[k], m.wait_m2[k]};
       };
       const Aggregate ref = aggregate_flows(1, flows, reference);
       if (!single_server_delays(discipline, flows, reference, ref, delay)) return false;
@@ -279,8 +276,6 @@ bool analyze_station(int servers, Discipline discipline,
   for (std::size_t k = 0; k < k_classes; ++k) {
     m.rho[k] = flows[k].rate.value() * flows[k].service.mean() / static_cast<double>(servers);
     m.mean_sojourn[k] = delay[k] + flows[k].service.mean();
-    m.mean_queue_len[k] = flows[k].rate.value() * delay[k];
-    m.mean_in_system[k] = flows[k].rate.value() * m.mean_sojourn[k];
   }
   return true;
 }

@@ -72,16 +72,15 @@ struct SimClass {
   std::vector<double> arrival_times;
 };
 
-/// What a ManagementHook invocation observes: the measurement window
-/// just closed and the cluster's current state.
+/// What a ManagementHook invocation observes: the measurement window of
+/// SimConfig::control_period just closed, per-class counters over it, and
+/// the cluster's current server counts and admission map (its only
+/// per-station figures are the server counts).
 struct ControlSnapshot {
   double time = 0.0;                  ///< invocation model time
-  double window = 0.0;                ///< measurement window length
   // Window counters are the simulator hot path and stay raw doubles
   // (see docs/units.md boundary policy). // conv-ok: UNIT-4
   std::vector<double> arrival_rate;   ///< per class, arrivals/window
-  std::vector<double> utilization;    ///< per station, busy fraction in window
-  std::vector<double> queue_length;   ///< per station, waiting jobs right now
   std::vector<int> servers;           ///< per station, CURRENT server count
                                       ///< (reflects faults and actuations)
   std::vector<std::uint64_t> window_completed;  ///< per class, this window
@@ -189,13 +188,14 @@ struct SimClassResult {
   }
 };
 
-/// Per-station simulation output.
+/// Per-station simulation output, post-warm-up.
 struct SimStationResult {
   double utilization = 0.0;            ///< time-average busy servers / servers
   double mean_queue_len = 0.0;         ///< waiting jobs (excluding in service)
   units::Watts avg_power = units::watts(0.0);
-  std::vector<double> mean_sojourn;    ///< per class, 0 if class never visited
-  std::vector<double> mean_wait;       ///< per class sojourn minus service
+  /// Per class, mean sojourn minus the job's own service time at the
+  /// station; 0 if the class never left the station.
+  std::vector<double> mean_wait;
 };
 
 /// One recorded completion (only when SimConfig::record_completions).

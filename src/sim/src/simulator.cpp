@@ -151,7 +151,6 @@ struct StationRuntime {
   /// evicted, so occupancy may transiently exceed the new capacity but can
   /// only drain (admissions are gated). Tracks the allowed watermark.
   std::size_t audit_capacity_slack = 0;
-  std::vector<RunningStats> sojourn_by_class;
   std::vector<RunningStats> wait_by_class;
 };
 
@@ -196,11 +195,9 @@ class Simulation {
       st.queue_len.start(0.0, 0.0);
       st.idle_power.start(0.0, cfg_.stations[s].idle_watts.value() *
                                    static_cast<double>(st.servers));
-      st.sojourn_by_class.resize(n_classes);
       st.wait_by_class.resize(n_classes);
     }
     window_arrivals_.assign(n_classes, 0);
-    window_busy_base_.assign(n_stations, 0.0);
     manage_ = static_cast<bool>(cfg_.manage);
     admitted_.assign(n_classes, 1);
     window_completed_.assign(n_classes, 0);
@@ -611,12 +608,10 @@ class Simulation {
         throw Error("sim audit: energy attribution out of bounds for class " +
                     cfg_.classes[job->cls].name);
     }
-    if (job->counted) {
-      st.sojourn_by_class[job->cls].add(sojourn);
-      // "Wait" = sojourn minus the job's own nominal service wall time at
-      // the station's (current) speed.
+    // "Wait" = sojourn minus the job's own nominal service wall time at
+    // the station's (current) speed.
+    if (job->counted)
       st.wait_by_class[job->cls].add(sojourn - job->service_total / st.speed);
-    }
     // Dynamic energy was accumulated segment-wise while serving.
 
     job->route_pos += 1;
@@ -668,32 +663,7 @@ class Simulation {
   // ---- online management (management hook) -------------------------------
 
   void control_tick() {
-    const double now = now_;
-    const double window = cfg_.control_period;
-
-    ControlSnapshot snap;
-    snap.time = now;
-    snap.window = window;
-    snap.arrival_rate.resize(cfg_.classes.size());
-    for (std::size_t k = 0; k < cfg_.classes.size(); ++k) {
-      snap.arrival_rate[k] =
-          static_cast<double>(window_arrivals_[k]) / window;
-      window_arrivals_[k] = 0;
-    }
-    snap.utilization.resize(stations_.size());
-    snap.queue_length.resize(stations_.size());
-    for (std::size_t s = 0; s < stations_.size(); ++s) {
-      auto& st = stations_[s];
-      st.busy_servers.finish(now);  // flush the integral up to now
-      const double busy_integral = st.busy_servers.integral() - window_busy_base_[s];
-      window_busy_base_[s] = st.busy_servers.integral();
-      snap.utilization[s] =
-          busy_integral / (window * static_cast<double>(st.servers));
-      snap.queue_length[s] = static_cast<double>(st.waiting);
-    }
-
-    fill_management_snapshot(snap);
-    const ManagementDecision decision = cfg_.manage(snap);
+    const ManagementDecision decision = cfg_.manage(take_snapshot());
     if (!decision.tiers.empty()) {
       require(decision.tiers.size() == stations_.size(),
               "sim: manage hook must return one TierSetting per station");
@@ -706,16 +676,19 @@ class Simulation {
       admitted_ = decision.admit;
     }
 
-    const double next = now + cfg_.control_period;
+    const double next = now_ + cfg_.control_period;
     if (next <= cfg_.end_time) schedule(next, Ev::kControlTick, 0, 0);
   }
 
-  /// The snapshot's server counts, window counters and admission map.
-  /// Window counters reset here; the energy figure is the exact
-  /// (segment-wise) idle + dynamic integral accumulated since the previous
-  /// tick.
-  void fill_management_snapshot(ControlSnapshot& snap) {
+  /// The snapshot of the window just closed: arrival rates, server counts,
+  /// window counters and admission map. Window counters reset here; the
+  /// energy figure is the exact (segment-wise) idle + dynamic integral
+  /// accumulated since the previous tick.
+  ControlSnapshot take_snapshot() {
     const std::size_t n_classes = cfg_.classes.size();
+    ControlSnapshot snap;
+    snap.time = now_;
+    snap.arrival_rate.resize(n_classes);
     snap.servers.resize(stations_.size());
     double energy = 0.0;
     for (std::size_t s = 0; s < stations_.size(); ++s) {
@@ -733,16 +706,20 @@ class Simulation {
     snap.window_within_sla = window_sla_ok_;
     snap.window_mean_delay.resize(n_classes);
     for (std::size_t k = 0; k < n_classes; ++k) {
+      snap.arrival_rate[k] = static_cast<double>(window_arrivals_[k]) /
+                             cfg_.control_period;
       snap.window_mean_delay[k] =
           window_completed_[k] > 0
               ? window_delay_sum_[k] / static_cast<double>(window_completed_[k])
               : 0.0;
+      window_arrivals_[k] = 0;
       window_completed_[k] = 0;
       window_blocked_[k] = 0;
       window_sla_ok_[k] = 0;
       window_delay_sum_[k] = 0.0;
     }
     snap.admitted = admitted_;
+    return snap;
   }
 
   // ---- fault injection -----------------------------------------------------
@@ -927,12 +904,9 @@ class Simulation {
               : cfg_.stations[s].idle_watts.value() * servers +
                     st.dyn_power.time_average());
       r.cluster_avg_power += sr.avg_power;
-      sr.mean_sojourn.resize(cfg_.classes.size());
       sr.mean_wait.resize(cfg_.classes.size());
-      for (std::size_t k = 0; k < cfg_.classes.size(); ++k) {
-        sr.mean_sojourn[k] = st.sojourn_by_class[k].mean();
+      for (std::size_t k = 0; k < cfg_.classes.size(); ++k)
         sr.mean_wait[k] = st.wait_by_class[k].mean();
-      }
     }
     return r;
   }
@@ -955,7 +929,6 @@ class Simulation {
   double audit_max_watts_ = 0.0;
   std::vector<CompletionRecord> completions_;
   std::vector<std::uint64_t> window_arrivals_;
-  std::vector<double> window_busy_base_;
   bool manage_ = false;
   bool servers_changed_ = false;
   std::vector<std::uint8_t> admitted_;

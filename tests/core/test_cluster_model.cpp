@@ -152,7 +152,7 @@ TEST(ValidateNetwork, CatchesMalformedInput) {
 
 TEST(ClusterModel, ToSimConfigMirrorsModel) {
   const auto model = make_enterprise_model(0.5);
-  std::vector<double> f = {1.0, 0.8, 1.0};
+  std::vector<double> f = {1.0, 0.8, 0.6};
   const auto cfg = model.to_sim_config(f, 10.0, 110.0, 99);
   ASSERT_EQ(cfg.stations.size(), 3u);
   ASSERT_EQ(cfg.classes.size(), 3u);
@@ -166,6 +166,32 @@ TEST(ClusterModel, ToSimConfigMirrorsModel) {
   // App-tier service mean is scaled by 1/0.8.
   const double base = model.classes()[0].route[1].base_service.mean();
   EXPECT_NEAR(cfg.classes[0].route[1].service.mean(), base / 0.8, 1e-12);
+
+  // Every station runs at unit speed with its tier's dynamic watts, and
+  // every visit's law is its base law rescaled by the tier's speedup, bit
+  // for bit.
+  const auto settings = model.tier_settings(f);
+  for (std::size_t i = 0; i < cfg.stations.size(); ++i) {
+    EXPECT_EQ(cfg.stations[i].speed, 1.0);
+    EXPECT_EQ(cfg.stations[i].dynamic_watts.value(),
+              settings[i].dynamic_watts.value());
+  }
+  for (std::size_t k = 0; k < cfg.classes.size(); ++k) {
+    const auto& route = model.classes()[k].route;
+    ASSERT_EQ(cfg.classes[k].route.size(), route.size());
+    for (std::size_t v = 0; v < route.size(); ++v) {
+      const Distribution& base_law = route[v].base_service;
+      const double speedup =
+          settings[static_cast<std::size_t>(route[v].tier)].speed;
+      const Distribution expected =
+          base_law.scaled_to_mean(base_law.mean() / speedup);
+      const Distribution& law = cfg.classes[k].route[v].service;
+      EXPECT_EQ(cfg.classes[k].route[v].station, route[v].tier);
+      EXPECT_EQ(law.kind(), expected.kind());
+      EXPECT_EQ(law.mean(), expected.mean());
+      EXPECT_EQ(law.variance(), expected.variance());
+    }
+  }
 }
 
 TEST(ClusterModel, EvaluateEnergyConsistentWithTierPower) {

@@ -22,11 +22,9 @@ sim::ControlSnapshot healthy_snapshot(const core::ClusterModel& model,
                                       double time) {
   sim::ControlSnapshot snap;
   snap.time = time;
-  snap.window = 10.0;
+  const double window = 10.0;
   const std::size_t tiers = model.num_tiers();
   const std::size_t classes = model.num_classes();
-  snap.utilization.assign(tiers, 0.5);
-  snap.queue_length.assign(tiers, 1.0);
   snap.servers.resize(tiers);
   for (std::size_t i = 0; i < tiers; ++i)
     snap.servers[i] = model.tiers()[i].servers;
@@ -38,7 +36,7 @@ sim::ControlSnapshot healthy_snapshot(const core::ClusterModel& model,
   for (std::size_t k = 0; k < classes; ++k) {
     snap.arrival_rate[k] = model.classes()[k].rate.value();
     snap.window_completed[k] =
-        static_cast<std::uint64_t>(model.classes()[k].rate.value() * snap.window);
+        static_cast<std::uint64_t>(model.classes()[k].rate.value() * window);
     snap.window_within_sla[k] = snap.window_completed[k];
   }
   snap.window_energy_joules = units::joules(100.0);

@@ -180,13 +180,6 @@ TEST(AnalyzeStation, RejectsUnstableAndMalformed) {
   EXPECT_THROW(analyze_station(1, Discipline::kFcfs, negative), Error);
 }
 
-TEST(AnalyzeStation, LittleLawPerClass) {
-  const auto m =
-      analyze_station(1, Discipline::kNonPreemptivePriority, two_classes());
-  EXPECT_NEAR(m.mean_queue_len[0], 0.3 * m.mean_wait[0], 1e-12);
-  EXPECT_NEAR(m.mean_in_system[1], 0.4 * m.mean_sojourn[1], 1e-12);
-}
-
 TEST(DisciplineName, AllNamed) {
   EXPECT_STREQ(discipline_name(Discipline::kFcfs), "fcfs");
   EXPECT_STREQ(discipline_name(Discipline::kNonPreemptivePriority), "np-priority");

@@ -189,8 +189,8 @@ TEST(Simulator, TandemRouteSumsDelays) {
   const double theory = queueing::mm1(0.4, 1.0).mean_sojourn +
                         queueing::mm1(0.4, 2.0).mean_sojourn;
   EXPECT_NEAR(r.classes[0].mean_e2e_delay.value(), theory, 0.10 * theory);
-  // Per-station sojourns split correctly.
-  EXPECT_NEAR(r.stations[0].mean_sojourn[0], queueing::mm1(0.4, 1.0).mean_sojourn,
+  // Per-station waits split correctly.
+  EXPECT_NEAR(r.stations[0].mean_wait[0], queueing::mm1(0.4, 1.0).mean_wait,
               0.12 * queueing::mm1(0.4, 1.0).mean_sojourn);
 }
 

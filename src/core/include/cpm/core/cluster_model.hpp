@@ -17,11 +17,11 @@
 // servers and disciplines, its classes the rates and routes. Delays, power,
 // both per-request energies and the stability verdict are assembled from
 // one unit per tier, each tier's station analysed from its own flows over
-// the skeleton the model binds from its routes when it is built. The
-// one-shot evaluate() computes every unit afresh; solvers that probe many
-// points read them through one TierTable, which analyses each tier once per
-// distinct (servers, frequency), counts the points and owns the evaluation
-// it writes into.
+// the skeleton the model binds from its routes when it is built. Every
+// evaluation reads its units through a TierTable, which analyses each tier
+// once per distinct (servers, frequency) and counts the points: evaluate()
+// through a fresh one, a solver that probes many points through one table
+// that also owns the evaluation it writes into.
 #pragma once
 
 #include <memory>
@@ -110,8 +110,8 @@ struct Evaluation {
 /// Every figure of an evaluation is one of these or a sum of them over
 /// tiers or route steps, so an evaluation is assembled from one unit per
 /// tier (ClusterModel::assemble). At an unstable station only stable() and
-/// utilization() are defined. A unit is a view of the figures a TierTable,
-/// or a one-shot evaluation, owns.
+/// utilization() are defined. A unit is a view of the figures a TierTable
+/// owns.
 class TierUnit {
  public:
   /// The number of figures of a unit whose station has `flows` flows and
@@ -146,6 +146,7 @@ class TierUnit {
 
  private:
   friend class ClusterModel;
+  friend class TierTable;  // points its views at its units
   // The figures: stable (1 or 0), utilisation, average and shared idle
   // power, then three rows of one figure per flow and three of one per visit.
   static constexpr std::size_t kHeader = 4;
@@ -234,8 +235,7 @@ class ClusterModel {
   /// every station is stable. Returns stable=false (and no metrics) instead
   /// of throwing when some tier saturates — optimisers probe infeasible
   /// points routinely. Throws unless check_frequencies passes. Each call
-  /// computes its units afresh; a TierTable reuses them, and its buffers,
-  /// across points.
+  /// reads its units through a fresh TierTable.
   [[nodiscard]] Evaluation evaluate(const std::vector<double>& frequencies) const;
 
   /// Throws unless there is one frequency per tier, each inside its tier's

@@ -1,15 +1,16 @@
-// TierTable: the one object a solve evaluates through.
+// TierTable: the one object every analytic evaluation reads through.
 //
 // Every delay and the cluster power of an operating point are assembled
 // from one unit per tier, and a tier's unit depends only on the tier's
-// server count and frequency (ClusterModel::analyze_tier). A solver that
-// probes many points, most of which share some tier's setting with an
-// earlier one, reads every point through one table: it keeps the units it
-// has computed, keyed by tier, server count and the frequency's exact bits,
-// so it analyses each tier once per distinct (servers, frequency); it owns
-// the one Evaluation the solve writes into, so a warm table evaluates
-// without allocating; and it counts the operating points it reads beside
-// the units it computes, the work counts the solvers return.
+// server count and frequency (ClusterModel::analyze_tier). A table keeps
+// the units it computes, keyed by tier, server count and the frequency's
+// exact bits, so a solve that reads all its points through one table
+// analyses each tier once per distinct (servers, frequency). It owns the
+// one Evaluation the solve writes into and counts the points it reads
+// beside the units it computes, the work counts the solvers return. It
+// opens with room for one point's units, all ClusterModel::evaluate and
+// power_at read, and makes a solve's room at its first unit beyond them;
+// from then on, a warm table evaluates without allocating.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,9 @@ class TierTable {
 
   /// Every tier's unit at the operating point `frequencies` with `servers`
   /// servers per tier, in tier order, each computed the first time it is
-  /// asked for. Counts one point, after the frequency checks
-  /// ClusterModel::evaluate makes. The views stay valid until the table
-  /// computes another unit.
+  /// asked for. Throws as ClusterModel::check_frequencies does before it
+  /// computes a unit, and counts the point once its units are in hand. The
+  /// views stay valid until the table computes another unit.
   const std::vector<TierUnit>& units(const std::vector<int>& servers,
                                      const std::vector<double>& frequencies);
 
@@ -69,31 +70,30 @@ class TierTable {
   [[nodiscard]] long analyses() const { return analyses_; }
 
  private:
+  // A computed unit: its tier, server count and frequency's bits, and the
+  // offset of its figures in figures_.
   struct Key {
-    std::uint64_t frequency_bits;
-    int servers;
-  };
-  // One tier's units: unit u's figures start at u * size, its key is
-  // keys[u], and `slots` is an open-addressing index over the keys (0 for
-  // an empty slot, else the unit's index + 1), at most half full.
-  struct Tier {
-    std::size_t size = 0;
-    std::size_t flows = 0;
-    std::size_t visits = 0;
-    std::vector<double> figures;
-    std::vector<Key> keys;
-    std::vector<std::uint32_t> slots;
+    std::uint64_t frequency_bits = 0;
+    std::uint32_t tier = 0;
+    int servers = 0;
+    std::size_t offset = 0;
   };
 
-  static std::size_t slot_of(const Key& key, std::size_t mask);
-  static void grow(Tier& tier);
-  // The figures of tier `tier`'s unit at `servers` (>= 1) servers and
-  // `frequency`, valid until the table computes another unit of the tier.
-  const double* figures(std::size_t tier, int servers, units::Hertz frequency);
+  // Rebuilds the index with `size` (a power of two) slots.
+  void reindex(std::size_t size);
+  // The slot holding `key`'s unit, or the empty slot where it goes.
+  [[nodiscard]] std::size_t slot_of(const Key& key) const;
+  // Computes `key`'s unit at `frequency`, indexed in `slot`; its offset.
+  std::size_t add(Key key, units::Hertz frequency, std::size_t slot);
 
   const ClusterModel* model_;
   std::vector<int> servers_;
-  std::vector<Tier> tiers_;
+  // Every unit's figures, one unit after another, the units' keys, and an
+  // open-addressing index over the keys (0 for an empty slot, else the
+  // key's index + 1), at most half full.
+  std::vector<double> figures_;
+  std::vector<Key> keys_;
+  std::vector<std::uint32_t> slots_;
   TierBuffers buffers_;
   std::vector<TierUnit> units_;  // the last point's units
   Evaluation evaluation_;

@@ -5,6 +5,7 @@
 
 #include "cpm/common/error.hpp"
 #include "cpm/core/preconditions.hpp"
+#include "cpm/core/tier_table.hpp"
 
 namespace cpm::core {
 
@@ -15,31 +16,6 @@ std::vector<units::Rate> class_rates(const std::vector<WorkloadClass>& classes) 
   rates.reserve(classes.size());
   for (const auto& c : classes) rates.push_back(c.rate);
   return rates;
-}
-
-// The one-shot path's buffers: each tier's unit at one point, computed
-// afresh, and the buffers that compute it. Solvers that probe many points
-// read them through a TierTable instead.
-struct OneShot {
-  std::vector<std::vector<double>> figures;  // per tier, its unit's figures
-  std::vector<TierUnit> units;               // views of `figures`
-  TierBuffers buffers;
-};
-
-// Every tier's unit at `frequencies` and the tier's servers, into `one`,
-// after check_frequencies.
-const std::vector<TierUnit>& units_at(const ClusterModel& model,
-                                      const std::vector<double>& frequencies,
-                                      OneShot& one) {
-  model.check_frequencies(frequencies);
-  one.figures.resize(model.num_tiers());
-  for (std::size_t i = 0; i < model.num_tiers(); ++i) {
-    one.figures[i].resize(model.unit_size(i));
-    one.units.push_back(model.analyze_tier(i, model.tiers()[i].servers,
-                                           units::hertz(frequencies[i]),
-                                           one.figures[i], one.buffers));
-  }
-  return one.units;
 }
 
 }  // namespace
@@ -308,9 +284,11 @@ ClusterModel ClusterModel::with_discipline(queueing::Discipline discipline) cons
 }
 
 Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const {
+  // Assembled here: copying a fresh table's evaluation out costs more.
+  TierTable table(*this);
+  const std::vector<TierUnit>& units =
+      table.units(table.servers(), frequencies);
   Evaluation ev;
-  OneShot one;
-  const std::vector<TierUnit>& units = units_at(*this, frequencies, one);
   if (all_stable(units)) assemble(units, ev);
   return ev;
 }
@@ -320,9 +298,7 @@ bool all_stable(const std::vector<TierUnit>& units) {
 }
 
 units::Watts ClusterModel::power_at(const std::vector<double>& frequencies) const {
-  OneShot one;
-  const std::vector<TierUnit>& units = units_at(*this, frequencies, one);
-  return all_stable(units) ? cluster_power(units) : units::Watts::infinity();
+  return TierTable(*this).power(frequencies);
 }
 
 units::Seconds ClusterModel::mean_delay_at(

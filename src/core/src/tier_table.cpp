@@ -1,6 +1,7 @@
 #include "cpm/core/tier_table.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "cpm/common/error.hpp"
 
@@ -10,76 +11,94 @@ namespace {
 
 // Room for the units of a typical solve (a dual solve probes up to about
 // 80 frequencies per tier), so that few solves grow the table.
-constexpr std::size_t kInitialUnits = 128;
+constexpr std::size_t kSolveUnits = 128;
 
 }  // namespace
 
-TierTable::TierTable(const ClusterModel& model) : model_(&model), tiers_(model.num_tiers()) {
-  for (const auto& t : model.tiers()) servers_.push_back(t.servers);
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    tiers_[i].size = model.unit_size(i);
-    tiers_[i].flows = model.skeleton().flows[i].size();
-    tiers_[i].visits = model.skeleton().visits[i].size();
-    tiers_[i].slots.assign(2 * kInitialUnits, 0);
-    tiers_[i].keys.reserve(kInitialUnits);
-    tiers_[i].figures.reserve(kInitialUnits * tiers_[i].size);
+TierTable::TierTable(const ClusterModel& model)
+    : model_(&model), servers_(model.num_tiers()) {
+  std::size_t figures = 0;  // one point's
+  units_.reserve(servers_.size());
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    servers_[i] = model.tiers()[i].servers;
+    units_.emplace_back(nullptr, model.skeleton().flows[i].size(),
+                        model.skeleton().visits[i].size());
+    figures += model.unit_size(i);
   }
+  figures_.reserve(figures);
+  keys_.reserve(servers_.size());
+  reindex(std::bit_ceil(2 * servers_.size()));
 }
 
-std::size_t TierTable::slot_of(const Key& key, std::size_t mask) {
-  // A 64-bit mix (splitmix64's finaliser) of the frequency's bits and the
-  // server count: neighbouring frequencies differ only in low mantissa bits.
-  std::uint64_t h = key.frequency_bits ^ (static_cast<std::uint64_t>(key.servers) << 52);
+void TierTable::reindex(std::size_t size) {
+  slots_.assign(size, 0);
+  for (std::size_t u = 0; u < keys_.size(); ++u)
+    slots_[slot_of(keys_[u])] = static_cast<std::uint32_t>(u + 1);
+}
+
+std::size_t TierTable::slot_of(const Key& key) const {
+  // splitmix64's finaliser: neighbouring frequencies differ in low bits.
+  std::uint64_t h = key.frequency_bits ^ (std::uint64_t{key.tier} << 40) ^
+                    (static_cast<std::uint64_t>(key.servers) << 52);
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
   h ^= h >> 31;
-  return static_cast<std::size_t>(h) & mask;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = static_cast<std::size_t>(h) & mask;
+  for (; slots_[s] != 0; s = (s + 1) & mask) {
+    const Key& k = keys_[slots_[s] - 1];
+    if (k.frequency_bits == key.frequency_bits && k.tier == key.tier &&
+        k.servers == key.servers)
+      break;
+  }
+  return s;
 }
 
-void TierTable::grow(Tier& tier) {
-  tier.slots.assign(2 * tier.slots.size(), 0);
-  const std::size_t mask = tier.slots.size() - 1;
-  for (std::size_t u = 0; u < tier.keys.size(); ++u) {
-    std::size_t s = slot_of(tier.keys[u], mask);
-    while (tier.slots[s] != 0) s = (s + 1) & mask;
-    tier.slots[s] = static_cast<std::uint32_t>(u + 1);
+std::size_t TierTable::add(Key key, units::Hertz frequency, std::size_t slot) {
+  require(key.servers >= 1, "TierTable: a tier needs >= 1 server");
+  // The first unit beyond a first point's makes room for a solve's.
+  if (keys_.size() == servers_.size()) {
+    figures_.reserve(kSolveUnits * figures_.size());
+    keys_.reserve(kSolveUnits * servers_.size());
+    reindex(std::bit_ceil(2 * kSolveUnits * servers_.size()));
+    slot = slot_of(key);
   }
-}
-
-const double* TierTable::figures(std::size_t tier, int servers,
-                                 units::Hertz frequency) {
-  require(servers >= 1, "TierTable: a tier needs >= 1 server");
-  Tier& t = tiers_[tier];
-  const Key key{std::bit_cast<std::uint64_t>(frequency.value()), servers};
-  const std::size_t mask = t.slots.size() - 1;
-  std::size_t s = slot_of(key, mask);
-  for (; t.slots[s] != 0; s = (s + 1) & mask) {
-    const std::size_t u = t.slots[s] - 1;
-    if (t.keys[u].frequency_bits == key.frequency_bits && t.keys[u].servers == servers)
-      return t.figures.data() + u * t.size;
-  }
-  const std::size_t u = t.keys.size();
-  t.figures.resize((u + 1) * t.size);
-  model_->analyze_tier(tier, servers, frequency,
-                       std::span<double>(t.figures).subspan(u * t.size, t.size), buffers_);
+  key.offset = figures_.size();
+  figures_.resize(key.offset + model_->unit_size(key.tier));
+  model_->analyze_tier(key.tier, key.servers, frequency,
+                       std::span(figures_).subspan(key.offset), buffers_);
   ++analyses_;
-  t.keys.push_back(key);
-  t.slots[s] = static_cast<std::uint32_t>(u + 1);
-  if (2 * t.keys.size() > t.slots.size()) grow(t);
-  return t.figures.data() + u * t.size;
+  keys_.push_back(key);
+  slots_[slot] = static_cast<std::uint32_t>(keys_.size());
+  if (2 * keys_.size() > slots_.size()) reindex(2 * slots_.size());
+  return key.offset;
 }
 
-const std::vector<TierUnit>& TierTable::units(const std::vector<int>& servers,
-                                              const std::vector<double>& frequencies) {
-  require(servers.size() == tiers_.size(), "TierTable: one server count per tier required");
-  model_->check_frequencies(frequencies);
+const std::vector<TierUnit>& TierTable::units(
+    const std::vector<int>& servers, const std::vector<double>& frequencies) {
+  require(servers.size() == servers_.size(),
+          "TierTable: one server count per tier required");
+  require(frequencies.size() == servers_.size(),
+          "ClusterModel: one frequency per tier required");
+  // A held unit passed the frequency checks when it was computed, so a
+  // point is checked at its first miss, which can move the store.
+  bool checked = false;
+  const double* store = nullptr;
+  do {
+    store = figures_.data();
+    for (std::size_t i = 0; i < units_.size(); ++i) {
+      const Key key{std::bit_cast<std::uint64_t>(frequencies[i]),
+                    static_cast<std::uint32_t>(i), servers[i]};
+      const std::size_t s = slot_of(key);
+      if (slots_[s] == 0 && !std::exchange(checked, true))
+        model_->check_frequencies(frequencies);
+      const std::size_t offset =
+          slots_[s] != 0 ? keys_[slots_[s] - 1].offset
+                         : add(key, units::hertz(frequencies[i]), s);
+      units_[i].f_ = figures_.data() + offset;
+    }
+  } while (store != figures_.data());
   ++evaluations_;
-  // Each view is built here from the figures' address: a unit returned by
-  // value from the lookup costs a store-forwarding stall per tier.
-  units_.clear();
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    units_.emplace_back(figures(i, servers[i], units::hertz(frequencies[i])),
-                        tiers_[i].flows, tiers_[i].visits);
   return units_;
 }
 

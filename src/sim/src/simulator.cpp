@@ -568,12 +568,14 @@ class Simulation {
     if (token != st.ps_token) return;  // state changed since scheduling
     ps_advance(s);
     // Finish every job whose work has hit zero (simultaneity is possible
-    // with deterministic service).
+    // with deterministic service) or is too small to advance the clock.
     constexpr double kEps = 1e-12;
-    std::vector<Job*> finished;
+    const double rate = ps_rate(s);
+    ps_finished_.clear();
     for (auto it = st.ps_jobs.begin(); it != st.ps_jobs.end();) {
-      if (it->remaining_work <= kEps) {
-        finished.push_back(it->job);
+      if (it->remaining_work <= kEps ||
+          now_ + it->remaining_work / rate <= now_) {
+        ps_finished_.push_back(it->job);
         it = st.ps_jobs.erase(it);
       } else {
         ++it;
@@ -581,7 +583,7 @@ class Simulation {
     }
     update_busy_signals(s);
     ps_reschedule(s);
-    for (Job* job : finished) {
+    for (Job* job : ps_finished_) {
       // PS energy attribution: the job's share of server-time equals its
       // total work divided by the station speed (exact at fixed speed;
       // approximate across mid-service retunings).
@@ -917,6 +919,7 @@ class Simulation {
   double now_ = 0.0;
   JobArena arena_;
   std::vector<StationRuntime> stations_;
+  std::vector<Job*> ps_finished_;  // ps_complete's departures, reused
   std::vector<std::vector<RouteStep>> route_;
   std::vector<Rng> arrival_rng_;
   std::vector<Rng> service_rng_;

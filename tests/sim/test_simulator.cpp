@@ -130,6 +130,26 @@ TEST(Simulator, ProcessorSharingMatchesTheory) {
   EXPECT_NEAR(r.classes[0].mean_e2e_delay.value(), 2.0, 0.10 * 2.0);
 }
 
+TEST(Simulator, ProcessorSharingFinishesAtALargeClock) {
+  // Two PS servers fed at rate 1.2 with exp(1) work. Near t = 16,386 a
+  // job's residual work, just above the absolute tolerance, took less
+  // than half an ulp of the clock at rate 1: its completion was
+  // rescheduled at the same time, forever. The station finishes it there.
+  SimConfig cfg;
+  cfg.stations = {SimStation{"s", 2, Discipline::kProcessorSharing,
+                             units::watts(0.0), units::watts(0.0)}};
+  cfg.classes = {SimClass{"c", units::per_second(1.2),
+                          {Visit{0, Distribution::exponential(1.0)}}}};
+  cfg.end_time = 20000.0;
+  cfg.seed = 3;
+  cfg.audit = true;
+  const auto r = simulate(cfg);
+  EXPECT_EQ(r.events_fired, 64981U);
+  EXPECT_EQ(r.classes[0].completed, 23664U);
+  EXPECT_EQ(r.classes[0].arrived,
+            r.classes[0].completed + r.classes[0].in_system_at_end);
+}
+
 TEST(Simulator, MultiServerPriorityMatchesExactFormula) {
   // Equal exponential services: the Bondi-Buzen scaling is exact for
   // M/M/c priority, so simulation must match it.

@@ -8,7 +8,10 @@
 // events). Sift operations move a hole instead of swapping whole entries,
 // so each displaced entry is moved exactly once. The simulator's POD
 // events never need to be found again (stale completions are invalidated
-// by token, not removed), so the heap keeps no handles.
+// by token, not removed), so the heap keeps no handles. A processor-
+// sharing station orders its jobs in one too, keyed by finish tag in work
+// units rather than by time; its jobs leave only from the top, so it needs
+// no handles either.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +33,8 @@ class FourAryHeap {
   [[nodiscard]] bool empty() const { return slots_.empty(); }
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] const Entry& top() const { return slots_.front(); }
+  /// Every entry, in heap order.
+  [[nodiscard]] const std::vector<Entry>& entries() const { return slots_; }
 
   void reserve(std::size_t n) { slots_.reserve(n); }
   void clear() { slots_.clear(); }

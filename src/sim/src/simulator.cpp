@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "cpm/common/error.hpp"
 #include "cpm/sim/event_heap.hpp"
@@ -111,20 +110,17 @@ struct InService {
   double segment_start = 0.0;   ///< start of the current energy segment
 };
 
-// A job sharing the processor (PS stations).
-struct PsJob {
-  Job* job = nullptr;
-  double remaining_work = 0.0;
-};
-
 struct StationRuntime {
   // One FIFO queue per priority level; FCFS uses only queue 0.
   std::vector<std::deque<Job*>> queues;
   std::vector<InService> in_service;
   std::size_t waiting = 0;  ///< total queued jobs (sum over `queues`)
 
-  // Processor-sharing state.
-  std::vector<PsJob> ps_jobs;
+  // Processor-sharing state: the virtual clock `ps_work` is the work each
+  // job present has received so far, and every job is keyed by its finish
+  // tag, the clock's reading at entry plus its demand (both in work units).
+  FourAryHeap<Job*> ps_jobs;
+  double ps_work = 0.0;
   double ps_last_update = 0.0;
   std::uint64_t ps_token = 0;        ///< invalidates stale PS completions
 
@@ -533,12 +529,11 @@ class Simulation {
     return st.speed * std::min(1.0, c / n);
   }
 
+  /// Brings the virtual clock to now. Call it before anything changes the
+  /// sharing rate: the time since the last call ran at the old rate.
   void ps_advance(std::size_t s) {
     auto& st = stations_[s];
-    const double rate = ps_rate(s);
-    const double dt = now_ - st.ps_last_update;
-    if (dt > 0.0 && rate > 0.0)
-      for (auto& pj : st.ps_jobs) pj.remaining_work -= dt * rate;
+    st.ps_work += (now_ - st.ps_last_update) * ps_rate(s);
     st.ps_last_update = now_;
   }
 
@@ -546,50 +541,38 @@ class Simulation {
     auto& st = stations_[s];
     ++st.ps_token;  // invalidate any pending completion
     if (st.ps_jobs.empty()) return;
-    const double rate = ps_rate(s);
-    double min_work = std::numeric_limits<double>::infinity();
-    for (const auto& pj : st.ps_jobs)
-      min_work = std::min(min_work, pj.remaining_work);
-    min_work = std::max(min_work, 0.0);
-    const double t = now_ + min_work / rate;
-    schedule(t, Ev::kPsComplete, static_cast<std::uint32_t>(s), st.ps_token);
+    // Rounding may leave the clock past the top tag; that job is due now.
+    const double work = std::max(st.ps_jobs.top().time - st.ps_work, 0.0);
+    schedule(now_ + work / ps_rate(s), Ev::kPsComplete,
+             static_cast<std::uint32_t>(s), st.ps_token);
   }
 
   void ps_enter(std::size_t s, Job* job) {
     auto& st = stations_[s];
     ps_advance(s);
-    st.ps_jobs.push_back(PsJob{job, job->service_total});
+    st.ps_jobs.push(st.ps_work + job->service_total, st.next_token++, job);
     update_busy_signals(s);
     ps_reschedule(s);
   }
 
+  /// Finishes the one job with the earliest tag. The clock stands on that
+  /// tag, never short of it, so jobs of equal tags finish in the next
+  /// events at the same time, and a job finishes even when its remaining
+  /// work is too little to move the event clock.
   void ps_complete(std::size_t s, std::uint64_t token) {
     auto& st = stations_[s];
     if (token != st.ps_token) return;  // state changed since scheduling
     ps_advance(s);
-    // Finish every job whose work has hit zero (simultaneity is possible
-    // with deterministic service) or is too small to advance the clock.
-    constexpr double kEps = 1e-12;
-    const double rate = ps_rate(s);
-    ps_finished_.clear();
-    for (auto it = st.ps_jobs.begin(); it != st.ps_jobs.end();) {
-      if (it->remaining_work <= kEps ||
-          now_ + it->remaining_work / rate <= now_) {
-        ps_finished_.push_back(it->job);
-        it = st.ps_jobs.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const auto done = st.ps_jobs.pop();
+    st.ps_work = std::max(st.ps_work, done.time);
     update_busy_signals(s);
     ps_reschedule(s);
-    for (Job* job : ps_finished_) {
-      // PS energy attribution: the job's share of server-time equals its
-      // total work divided by the station speed (exact at fixed speed;
-      // approximate across mid-service retunings).
-      job->energy_joules += st.dynamic_watts * job->service_total / st.speed;
-      depart_station(s, job);
-    }
+    // PS energy attribution: the job's share of server-time equals its
+    // total work divided by the station speed (exact at fixed speed;
+    // approximate across mid-service retunings).
+    Job* job = done.payload;
+    job->energy_joules += st.dynamic_watts * job->service_total / st.speed;
+    depart_station(s, job);
   }
 
   // ---- departures & end-to-end accounting --------------------------------
@@ -749,7 +732,8 @@ class Simulation {
   /// Changes the active server count of station s. Shrinking preempts the
   /// lowest-priority in-service jobs in excess of the new count back onto
   /// their queue fronts (work conserving); growing redispatches waiting
-  /// jobs. PS stations just recompute the sharing rate.
+  /// jobs. PS stations advance their work clock at the old sharing rate,
+  /// then recompute it.
   void resize_station(std::size_t s, int servers) {
     auto& st = stations_[s];
     if (servers == st.servers) return;
@@ -757,14 +741,16 @@ class Simulation {
     // Close the idle-power segment at the old fleet size.
     st.idle_power.update(now_, cfg_.stations[s].idle_watts.value() *
                                    static_cast<double>(servers));
-    st.servers = servers;
 
     if (st.discipline == Discipline::kProcessorSharing) {
       ps_advance(s);
+      st.servers = servers;
       update_busy_signals(s);
       ps_reschedule(s);
       return;
     }
+
+    st.servers = servers;
 
     while (st.in_service.size() > static_cast<std::size_t>(st.servers)) {
       // Victim: the lowest-priority job in service (ties broken towards the
@@ -847,8 +833,8 @@ class Simulation {
           if (job->counted) ++in_system[job->cls];
       for (const auto& e : st.in_service)
         if (e.job->counted) ++in_system[e.job->cls];
-      for (const auto& pj : st.ps_jobs)
-        if (pj.job->counted) ++in_system[pj.job->cls];
+      for (const auto& e : st.ps_jobs.entries())
+        if (e.payload->counted) ++in_system[e.payload->cls];
     }
 
     const std::size_t n_classes = cfg_.classes.size();
@@ -919,7 +905,6 @@ class Simulation {
   double now_ = 0.0;
   JobArena arena_;
   std::vector<StationRuntime> stations_;
-  std::vector<Job*> ps_finished_;  // ps_complete's departures, reused
   std::vector<std::vector<RouteStep>> route_;
   std::vector<Rng> arrival_rng_;
   std::vector<Rng> service_rng_;

@@ -31,7 +31,7 @@ namespace cpm::sweep {
 
 /// Version salt folded into every cache key. Bump when a pipeline's
 /// numerical behaviour changes so stale results cannot be served.
-inline constexpr const char* kEngineSalt = "cpm-sweep-engine/3";
+inline constexpr const char* kEngineSalt = "cpm-sweep-engine/4";
 
 struct CacheOptions {
   /// Cache directory; empty = default_cache_dir().

@@ -68,9 +68,6 @@ class RateSchedule {
     return rates_;
   }
 
-  /// Returns a copy with every slot rate multiplied by `factor`.
-  [[nodiscard]] RateSchedule scaled(double factor) const;
-
   /// Samples the next arrival after `now` of a nonhomogeneous Poisson
   /// process with this rate function, by thinning against max_rate().
   [[nodiscard]] double next_arrival(double now, Rng& rng) const;

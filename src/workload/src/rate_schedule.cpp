@@ -129,13 +129,6 @@ double RateSchedule::expected_arrivals(double t0, double t1) const {
   return total;
 }
 
-RateSchedule RateSchedule::scaled(double factor) const {
-  require(factor > 0.0, "RateSchedule::scaled: factor must be positive");
-  std::vector<double> rates = rates_;
-  for (double& r : rates) r *= factor;
-  return RateSchedule(std::move(rates), horizon_);
-}
-
 double RateSchedule::next_arrival(double now, Rng& rng) const {
   // Lewis-Shedler thinning: candidates at the envelope rate, accepted with
   // probability rate(t)/max_rate.

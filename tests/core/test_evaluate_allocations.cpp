@@ -3,48 +3,25 @@
 // these tests are an executable of their own.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <vector>
 
+#include "../common/counting_new.hpp"
 #include "cpm/core/model_io.hpp"
 #include "cpm/core/optimizers.hpp"
 #include "cpm/core/tier_table.hpp"
 
-namespace {
-
-std::atomic<long> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace cpm::core {
 namespace {
+
+using cpm::testing::allocations_of;
 
 ClusterModel enterprise_load70() {
   std::ifstream in(CPM_MODELS_DIR "/enterprise_load70.json");
   std::ostringstream text;
   text << in.rdbuf();
   return model_from_json_text(text.str());
-}
-
-// Allocations made by `fn()`.
-template <class Fn>
-long allocations_of(const Fn& fn) {
-  const long before = g_allocations.load();
-  fn();
-  return g_allocations.load() - before;
 }
 
 TEST(EvaluateAllocations, OneShotEvaluationAllocatesItsResult) {

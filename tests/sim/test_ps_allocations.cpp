@@ -3,33 +3,8 @@
 // test is an executable of its own.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "../common/counting_new.hpp"
 #include "cpm/sim/simulator.hpp"
-
-namespace {
-
-std::atomic<long> g_allocations{0};
-
-}  // namespace
-
-// Out of line, like the deletes below: GCC 12 flags a malloc() or free()
-// it sees inlined against the other side of new and delete
-// (-Wmismatched-new-delete).
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace cpm::sim {
 namespace {
@@ -48,9 +23,8 @@ long allocations_of_run(Discipline discipline, std::uint64_t& completed) {
   cfg.end_time = 10000.0;
   cfg.seed = 3;
   cfg.audit = true;
-  const long before = g_allocations.load();
-  const SimResult r = simulate(cfg);
-  const long made = g_allocations.load() - before;
+  SimResult r;
+  const long made = cpm::testing::allocations_of([&] { r = simulate(cfg); });
   completed = r.classes[0].completed;
   return made;
 }

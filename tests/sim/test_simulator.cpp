@@ -130,11 +130,66 @@ TEST(Simulator, ProcessorSharingMatchesTheory) {
   EXPECT_NEAR(r.classes[0].mean_e2e_delay.value(), 2.0, 0.10 * 2.0);
 }
 
+// One trace-driven PS station whose `jobs` arrivals all come at t = 0,
+// each with the same `work`; the run records every completion.
+SimConfig ps_burst(int servers, int jobs, double work = 1.0) {
+  SimConfig cfg;
+  cfg.stations = {SimStation{"s", servers, Discipline::kProcessorSharing,
+                             units::watts(0.0), units::watts(0.0)}};
+  SimClass c{"c", units::per_second(0.0),
+             {Visit{0, Distribution::deterministic(work)}}};
+  c.arrival_times.assign(static_cast<std::size_t>(jobs), 0.0);
+  cfg.classes = {c};
+  cfg.end_time = 10.0;
+  cfg.record_completions = true;
+  cfg.audit = true;
+  return cfg;
+}
+
+TEST(Simulator, ProcessorSharingFinishesOnTheWorkIntegral) {
+  // Four equal jobs on one server each progress at 1/4 and finish
+  // together at exactly 4.
+  const auto one = simulate(ps_burst(1, 4));
+  ASSERT_EQ(one.completions.size(), 4U);
+  for (const auto& c : one.completions) EXPECT_EQ(c.e2e_delay.value(), 4.0);
+  // Three on two servers each progress at 2/3 and take exactly 1.5.
+  const auto two = simulate(ps_burst(2, 3));
+  ASSERT_EQ(two.completions.size(), 3U);
+  for (const auto& c : two.completions) EXPECT_EQ(c.e2e_delay.value(), 1.5);
+  // Seven jobs of work 0.7 on one server: at rate 1/7 the clock lands an
+  // ulp past their common tag at t = 4.9, and all seven finish then.
+  const auto seven = simulate(ps_burst(1, 7, 0.7));
+  ASSERT_EQ(seven.completions.size(), 7U);
+  for (const auto& c : seven.completions) EXPECT_EQ(c.e2e_delay.value(), 4.9);
+  // A lone job does 0.5 of its work by t = 0.5 at speed 1 and the other
+  // 0.5 at speed 2, which the management hook sets then: 0.75.
+  SimConfig retuned = ps_burst(1, 1);
+  retuned.control_period = 0.5;
+  retuned.manage = [](const ControlSnapshot&) {
+    return ManagementDecision{{TierSetting{2.0, units::watts(0.0)}}, {}};
+  };
+  const auto fast = simulate(retuned);
+  ASSERT_EQ(fast.completions.size(), 1U);
+  EXPECT_EQ(fast.completions[0].e2e_delay.value(), 0.75);
+}
+
+TEST(Simulator, ProcessorSharingResizeKeepsTheWorkDone) {
+  // Two jobs on one server each do 0.5 by t = 1, when a second server
+  // comes up, and the other 0.5 at rate 1: 1.5. Advancing the work clock
+  // at the new server count instead finished both at t = 1.
+  SimConfig grown = ps_burst(1, 2);
+  grown.faults = {FaultEvent{1.0, 0, FaultKind::kSetServers, 2}};
+  const auto wider = simulate(grown);
+  ASSERT_EQ(wider.completions.size(), 2U);
+  for (const auto& c : wider.completions) EXPECT_EQ(c.e2e_delay.value(), 1.5);
+}
+
 TEST(Simulator, ProcessorSharingFinishesAtALargeClock) {
   // Two PS servers fed at rate 1.2 with exp(1) work. Near t = 16,386 a
-  // job's residual work, just above the absolute tolerance, took less
-  // than half an ulp of the clock at rate 1: its completion was
-  // rescheduled at the same time, forever. The station finishes it there.
+  // job's remaining work, once tracked per job against an absolute
+  // tolerance, took less than half an ulp of the clock at rate 1: its
+  // completion was rescheduled at the same time, forever. Each completion
+  // event now finishes the job with the earliest finish tag.
   SimConfig cfg;
   cfg.stations = {SimStation{"s", 2, Discipline::kProcessorSharing,
                              units::watts(0.0), units::watts(0.0)}};

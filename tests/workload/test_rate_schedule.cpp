@@ -69,13 +69,6 @@ TEST(RateSchedule, Mmpp2AlternatesBetweenLevels) {
   EXPECT_EQ(s.slot_rates(), again.slot_rates());
 }
 
-TEST(RateSchedule, ScaledMultipliesRates) {
-  const RateSchedule s({1.0, 2.0}, 2.0);
-  const auto doubled = s.scaled(2.0);
-  EXPECT_DOUBLE_EQ(doubled.rate_at(0.5).value(), 2.0);
-  EXPECT_DOUBLE_EQ(doubled.rate_at(1.5).value(), 4.0);
-}
-
 TEST(RateSchedule, ThinningMatchesExpectedCounts) {
   // Count arrivals per slot over many periods; each slot's count should
   // match its rate integral.
@@ -114,7 +107,6 @@ TEST(RateSchedule, Validation) {
   EXPECT_THROW(RateSchedule::flash_crowd(units::per_second(1.0), units::per_second(2.0), 90.0, 20.0, 100.0), Error);
   const RateSchedule s({1.0}, 1.0);
   EXPECT_THROW(static_cast<void>(s.rate_at(-1.0)), Error);
-  EXPECT_THROW(s.scaled(0.0), Error);
 }
 
 }  // namespace
